@@ -2,9 +2,7 @@
 
 from .amoc import (
     AmocConfig,
-    AmocDecision,
     AmocResult,
-    amoc_detect,
     amoc_statistic,
     permutation_test,
 )
@@ -35,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmocConfig",
-    "AmocDecision",
     "AmocResult",
     "BenchmarkCell",
     "BenchmarkReport",
@@ -47,7 +44,6 @@ __all__ = [
     "ModelSpec",
     "RhoCurve",
     "Segmentation",
-    "amoc_detect",
     "amoc_statistic",
     "brownian_bridge",
     "detect_forward",

@@ -137,37 +137,6 @@ def permutation_test(
     )
 
 
-@dataclass(frozen=True)
-class AmocDecision:
-    """amoc_detect outcome: a boundary (absolute coordinates) or a reason."""
-
-    boundary: int | None
-    status: str  # "rejected" | "accepted" | "too_short"
-    result: AmocResult | None
-
-
-def amoc_detect(
-    gram: np.ndarray,
-    config: AmocConfig,
-    start: int = 0,
-    stop: int | None = None,
-    stream_seed: int | None = None,
-) -> AmocDecision:
-    """Test one block; report its boundary when the test rejects.
-
-    Blocks too short to test yield status "too_short" rather than an error
-    so that recursive segmentation terminates gracefully.
-    """
-    n = gram.shape[0]
-    stop = n if stop is None else stop
-    if not splittable(stop - start, config.delta):
-        return AmocDecision(boundary=None, status="too_short", result=None)
-    res = permutation_test(gram, config, start, stop, stream_seed=stream_seed)
-    if res.reject:
-        return AmocDecision(boundary=start + res.tau_hat, status="rejected", result=res)
-    return AmocDecision(boundary=None, status="accepted", result=res)
-
-
 def segment_seed(config: AmocConfig, start: int, stop: int, n: int) -> int:
     """Permutation-stream seed for a block: config.seed at the root, a
     coordinate-derived seed below it (independent of recursion order)."""

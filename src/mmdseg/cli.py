@@ -19,34 +19,29 @@ from .dataio import (
     dumps_json,
     format_float,
     load_csv,
+    open_output,
     save_csv,
     truth_sidecar_path,
     write_json,
 )
 from .errors import ConfigurationError, DataError
-from .kernel import gram_matrix, median_heuristic
+from .kernel import gram_matrix, median_heuristic, squared_distances
 from .mmd import rho_values
 from .oracle import oracle_curve
 from .segment import detect_forward, detect_s, detect_ss, detect_u
 from .simulate import DEFAULT_GRID_SIZE, MODEL_IDS, ModelSpec, generate
 
-_DEFAULTS = {
-    "delta": 0.05,
-    "permutations": 199,
-    "alpha": 0.05,
-    "seed": 0,
-    "add_one": False,
-    "bandwidth": "median",
-    "format": "json",
-    "workers": 1,
+_DEFAULT = AmocConfig()
+
+_BOOLEAN_WORDS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
 }
 
-_TRUE_WORDS = {"1", "true", "yes", "on"}
 
-
-def read_config_file(path) -> dict[str, str]:
-    """Plain key=value lines; '#' starts a comment; flags override these."""
-    out: dict[str, str] = {}
+def read_config_file(path) -> list[tuple[str, str]]:
+    """Plain key=value lines, in file order; '#' starts a comment."""
+    pairs = []
     try:
         with open(path) as fh:
             for ln, raw in enumerate(fh, start=1):
@@ -58,88 +53,96 @@ def read_config_file(path) -> dict[str, str]:
                         f"{path}: line {ln} is not key=value: {raw.strip()!r}"
                     )
                 key, value = line.split("=", 1)
-                out[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+                pairs.append((key.strip(), value.strip()))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    return out
+    return pairs
 
 
-class _Options:
-    """Layered option lookup: CLI flag, then config file, then default."""
+class _Parser(argparse.ArgumentParser):
+    """Parser whose usage errors raise ConfigurationError (exit code 2, JSON
+    on stderr) instead of printing usage text and exiting."""
 
-    def __init__(self, args, file_cfg):
-        self.args = args
-        self.file_cfg = file_cfg
-
-    def get(self, key, cast, default=None):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.file_cfg:
-            raw = self.file_cfg[key]
-            try:
-                if cast is bool:
-                    return raw.lower() in _TRUE_WORDS
-                return cast(raw)
-            except ValueError:
-                raise ConfigurationError(f"config value {key}={raw!r} is not {cast.__name__}")
-        if key in _DEFAULTS:
-            return _DEFAULTS[key]
-        return default
+    def error(self, message):
+        raise ConfigurationError(message)
 
 
-def _amoc_config(opts: _Options) -> AmocConfig:
+class _CommandParser(_Parser):
+    """Subcommand parser that reads --config FILE ahead of the command line.
+
+    Each key=value line becomes the token --key=value (underscores in the
+    key read as dashes) placed before the command-line tokens, so argparse
+    types and checks every value, and explicit flags, coming later, win.
+    Keys are the subcommand's long option names; a switch such as add_one
+    takes a true or a false word.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, rest = super().parse_known_args(args, namespace)
+        path = getattr(parsed, "config", None)
+        if path is None:
+            return parsed, rest
+        tokens = []
+        for key, value in read_config_file(path):
+            flag = "--" + key.replace("_", "-")
+            action = self._option_string_actions.get(flag)
+            if action is None or action.dest in ("config", "help"):
+                raise ConfigurationError(f"{path}: unknown config key {key!r}")
+            if action.nargs != 0:
+                tokens.append(f"{flag}={value}")
+            elif value.lower() not in _BOOLEAN_WORDS:
+                raise ConfigurationError(f"{path}: {key}={value!r} is not a true or false word")
+            elif _BOOLEAN_WORDS[value.lower()]:
+                tokens.append(flag)
+        return super().parse_known_args([*tokens, *args], namespace)
+
+
+def _amoc_config(args) -> AmocConfig:
     return AmocConfig(
-        delta=opts.get("delta", float),
-        R=opts.get("permutations", int),
-        alpha=opts.get("alpha", float),
-        seed=opts.get("seed", int),
-        add_one=opts.get("add_one", bool),
+        delta=args.delta,
+        R=args.permutations,
+        alpha=args.alpha,
+        seed=args.seed,
+        add_one=args.add_one,
     )
 
 
-def _bandwidth(opts: _Options) -> float | None:
-    raw = opts.get("bandwidth", str)
-    if isinstance(raw, str) and raw.lower() in ("median", "auto"):
+def _bandwidth(raw: str) -> float | None:
+    """--bandwidth value: None for 'median' (or 'auto'), else a number."""
+    if raw.lower() in ("median", "auto"):
         return None
     try:
-        h = float(raw)
+        return float(raw)
     except ValueError:
-        raise ConfigurationError(f"bandwidth must be 'median' or a number, got {raw!r}")
-    if h <= 0:
-        raise ConfigurationError(f"bandwidth must be positive, got {h}")
-    return h
+        raise argparse.ArgumentTypeError(f"must be 'median' or a number, got {raw!r}")
 
 
 def _emit(text: str, output):
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", newline="") as fh:
+        with open_output(output) as fh:
             fh.write(text)
 
 
-def _parse_lengths(raw: str) -> tuple[int, ...]:
+def _lengths(raw: str) -> tuple[int, ...]:
+    """Comma-separated segment lengths."""
     try:
-        lengths = tuple(int(tok) for tok in str(raw).split(",") if tok.strip())
+        lengths = tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
-        raise ConfigurationError(f"lengths must be comma-separated integers, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {raw!r}")
     if not lengths:
-        raise ConfigurationError("lengths must not be empty")
+        raise argparse.ArgumentTypeError("must not be empty")
     return lengths
 
 
-def _parse_params(pairs) -> dict[str, float]:
-    params: dict[str, float] = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigurationError(f"--param expects name=value, got {pair!r}")
-        name, value = pair.split("=", 1)
-        try:
-            params[name.strip()] = float(value)
-        except ValueError:
-            raise ConfigurationError(f"--param value {value!r} is not a number")
-    return params
+def _param(pair: str) -> tuple[str, float]:
+    """One --param name=value."""
+    name, _, value = pair.partition("=")
+    try:
+        return name.strip(), float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects name=number, got {pair!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +160,8 @@ def _boundary_p_values(trace) -> dict[int, float]:
 
 
 def _cmd_detect(args) -> int:
-    opts = _Options(args, read_config_file(args.config) if args.config else {})
-    config = _amoc_config(opts)
-    h = _bandwidth(opts)
-    fmt = opts.get("format", str)
-    if fmt not in ("json", "csv"):
-        raise ConfigurationError(f"format must be json or csv, got {fmt!r}")
+    config = _amoc_config(args)
+    h = args.bandwidth
     data = load_csv(args.input)
 
     algo = args.algorithm
@@ -171,25 +170,21 @@ def _cmd_detect(args) -> int:
     if algo == "u":
         result = detect_u(data, config, h=h)
     elif algo == "s":
-        K = opts.get("changepoints", int)
-        if K is None:
+        if args.changepoints is None:
             raise ConfigurationError("detect-s requires -K/--changepoints")
-        params["K"] = int(K)
-        result = detect_s(data, int(K), config.delta, h=h)
+        params["K"] = args.changepoints
+        result = detect_s(data, args.changepoints, config.delta, h=h)
     elif algo == "ss":
-        K_u = opts.get("upper", int)
-        if K_u is None:
+        if args.upper is None:
             raise ConfigurationError("detect-ss requires --upper")
-        K_l = opts.get("lower", int)
-        K_l = 0 if K_l is None else int(K_l)
-        params["K_l"], params["K_u"] = K_l, int(K_u)
-        result = detect_ss(data, K_l, int(K_u), config, h=h)
+        K_l = 0 if args.lower is None else args.lower
+        params["K_l"], params["K_u"] = K_l, args.upper
+        result = detect_ss(data, K_l, args.upper, config, h=h)
     else:
-        K_l = opts.get("lower", int)
-        if K_l is None:
+        if args.lower is None:
             raise ConfigurationError("detect-forward requires --lower")
-        params["K_l"] = int(K_l)
-        result = detect_forward(data, int(K_l), config, h=h)
+        params["K_l"] = args.lower
+        result = detect_forward(data, args.lower, config, h=h)
     elapsed = time.perf_counter() - t0
 
     seg = result.segmentation
@@ -214,7 +209,7 @@ def _cmd_detect(args) -> int:
         "p_values": [by_boundary.get(b) for b in seg.boundaries],
         "trace": result.trace,
     }
-    if fmt == "json":
+    if args.format == "json":
         _emit(dumps_json(doc), args.output)
     else:
         rows = ["boundary,breakfraction"]
@@ -229,23 +224,20 @@ def _cmd_detect(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _model_spec(args, opts: _Options) -> ModelSpec:
-    model = opts.get("model", str)
-    lengths = opts.get("lengths", str)
-    if model is None or lengths is None:
+def _model_spec(args) -> ModelSpec:
+    if args.model is None or args.lengths is None:
         raise ConfigurationError("a model id and --lengths are required")
     return ModelSpec(
-        model_id=str(model),
-        segment_lengths=_parse_lengths(lengths),
-        seed=opts.get("seed", int),
-        grid_size=int(opts.get("grid_size", int, default=DEFAULT_GRID_SIZE)),
-        params=_parse_params(getattr(args, "param", None)),
+        model_id=args.model,
+        segment_lengths=args.lengths,
+        seed=args.seed,
+        grid_size=args.grid_size,
+        params=dict(args.param or ()),
     )
 
 
 def _cmd_simulate(args) -> int:
-    opts = _Options(args, read_config_file(args.config) if args.config else {})
-    spec = _model_spec(args, opts)
+    spec = _model_spec(args)
     sample = generate(spec)
     save_csv(sample.data, args.output)
     sidecar = {
@@ -264,24 +256,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle_curve(args) -> int:
-    opts = _Options(args, read_config_file(args.config) if args.config else {})
     if args.input is not None:
         if args.segment_lengths is None:
             raise ConfigurationError("--input requires --segment-lengths")
         data = load_csv(args.input)
-        lengths = _parse_lengths(args.segment_lengths)
+        lengths = args.segment_lengths
         if sum(lengths) != data.shape[0]:
             raise ConfigurationError(
                 f"segment lengths {lengths} do not sum to n={data.shape[0]}"
             )
     else:
-        spec = _model_spec(args, opts)
+        spec = _model_spec(args)
         data = generate(spec).data
         lengths = spec.segment_lengths
-    h = _bandwidth(opts)
-    if h is None:
-        h = median_heuristic(data)
-    gram = gram_matrix(data, h)
+    sq = squared_distances(data)
+    h = median_heuristic(data, sq) if args.bandwidth is None else args.bandwidth
+    gram = gram_matrix(data, h, sq)
     star = oracle_curve(gram, lengths)
     empirical = rho_values(gram)
     lines = ["r,rho_star,rho"]
@@ -294,9 +284,8 @@ def _cmd_oracle_curve(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    opts = _Options(args, read_config_file(args.config) if args.config else {})
-    config = _amoc_config(opts)
-    spec = _model_spec(args, opts)
+    config = _amoc_config(args)
+    spec = _model_spec(args)
     cell = BenchmarkCell(
         model=spec,
         algorithm=args.algorithm,
@@ -304,15 +293,15 @@ def _cmd_benchmark(args) -> int:
         K=args.changepoints,
         K_l=args.lower,
         K_u=args.upper,
-        bandwidth=_bandwidth(opts),
+        bandwidth=args.bandwidth,
         label=f"{spec.model_id}-{args.algorithm}",
     )
     t0 = time.perf_counter()
     report = run_benchmark(
         [cell],
-        replications=opts.get("replications", int, default=100),
-        seed=opts.get("seed", int),
-        workers=opts.get("workers", int),
+        replications=args.replications,
+        seed=args.seed,
+        workers=args.workers,
     )
     elapsed = time.perf_counter() - t0
     rows = report.to_rows()
@@ -321,7 +310,7 @@ def _cmd_benchmark(args) -> int:
         sys.stdout.write(dumps_json(doc))
     else:
         write_json(doc, f"{args.output}.json")
-        with open(f"{args.output}.csv", "w", newline="") as fh:
+        with open_output(f"{args.output}.csv") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             keys = list(rows[0].keys())
             writer.writerow(keys)
@@ -344,28 +333,40 @@ def _cmd_benchmark(args) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("--delta", type=float, help="boundary fraction excluded at both ends")
-    sub.add_argument("-R", "--permutations", type=int, help="permutation count")
-    sub.add_argument("--alpha", type=float, help="significance level")
-    sub.add_argument("--seed", type=int, help="random seed")
-    sub.add_argument(
-        "--add-one",
-        dest="add_one",
-        action="store_const",
-        const=True,
-        help="use the (1 + #{T >= T_obs}) / (R + 1) p-value variant",
-    )
-    sub.add_argument("--bandwidth", help="'median' (default) or a fixed positive value")
+    sub.add_argument("--delta", type=float, default=_DEFAULT.delta,
+                     help="boundary fraction excluded at both ends")
+    sub.add_argument("-R", "--permutations", type=int, default=_DEFAULT.R,
+                     help="permutation count")
+    sub.add_argument("--alpha", type=float, default=_DEFAULT.alpha, help="significance level")
+    sub.add_argument("--seed", type=int, default=_DEFAULT.seed, help="random seed")
+    sub.add_argument("--add-one", action="store_true",
+                     help="use the (1 + #{T >= T_obs}) / (R + 1) p-value variant")
+    _add_bandwidth(sub)
     sub.add_argument("--config", help="key=value file supplying any flag")
     sub.add_argument("--output", "-o", help="output path (default: stdout)")
 
 
+def _add_bandwidth(sub):
+    sub.add_argument("--bandwidth", type=_bandwidth, default="median",
+                     help="'median' (default) or a fixed positive value")
+
+
+def _add_model(sub, required=False):
+    sub.add_argument("--model", choices=MODEL_IDS, required=required, help="model id")
+    sub.add_argument("--lengths", type=_lengths, required=required,
+                     help="comma-separated segment lengths")
+    sub.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
+                     help=f"grid points (default {DEFAULT_GRID_SIZE})")
+    sub.add_argument("--param", type=_param, action="append",
+                     help="model parameter, e.g. c=0.5")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mmdseg",
         description="MMD-based offline changepoint detection for functional data",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     for algo, blurb in (
         ("u", "unknown number of changepoints (permutation-gated recursion)"),
@@ -376,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(f"detect-{algo}", help=blurb)
         sub.add_argument("input", help="CSV file, one observation per row")
         _add_common(sub)
-        sub.add_argument("--format", choices=("json", "csv"), help="output format")
+        sub.add_argument("--format", choices=("json", "csv"), default="json",
+                         help="output format")
         if algo == "s":
             sub.add_argument("-K", "--changepoints", type=int, help="number of changepoints")
         if algo in ("ss", "forward"):
@@ -387,11 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("simulate", help="draw a sample from a benchmark model")
     sub.add_argument("output", help="CSV path; truth labels go to <output>.truth.json")
-    sub.add_argument("--model", choices=MODEL_IDS, help="model id")
-    sub.add_argument("--lengths", help="comma-separated segment lengths")
-    sub.add_argument("--grid-size", type=int, help=f"grid points (default {DEFAULT_GRID_SIZE})")
-    sub.add_argument("--param", action="append", help="model parameter, e.g. c=0.5")
-    sub.add_argument("--seed", type=int, help="random seed")
+    _add_model(sub)
+    sub.add_argument("--seed", type=int, default=_DEFAULT.seed, help="random seed")
     sub.add_argument("--config", help="key=value file supplying any flag")
     sub.set_defaults(func=_cmd_simulate)
 
@@ -399,28 +398,24 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-curve", help="export labeled and empirical split curves as CSV"
     )
     sub.add_argument("--input", help="CSV dataset (requires --segment-lengths)")
-    sub.add_argument("--segment-lengths", help="true segment lengths of --input")
-    sub.add_argument("--model", choices=MODEL_IDS, help="simulate this model instead")
-    sub.add_argument("--lengths", help="segment lengths for --model")
-    sub.add_argument("--param", action="append", help="model parameter, e.g. c=0.5")
-    sub.add_argument("--grid-size", type=int)
-    sub.add_argument("--seed", type=int, help="random seed")
-    sub.add_argument("--bandwidth", help="'median' (default) or a fixed positive value")
+    sub.add_argument(
+        "--segment-lengths", type=_lengths, help="true segment lengths of --input"
+    )
+    _add_model(sub)
+    sub.add_argument("--seed", type=int, default=_DEFAULT.seed, help="random seed")
+    _add_bandwidth(sub)
     sub.add_argument("--config", help="key=value file supplying any flag")
     sub.add_argument("--output", "-o", help="output path (default: stdout)")
     sub.set_defaults(func=_cmd_oracle_curve)
 
     sub = subs.add_parser("benchmark", help="Monte Carlo success rates for one cell")
-    sub.add_argument("--model", choices=MODEL_IDS, required=True)
-    sub.add_argument("--lengths", required=True, help="comma-separated segment lengths")
+    _add_model(sub, required=True)
     sub.add_argument("--algorithm", choices=("u", "s", "ss", "forward"), required=True)
-    sub.add_argument("--replications", type=int)
-    sub.add_argument("--param", action="append", help="model parameter, e.g. c=0.5")
-    sub.add_argument("--grid-size", type=int)
+    sub.add_argument("--replications", type=int, default=100)
     sub.add_argument("-K", "--changepoints", type=int, help="K for algorithm s")
     sub.add_argument("--lower", type=int, help="K_l for ss/forward")
     sub.add_argument("--upper", type=int, help="K_u for ss")
-    sub.add_argument("--workers", type=int, help="parallel replication workers")
+    sub.add_argument("--workers", type=int, default=1, help="parallel replication workers")
     _add_common(sub)
     sub.set_defaults(func=_cmd_benchmark)
 
@@ -428,9 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigurationError as exc:
         sys.stderr.write(dumps_json({"error": str(exc), "kind": "configuration"}))

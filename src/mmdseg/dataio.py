@@ -1,19 +1,20 @@
 """CSV ingestion and deterministic serialization.
 
-Floats are written with 17 significant digits everywhere, which round-trips
-IEEE doubles exactly; JSON is rendered by a small fixed-format writer so
-identical inputs produce byte-identical files.
+CSV values are written with 17 significant digits, which round-trips IEEE
+doubles exactly.  JSON comes from the standard library: floats print as
+their shortest round-trip repr and keys keep insertion order, so identical
+inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import json
 import os
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigurationError, DataError
 
 
 def format_float(x: float) -> str:
@@ -30,41 +31,53 @@ def _is_number(token: str) -> bool:
 
 def load_csv(path) -> np.ndarray:
     """Rectangular numeric CSV, one observation per row; a non-numeric first
-    line is treated as a header and skipped."""
+    line is treated as a header and skipped.  Blank lines are ignored."""
     try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    except OSError as exc:
+        with open(path) as fh:
+            lines = [(i, line) for i, line in enumerate(fh, start=1) if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    if not lines:
         raise DataError(f"{path}: file is empty")
-    start = 0
-    if not all(_is_number(c) for c in rows[0]):
-        start = 1
-        if len(rows) == 1:
+    if not all(_is_number(c) for c in next(csv.reader([lines[0][1]]))):
+        lines = lines[1:]
+        if not lines:
             raise DataError(f"{path}: no data rows after header")
-    width = len(rows[start])
-    data = np.empty((len(rows) - start, width))
-    for i, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != width:
-            raise DataError(
-                f"{path}: row {i} has {len(row)} columns, expected {width}"
-            )
-        for j, cell in enumerate(row, start=1):
-            try:
-                data[i - start - 1, j - 1] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric value {cell!r} at row {i}, column {j}"
-                ) from None
+    try:
+        data = np.loadtxt(
+            [line for _, line in lines], delimiter=",", comments=None, quotechar='"', ndmin=2
+        )
+    except ValueError as exc:
+        raise _locate_bad_cell(path, lines, exc) from None
     if not np.isfinite(data).all():
         raise DataError(f"{path}: contains non-finite values")
     return data
 
 
+def _locate_bad_cell(path, lines, exc) -> DataError:
+    """The error naming the first ragged row or non-numeric cell (1-based file lines)."""
+    width = None
+    for (i, _), row in zip(lines, csv.reader(line for _, line in lines)):
+        width = len(row) if width is None else width
+        if len(row) != width:
+            return DataError(f"{path}: row {i} has {len(row)} columns, expected {width}")
+        for j, cell in enumerate(row, start=1):
+            if not _is_number(cell):
+                return DataError(f"{path}: non-numeric value {cell!r} at row {i}, column {j}")
+    return DataError(f"{path}: {exc}")
+
+
+def open_output(path):
+    """Open `path` for writing; a path that cannot be written is a configuration error."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
 def save_csv(data, path, header: list[str] | None = None):
     arr = np.asarray(data, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if header is not None:
             writer.writerow(header)
@@ -73,62 +86,16 @@ def save_csv(data, path, header: list[str] | None = None):
 
 
 def dumps_json(obj) -> str:
-    """Deterministic JSON with .17g floats (insertion-ordered keys)."""
-    out = io.StringIO()
-    _write_json(obj, out)
-    out.write("\n")
-    return out.getvalue()
-
-
-def _write_json(obj, out, indent=0):
-    pad = "  " * indent
-    if obj is None:
-        out.write("null")
-    elif obj is True:
-        out.write("true")
-    elif obj is False:
-        out.write("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):
-            raise DataError(f"cannot serialize non-finite float {x}")
-        out.write(format_float(x))
-    elif isinstance(obj, str):
-        out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        items = list(obj.items())
-        for k, v in items[:-1]:
-            out.write(f'{pad}  "{k}": ')
-            _write_json(v, out, indent + 1)
-            out.write(",\n")
-        k, v = items[-1]
-        out.write(f'{pad}  "{k}": ')
-        _write_json(v, out, indent + 1)
-        out.write(f"\n{pad}}}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            out.write("[]")
-            return
-        out.write("[")
-        for v in seq[:-1]:
-            _write_json(v, out, indent)
-            out.write(", ")
-        _write_json(seq[-1], out, indent)
-        out.write("]")
-    else:
-        raise DataError(f"cannot serialize {type(obj).__name__}")
+    """Deterministic JSON: two-space indent, insertion-ordered keys, repr floats."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"cannot serialize result: {exc}") from None
 
 
 def write_json(obj, path):
     text = dumps_json(obj)
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         fh.write(text)
 
 

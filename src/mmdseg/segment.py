@@ -27,13 +27,12 @@ import numpy as np
 from .amoc import (
     MIN_SIDE,
     AmocConfig,
-    amoc_detect,
     permutation_test,
     segment_seed,
     splittable,
 )
 from .errors import ConfigurationError
-from .kernel import as_dataset, gram_matrix, median_heuristic
+from .kernel import as_dataset, gram_matrix, median_heuristic, squared_distances
 from .mmd import rho_curve
 from .rng import TAG_PAIRTEST, derive_seed
 
@@ -81,11 +80,11 @@ class DetectionResult:
 
 
 def _prepare(data, h: float | None):
+    """Dataset, bandwidth and Gram matrix from one pairwise-distance pass."""
     X = as_dataset(data)
-    bw = median_heuristic(X) if h is None else float(h)
-    if bw <= 0.0:
-        raise ConfigurationError(f"bandwidth must be positive, got {bw}")
-    return X, bw, gram_matrix(X, bw)
+    sq = squared_distances(X)
+    bw = median_heuristic(X, sq) if h is None else float(h)
+    return X, bw, gram_matrix(X, bw, sq)
 
 
 # ---------------------------------------------------------------------------
@@ -94,26 +93,25 @@ def _prepare(data, h: float | None):
 
 
 def _recurse_u(gram, config, start, stop, boundaries, trace):
-    n = gram.shape[0]
-    decision = amoc_detect(
-        gram, config, start, stop, stream_seed=segment_seed(config, start, stop, n)
-    )
-    if decision.status == "too_short":
+    if not splittable(stop - start, config.delta):
         trace.append({"op": "skip", "block": [start, stop], "reason": "too_short"})
         return
-    res = decision.result
+    res = permutation_test(
+        gram, config, start, stop,
+        stream_seed=segment_seed(config, start, stop, gram.shape[0]),
+    )
+    b = start + res.tau_hat
     trace.append(
         {
             "op": "test",
             "block": [start, stop],
             "statistic": res.T_n,
-            "candidate": start + res.tau_hat,
+            "candidate": b,
             "p_value": res.p_value,
             "reject": res.reject,
         }
     )
-    if decision.status == "rejected":
-        b = decision.boundary
+    if res.reject:
         boundaries.append(b)
         trace.append({"op": "split", "block": [start, stop], "boundary": b})
         _recurse_u(gram, config, start, b, boundaries, trace)

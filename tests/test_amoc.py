@@ -3,8 +3,8 @@ import pytest
 
 from mmdseg import (
     AmocConfig,
-    amoc_detect,
     amoc_statistic,
+    detect_u,
     generate,
     gram_matrix,
     median_heuristic,
@@ -151,18 +151,21 @@ def test_statistic_converges_to_positive_limit_under_alternative():
 def test_detect_constant_segment_accepts():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 4))
-    G = gram_matrix(X, median_heuristic(X))
-    decision = amoc_detect(G, AmocConfig(R=99, seed=5))
-    assert decision.status == "accepted"
-    assert decision.boundary is None
+    cfg = AmocConfig(R=99, seed=5)
+    assert not permutation_test(gram_matrix(X, median_heuristic(X)), cfg).reject
+    det = detect_u(X, cfg)
+    assert det.segmentation.boundaries == ()
+    assert [rec["op"] for rec in det.trace] == ["test"]
 
 
 def test_detect_too_short_segment():
     G = random_gram(1, n=10)
-    decision = amoc_detect(G, AmocConfig(), start=0, stop=3)
-    assert decision.status == "too_short"
-    assert decision.boundary is None and decision.result is None
+    with pytest.raises(ConfigurationError, match="too short"):
+        permutation_test(G, AmocConfig(), start=0, stop=3)
     assert not splittable(3, 0.05)
+    det = detect_u(np.random.default_rng(1).normal(size=(3, 6)), AmocConfig())
+    assert det.segmentation.boundaries == ()
+    assert det.trace == [{"op": "skip", "block": [0, 3], "reason": "too_short"}]
 
 
 def test_detect_reports_absolute_coordinates():
@@ -174,6 +177,14 @@ def test_detect_reports_absolute_coordinates():
         ]
     )
     G = gram_matrix(X, median_heuristic(X))
-    decision = amoc_detect(G, AmocConfig(R=99, seed=2), start=30, stop=70)
-    assert decision.status == "rejected"
-    assert abs(decision.boundary - 50) <= 2
+    res = permutation_test(G, AmocConfig(R=99, seed=2), start=30, stop=70)
+    assert res.reject and res.offset == 30
+    assert abs(res.offset + res.tau_hat - 50) <= 2
+    # detect_u: the root splits at 30; the block [30, 70) then reports its
+    # boundary in full-sequence coordinates
+    Y = np.vstack([rng.normal(size=(30, 6)), rng.normal(12.0, size=(20, 6)),
+                   rng.normal(13.5, size=(20, 6))])
+    det = detect_u(Y, AmocConfig(R=99, seed=2))
+    splits = {tuple(r["block"]): r["boundary"] for r in det.trace if r["op"] == "split"}
+    assert abs(splits[(30, 70)] - 50) <= 2
+    assert det.segmentation.boundaries == (30, splits[(30, 70)])

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmdseg.cli import main
 from mmdseg.dataio import load_csv, save_csv, truth_sidecar_path
@@ -44,6 +48,13 @@ def test_csv_non_numeric_cell_names_location(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\n3,oops\n")
     with pytest.raises(DataError, match="row 2, column 2"):
+        load_csv(path)
+
+
+def test_csv_undecodable_bytes_is_data_error(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"\xff\xfe\x00\x01")
+    with pytest.raises(DataError, match="cannot read"):
         load_csv(path)
 
 
@@ -142,6 +153,17 @@ def test_config_file_supplies_flags(model8_csv, tmp_path, capsys):
     assert out.splitlines()[0] == "boundary,breakfraction"
 
 
+def test_config_file_sets_permutation_count(model8_csv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("permutations=9\nadd_one=yes\nbandwidth=2.5\n")
+    code, out, _ = run(capsys, "detect-u", str(model8_csv), "--config", str(cfg))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["R"] == 9
+    assert doc["config"]["add_one"] is True
+    assert doc["bandwidth"] == 2.5
+
+
 def test_flags_override_config_file(model8_csv, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("format=csv\n")
@@ -184,6 +206,104 @@ def test_fixed_bandwidth_flag(model8_csv, capsys):
     assert json.loads(out)["bandwidth"] == 2.5
     code, _, err = run(capsys, "detect-u", str(model8_csv), "--bandwidth", "-1")
     assert code == 2
+
+
+# error contract: exit 2 or 3 with JSON on stderr, never a traceback ----------
+
+
+@pytest.mark.parametrize(
+    "argv, config, expected",
+    [
+        pytest.param(["detect-u", "{csv}"], "permutation=9\nalhpa=0.5\n", 2, id="misspelt-keys"),
+        pytest.param(["detect-u", "{csv}"], "alhpa=0.5\n", 2, id="unknown-key"),
+        pytest.param(["detect-u", "{csv}"], "add_one=maybe\n", 2, id="not-a-boolean"),
+        pytest.param(["detect-u", "{csv}"], "permutations 9\n", 2, id="no-equals"),
+        pytest.param(["detect-u", "{csv}"], "config=other.cfg\n", 2, id="nested-config"),
+        pytest.param(["detect-u", "{csv}"], "format=xml\n", 2, id="bad-choice"),
+        pytest.param(["detect-u", "{csv}", "--bogus"], None, 2, id="unknown-flag"),
+        pytest.param(["detect-u", "{csv}", "-R", "x"], None, 2, id="non-integer-R"),
+        pytest.param(["detect-u", "{csv}", "--bandwidth", "nan"], None, 2, id="nan-bandwidth"),
+        pytest.param([], None, 2, id="no-subcommand"),
+        pytest.param(["detect-u", "{tmp}/a\tb.csv"], None, 3, id="tab-in-path"),
+        pytest.param(["detect-u", "{csv}", "-R", "9", "--output", "{tmp}/missing/r.json"],
+                     None, 2, id="unwritable-output"),
+        pytest.param(["simulate", "{tmp}/missing/d.csv", "--model", "8", "--lengths", "9,9,9"],
+                     None, 2, id="unwritable-simulate"),
+        pytest.param(["benchmark", "--model", "N4", "--lengths", "24", "--algorithm", "u",
+                      "--replications", "1", "-R", "9", "--output", "{tmp}/missing/b"],
+                     None, 2, id="unwritable-benchmark"),
+    ],
+)
+def test_error_contract(model8_csv, tmp_path, capsys, argv, config, expected):
+    argv = [a.format(csv=model8_csv, tmp=tmp_path) for a in argv]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    code, _, err = run(capsys, *argv)
+    assert code == expected
+    assert json.loads(err)["kind"] == ("configuration" if expected == 2 else "data")
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Tiny inputs: valid, constant (degenerate bandwidth) and non-numeric."""
+    path = tmp_path_factory.mktemp("fuzz")
+    save_csv(np.random.default_rng(0).normal(size=(12, 3)), path / "tiny.csv")
+    save_csv(np.ones((12, 3)), path / "constant.csv")
+    (path / "bad.csv").write_text("1,2\n3,x\n")
+    return path
+
+
+_FLAGS = ["-K", "--lower", "--upper", "--delta", "--alpha", "--seed", "--bandwidth",
+          "--add-one", "--format", "--config", "-h"]
+_VALUES = ["json", "csv", "median", "0", "1", "2", "3", "-1", "0.3", "1e-300", "1e308",
+           "nan", "inf", "x", "", "yes", "maybe"]
+_KEYS = ["permutations", "delta", "alpha", "seed", "add_one", "add-one", "bandwidth",
+         "format", "changepoints", "lower", "upper", "config", "R", "input", "alhpa"]
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@given(
+    command=st.sampled_from(["detect-u", "detect-s", "detect-ss", "detect-forward", "", "-h"]),
+    data=st.sampled_from(["tiny.csv", "constant.csv", "bad.csv", "missing.csv"]),
+    options=st.lists(
+        st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES))
+        | st.tuples(_TEXT, st.sampled_from(_VALUES) | _TEXT),
+        max_size=4,
+    ),
+    lines=st.none() | st.lists(
+        st.tuples(st.sampled_from(_KEYS) | _TEXT, st.sampled_from(["=", " = ", ""]),
+                  st.sampled_from(_VALUES) | _TEXT),
+        max_size=4,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_fuzzed_argv_and_config_end_in_result_or_json_error(
+    fuzz_dir, command, data, options, lines
+):
+    argv = [command, data, *(tok for pair in options for tok in pair)]
+    if lines is not None:
+        (fuzz_dir / "fuzz.cfg").write_text(
+            "\n".join(k + sep + v for k, sep, v in lines), encoding="utf-8"
+        )
+        argv += ["--config", "fuzz.cfg"]
+    argv += ["-R", "9"]  # last, so it bounds the permutation count
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)  # relative paths, and any stray output file, stay here
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # -h prints usage and exits 0
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3)
+    if code:
+        assert json.loads(err.getvalue())["kind"] in ("configuration", "data")
 
 
 # oracle-curve ---------------------------------------------------------------

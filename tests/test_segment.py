@@ -73,6 +73,18 @@ def test_u_deterministic():
     assert a.trace == b.trace
 
 
+def test_detection_makes_one_distance_pass(monkeypatch):
+    import mmdseg.kernel
+
+    passes = []
+    pdist = mmdseg.kernel.pdist
+    monkeypatch.setattr(mmdseg.kernel, "pdist", lambda *a, **k: passes.append(1) or pdist(*a, **k))
+    data = two_change_data(2)
+    det = detect_s(data, 2)
+    assert len(passes) == 1
+    assert det.bandwidth == median_heuristic(data)  # bit-exact against the standalone pass
+
+
 # supervised -----------------------------------------------------------------
 
 
