@@ -9,6 +9,8 @@ with diagonal terms included.  The split statistic at split t of an ordered
 block of size n is rho(t) = t (n - t) / n^2 * d(first t, rest); its curve
 over all admissible t is computed with one prefix-sum sweep, O(n) per split
 and O(n^2) total, instead of recomputing the three block sums per split.
+The same sweep over permuted blocks takes its row sums from a rank mask on
+the unpermuted matrix (`permuted_maxima`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .errors import ConfigurationError
 # V-statistics with a PSD kernel are provably >= 0; anything below this is
 # floating-point cancellation gone wrong rather than roundoff.
 CLAMP_WARN_THRESHOLD = -1e-9
+
+# Rank-mask entries per chunk of permuted_maxima; bounds its temporaries.
+_MASK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -69,17 +74,23 @@ def split_sums(gram: np.ndarray, order=None):
     holds at every t up to roundoff.
     """
     P = _reindexed(gram, order)
-    n = P.shape[0]
     cs = np.cumsum(P, axis=1)
-    ar = np.arange(n)
-    row_prefix_diag = cs[ar, ar]  # sum of row i through column i
-    diag = np.diagonal(P)
-    wl = np.cumsum(2.0 * row_prefix_diag - diag)  # wl[t-1] = sum of P[:t, :t]
-    left_rows = np.cumsum(cs[:, -1])  # = within_left + cross
-    total = left_rows[-1]
-    within_left = wl[:-1]
-    cross = left_rows[:-1] - within_left
-    within_right = total - 2.0 * left_rows[:-1] + within_left
+    row_prefix_diag = np.diagonal(cs)  # sum of row i through column i
+    return _sums_from_rows(2.0 * row_prefix_diag - np.diagonal(P), cs[:, -1])
+
+
+def _sums_from_rows(wl_rows: np.ndarray, rows: np.ndarray):
+    """split_sums along the last axis from per-row terms in split order.
+
+    wl_rows[i] = 2 sum_{j<i} P[i, j] + P[i, i] and rows[i] = sum_j P[i, j]
+    for the reordered block P.
+    """
+    wl = np.cumsum(wl_rows, axis=-1)  # wl[t-1] = sum of P[:t, :t]
+    left_rows = np.cumsum(rows, axis=-1)  # = within_left + cross
+    total = left_rows[..., -1:]
+    within_left = wl[..., :-1]
+    cross = left_rows[..., :-1] - within_left
+    within_right = total - 2.0 * left_rows[..., :-1] + within_left
     return within_left, within_right, cross
 
 
@@ -131,8 +142,10 @@ def admissible_range(n: int, delta: float, min_side: int = 1) -> tuple[int, int]
 def rho_values(gram: np.ndarray, order=None) -> np.ndarray:
     """Split statistic t(n-t)/n^2 * d(first t, rest) for every t = 1..n-1."""
     P = _reindexed(gram, order)
-    n = P.shape[0]
-    within_left, within_right, cross = split_sums(P)
+    return _rho_from_sums(*split_sums(P), P.shape[0])
+
+
+def _rho_from_sums(within_left, within_right, cross, n: int) -> np.ndarray:
     t = np.arange(1, n, dtype=np.float64)
     nn = float(n) * float(n)
     values = (within_left * (n - t) / t + within_right * t / (n - t) - 2.0 * cross) / nn
@@ -157,3 +170,32 @@ def rho_curve(gram: np.ndarray, delta: float, order=None, min_side: int = 1) -> 
         argmax_t=argmax,
         max_value=float(values[argmax - t_min]),
     )
+
+
+def permuted_maxima(gram: np.ndarray, perms, delta: float, min_side: int = 1) -> np.ndarray:
+    """rho_curve(gram, delta, order=p, min_side).max_value for each row p of perms.
+
+    No reordered copy of the Gram matrix is built.  With r the inverse of a
+    permutation p, the strict-lower row sums of the reordered matrix are
+    S[a] = sum_b gram[a, b] [r_b < r_a] on the matrix as it is, so one
+    rank mask per draw replaces the m x m gather and its cumulative sum.
+    Draws go through in chunks of about _MASK_CELLS mask entries.  The sums
+    run in another order than rho_curve's, so the maxima agree with it to
+    roundoff, not bit for bit.
+    """
+    perms = np.asarray(perms, dtype=np.intp)
+    m = gram.shape[0]
+    t_min, t_max = admissible_range(m, delta, min_side)
+    ranks = np.empty(perms.shape, dtype=np.min_scalar_type(m))  # narrow: faster masks
+    np.put_along_axis(ranks, perms, np.arange(m), axis=1)
+    diag = np.diagonal(gram)
+    rows = gram.sum(axis=1)
+    out = np.empty(perms.shape[0])
+    step = max(1, _MASK_CELLS // (m * m))
+    for lo in range(0, perms.shape[0], step):
+        p, r = perms[lo : lo + step], ranks[lo : lo + step]
+        lower = np.einsum("cab,ab->ca", r[:, None, :] < r[:, :, None], gram)
+        wl_rows = 2.0 * np.take_along_axis(lower, p, axis=1) + diag[p]
+        values = _rho_from_sums(*_sums_from_rows(wl_rows, rows[p]), m)
+        out[lo : lo + step] = values[:, t_min - 1 : t_max].max(axis=1)
+    return out

@@ -2,17 +2,22 @@
 
 Everything here recomputes results by brute force (explicit loops, per-split
 block sums, high-resolution quadrature) and deliberately shares no code with
-the package internals it checks.  The CUSUM oracles at the end take their
-samples from the package's generators, so that they see the very draws the
-Monte Carlo harness hands to the detectors.
+the package internals it checks.  Two exceptions reuse package code on
+purpose.  The gathered permutation loop sweeps rho_curve over an np.ix_
+reordered copy per draw; it is the route the rank-mask engine replaced, and
+tests/test_mmd.py holds rho_curve itself to the naive recomputations.  The
+CUSUM oracles at the end take their samples from the package's generators,
+so that they see the very draws the Monte Carlo harness hands to the
+detectors.
 """
 
 from math import ceil, floor
 
 import numpy as np
 
-from mmdseg import ModelSpec, generate
-from mmdseg.rng import TAG_DATA, derive_seed
+from mmdseg import ModelSpec, generate, rho_curve
+from mmdseg.amoc import MIN_SIDE
+from mmdseg.rng import TAG_DATA, derive_seed, permutation_stream
 
 
 def naive_mmd_groups(gram, idx_a, idx_b):
@@ -51,6 +56,25 @@ def naive_rho_values_blockwise(gram, order=None):
         d = wl / t**2 + wr / (n - t) ** 2 - 2.0 * cr / (t * (n - t))
         out[t - 1] = t * (n - t) / n**2 * d
     return out
+
+
+def gathered_permutation_maxima(gram, perms, delta, min_side):
+    """Per-draw maximum of the split curve of gram[np.ix_(p, p)] for each p."""
+    return np.array(
+        [rho_curve(gram, delta, order=p, min_side=min_side).max_value for p in perms]
+    )
+
+
+def gathered_p_value(gram, config):
+    """permutation_test(gram, config).p_value from the gathered per-draw loop,
+    with the same streams, statistic and exceedance rules."""
+    m = gram.shape[0]
+    T = rho_curve(gram, config.delta, min_side=MIN_SIDE).max_value
+    perms = [permutation_stream(config.seed, r).permutation(m) for r in range(1, config.R + 1)]
+    stats = gathered_permutation_maxima(gram, perms, config.delta, MIN_SIDE)
+    if config.add_one:
+        return (1 + int(np.count_nonzero(stats >= T))) / (config.R + 1)
+    return int(np.count_nonzero(stats > T)) / config.R
 
 
 def quadrature_l2(f, g, points=10**6):

@@ -13,8 +13,9 @@ from mmdseg import (
 )
 from mmdseg.amoc import splittable
 from mmdseg.errors import ConfigurationError
+from mmdseg.rng import permutation_stream
 
-from reference import naive_rho_values_blockwise, separated_pools
+from reference import gathered_p_value, naive_rho_values_blockwise, separated_pools
 
 
 def random_gram(seed, n, p=6):
@@ -59,21 +60,25 @@ def test_estimator_locates_boundary_on_separated_data():
     assert hits >= 34  # 85% of seeds
 
 
+def identity_draw_seed(m):
+    """Smallest stream seed whose first permutation of range(m) is the identity."""
+    seed = 0
+    while not np.array_equal(permutation_stream(seed, 1).permutation(m), np.arange(m)):
+        seed += 1
+    return seed
+
+
 def test_pvalue_strict_count_with_identity_permutation():
-    G = random_gram(5, n=16)
-    res = permutation_test(
-        G, AmocConfig(R=1), permutations=[np.arange(16)]
-    )
-    assert res.T_n == pytest.approx(res.permutation_stats[0], abs=1e-15)
+    G = random_gram(5, n=4)
+    res = permutation_test(G, AmocConfig(R=1, seed=identity_draw_seed(4)))
+    assert res.permutation_stats[0] == res.T_n
     assert res.p_value == 0.0  # identity ties the observed statistic; strict > fails
     assert res.reject
 
 
 def test_pvalue_add_one_variant():
-    G = random_gram(5, n=16)
-    res = permutation_test(
-        G, AmocConfig(R=1, add_one=True), permutations=[np.arange(16)]
-    )
+    G = random_gram(5, n=4)
+    res = permutation_test(G, AmocConfig(R=1, add_one=True, seed=identity_draw_seed(4)))
     assert res.p_value == 1.0  # (1 + 1) / (1 + 1)
     assert not res.reject
 
@@ -102,10 +107,22 @@ def test_permutation_reuse_equals_physical_permutation():
     h = median_heuristic(X)
     G = gram_matrix(X, h)
     for seed in range(20):
-        perm = np.random.default_rng(seed).permutation(28)
-        reused = permutation_test(G, AmocConfig(R=1), permutations=[perm])
+        perm = permutation_stream(seed, 1).permutation(28)
+        reused = permutation_test(G, AmocConfig(R=1, seed=seed))
         physical = amoc_statistic(gram_matrix(X[perm], h), 0.05)
         assert reused.permutation_stats[0] == pytest.approx(physical[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("m", range(4, 17))
+def test_pvalues_equal_gathered_route_on_tie_heavy_blocks(m):
+    # With 2-observation sides a short block has few distinct splits, so many
+    # draws tie T exactly (a third of them at m = 4); each must be counted as
+    # the gathered per-draw route counts it.
+    for seed in range(4):
+        G = random_gram(seed, n=m, p=3)
+        for add_one in (False, True):
+            cfg = AmocConfig(R=49, seed=seed, add_one=add_one)
+            assert permutation_test(G, cfg).p_value == gathered_p_value(G, cfg)
 
 
 def test_size_is_close_to_nominal_for_exchangeable_data():

@@ -11,9 +11,11 @@ from mmdseg import (
     rho_values,
 )
 from mmdseg.errors import ConfigurationError
-from mmdseg.mmd import split_sums
+from mmdseg.mmd import permuted_maxima, split_sums
+from mmdseg.rng import permutation_stream
 
 from reference import (
+    gathered_permutation_maxima,
     naive_mmd_groups,
     naive_rho_values_blockwise,
     separated_pools,
@@ -178,3 +180,20 @@ def test_mixture_blocks_never_exceed_pure_pool_distance():
     for alpha in (0.0, 0.3, 0.7, 1.0):
         for beta in (0.0, 0.4, 1.0):
             assert mixture_mmd(G, range(12), range(12, 30), alpha, beta) <= pure + 1e-12
+
+
+@pytest.mark.parametrize(
+    "m, R",
+    # 100 and 300: R is not a multiple of the draws per chunk (104 and 11);
+    # 1024: one draw fills a chunk
+    [*((m, 199) for m in (*range(4, 13), 16, 24, 40, 100)), (300, 25), (1024, 2)],
+)
+def test_permuted_maxima_match_gathered_route(m, R):
+    G = random_gram(m, n=m)
+    perms = np.array([permutation_stream(m, r).permutation(m) for r in range(1, R + 1)])
+    np.testing.assert_allclose(
+        permuted_maxima(G, perms, 0.05, min_side=2),
+        gathered_permutation_maxima(G, perms, 0.05, 2),
+        rtol=0,
+        atol=1e-12,
+    )
