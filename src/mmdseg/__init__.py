@@ -1,16 +1,11 @@
 """MMD-based offline detection of multiple distributional changepoints."""
 
-from .amoc import (
-    AmocConfig,
-    AmocResult,
-    amoc_statistic,
-    permutation_test,
-)
+from .amoc import AmocConfig, AmocResult, permutation_test
 from .benchmark import BenchmarkCell, BenchmarkReport, run_benchmark
 from .errors import ConfigurationError, DataError, DegenerateBandwidthError
-from .kernel import gaussian_kernel, gram_matrix, l2_distance, median_heuristic
+from .kernel import gram_matrix, median_heuristic
 from .metrics import hausdorff, match, subset_match, superset_match
-from .mmd import RhoCurve, mmd_squared_groups, mmd_squared_split, rho_curve, rho_values
+from .mmd import RhoCurve, mmd_squared_groups, rho_curve, rho_values
 from .oracle import mixture_mmd, oracle_curve, oracle_rho_single, oracle_rho_two
 from .segment import (
     DetectionResult,
@@ -20,14 +15,7 @@ from .segment import (
     detect_ss,
     detect_u,
 )
-from .simulate import (
-    GeneratedSample,
-    ModelSpec,
-    brownian_bridge,
-    generate,
-    grid,
-    kl_curve,
-)
+from .simulate import GeneratedSample, ModelSpec, generate, grid
 
 __version__ = "0.1.0"
 
@@ -44,24 +32,18 @@ __all__ = [
     "ModelSpec",
     "RhoCurve",
     "Segmentation",
-    "amoc_statistic",
-    "brownian_bridge",
     "detect_forward",
     "detect_s",
     "detect_ss",
     "detect_u",
-    "gaussian_kernel",
     "generate",
     "gram_matrix",
     "grid",
     "hausdorff",
-    "kl_curve",
-    "l2_distance",
     "match",
     "median_heuristic",
     "mixture_mmd",
     "mmd_squared_groups",
-    "mmd_squared_split",
     "oracle_curve",
     "oracle_rho_single",
     "oracle_rho_two",

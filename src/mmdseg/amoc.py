@@ -80,12 +80,6 @@ def splittable(m: int, delta: float) -> bool:
     return True
 
 
-def amoc_statistic(gram: np.ndarray, delta: float, order=None) -> tuple[float, int]:
-    """(max, smallest argmax) of the split curve over the admissible range."""
-    curve = rho_curve(gram, delta, order=order, min_side=MIN_SIDE)
-    return curve.max_value, curve.argmax_t
-
-
 def permutation_test(
     gram: np.ndarray,
     config: AmocConfig,
@@ -117,7 +111,8 @@ def permutation_test(
     )
     stats = permuted_maxima(block, perms, config.delta, MIN_SIDE)
     for i in np.flatnonzero(np.abs(stats - observed.max_value) <= TIE_BAND):
-        stats[i] = rho_curve(block, config.delta, order=perms[i], min_side=MIN_SIDE).max_value
+        p = perms[i]
+        stats[i] = rho_curve(block[np.ix_(p, p)], config.delta, min_side=MIN_SIDE).max_value
 
     if config.add_one:
         p_value = (1 + int(np.count_nonzero(stats >= observed.max_value))) / (config.R + 1)

@@ -432,6 +432,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         sys.stderr.write(dumps_json({"error": str(exc), "kind": "data"}))
         return 3
+    except MemoryError as exc:  # input too large; numpy's message gives the size
+        sys.stderr.write(dumps_json({"error": f"out of memory: {exc}", "kind": "data"}))
+        return 3
 
 
 if __name__ == "__main__":

@@ -26,24 +26,6 @@ def as_dataset(data) -> np.ndarray:
     return X
 
 
-def as_curve(values) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise DataError(f"curve must be a non-empty 1-d sequence, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise DataError("curve contains non-finite values")
-    return v
-
-
-def l2_distance(a, b) -> float:
-    """Scaled L2 distance sqrt((1/p) * sum (a_j - b_j)^2) between two curves."""
-    av, bv = as_curve(a), as_curve(b)
-    if av.shape != bv.shape:
-        raise DataError(f"grid sizes differ: {av.size} vs {bv.size}")
-    diff = av - bv
-    return float(np.sqrt(diff.dot(diff) / av.size))
-
-
 def squared_distances(data) -> np.ndarray:
     """Condensed vector of the n(n-1)/2 squared scaled L2 distances.
 
@@ -74,14 +56,6 @@ def median_heuristic(data, sq: np.ndarray | None = None) -> float:
             "median pairwise distance is zero; bandwidth would be degenerate"
         )
     return h
-
-
-def gaussian_kernel(a, b, h: float) -> float:
-    """k(a, b) = exp(-dist(a, b)^2 / (2 h^2)), a value in (0, 1]."""
-    if h <= 0.0:
-        raise ConfigurationError(f"bandwidth must be positive, got {h}")
-    d = l2_distance(a, b)
-    return float(np.exp(-(d * d) / (2.0 * h * h)))
 
 
 def gram_matrix(data, h: float, sq: np.ndarray | None = None) -> np.ndarray:

@@ -46,13 +46,6 @@ class RhoCurve:
     max_value: float
 
 
-def _reindexed(gram: np.ndarray, order) -> np.ndarray:
-    if order is None:
-        return gram
-    idx = np.asarray(order, dtype=np.intp)
-    return gram[np.ix_(idx, idx)]
-
-
 def _clamp_nonnegative(values: np.ndarray | float):
     low = np.min(values) if np.ndim(values) else values
     if low < CLAMP_WARN_THRESHOLD:
@@ -65,18 +58,17 @@ def _clamp_nonnegative(values: np.ndarray | float):
     return np.maximum(values, 0.0)
 
 
-def split_sums(gram: np.ndarray, order=None):
+def split_sums(gram: np.ndarray):
     """Block sums (within_left, within_right, cross) for every split t.
 
     Returns three arrays of length n - 1; entry t - 1 holds the sums for the
-    split putting the first t (reindexed) observations on the left.  The
-    conservation identity within_left + within_right + 2 cross == total
-    holds at every t up to roundoff.
+    split putting the first t observations on the left.  The conservation
+    identity within_left + within_right + 2 cross == total holds at every t
+    up to roundoff.
     """
-    P = _reindexed(gram, order)
-    cs = np.cumsum(P, axis=1)
+    cs = np.cumsum(gram, axis=1)
     row_prefix_diag = np.diagonal(cs)  # sum of row i through column i
-    return _sums_from_rows(2.0 * row_prefix_diag - np.diagonal(P), cs[:, -1])
+    return _sums_from_rows(2.0 * row_prefix_diag - np.diagonal(gram), cs[:, -1])
 
 
 def _sums_from_rows(wl_rows: np.ndarray, rows: np.ndarray):
@@ -92,19 +84,6 @@ def _sums_from_rows(wl_rows: np.ndarray, rows: np.ndarray):
     cross = left_rows[..., :-1] - within_left
     within_right = total - 2.0 * left_rows[..., :-1] + within_left
     return within_left, within_right, cross
-
-
-def mmd_squared_split(gram: np.ndarray, r: int, order=None) -> float:
-    """V-statistic between the first r and the remaining n - r observations."""
-    P = _reindexed(gram, order)
-    n = P.shape[0]
-    if not 1 <= r <= n - 1:
-        raise IndexError(f"split {r} out of range [1, {n - 1}]")
-    wl = float(P[:r, :r].sum())
-    wr = float(P[r:, r:].sum())
-    cross = float(P[:r, r:].sum())
-    v = wl / (r * r) + wr / ((n - r) * (n - r)) - 2.0 * cross / (r * (n - r))
-    return float(_clamp_nonnegative(v))
 
 
 def mmd_squared_groups(gram: np.ndarray, idx_a, idx_b) -> float:
@@ -139,10 +118,9 @@ def admissible_range(n: int, delta: float, min_side: int = 1) -> tuple[int, int]
     return t_min, t_max
 
 
-def rho_values(gram: np.ndarray, order=None) -> np.ndarray:
+def rho_values(gram: np.ndarray) -> np.ndarray:
     """Split statistic t(n-t)/n^2 * d(first t, rest) for every t = 1..n-1."""
-    P = _reindexed(gram, order)
-    return _rho_from_sums(*split_sums(P), P.shape[0])
+    return _rho_from_sums(*split_sums(gram), gram.shape[0])
 
 
 def _rho_from_sums(within_left, within_right, cross, n: int) -> np.ndarray:
@@ -152,16 +130,10 @@ def _rho_from_sums(within_left, within_right, cross, n: int) -> np.ndarray:
     return _clamp_nonnegative(values)
 
 
-def rho_curve(gram: np.ndarray, delta: float, order=None, min_side: int = 1) -> RhoCurve:
-    """Split curve over the admissible range, with its (max, smallest argmax).
-
-    `order` is a permutation of range(n) (or any index vector selecting and
-    ordering a block); Gram entries are reindexed, never recomputed.
-    """
-    P = _reindexed(gram, order)
-    n = P.shape[0]
-    t_min, t_max = admissible_range(n, delta, min_side)
-    values = rho_values(P)[t_min - 1 : t_max]
+def rho_curve(gram: np.ndarray, delta: float, min_side: int = 1) -> RhoCurve:
+    """Split curve over the admissible range, with its (max, smallest argmax)."""
+    t_min, t_max = admissible_range(gram.shape[0], delta, min_side)
+    values = rho_values(gram)[t_min - 1 : t_max]
     argmax = t_min + int(np.argmax(values))  # first occurrence = smallest t
     return RhoCurve(
         t_min=t_min,
@@ -173,7 +145,8 @@ def rho_curve(gram: np.ndarray, delta: float, order=None, min_side: int = 1) -> 
 
 
 def permuted_maxima(gram: np.ndarray, perms, delta: float, min_side: int = 1) -> np.ndarray:
-    """rho_curve(gram, delta, order=p, min_side).max_value for each row p of perms.
+    """rho_curve(gram[np.ix_(p, p)], delta, min_side=min_side).max_value for
+    each row p of perms.
 
     No reordered copy of the Gram matrix is built.  With r the inverse of a
     permutation p, the strict-lower row sums of the reordered matrix are

@@ -22,6 +22,41 @@ def _check_pool_sizes(n: int, sizes: tuple[int, ...]):
         raise ConfigurationError(f"pool sizes {sizes} do not sum to n={n}")
 
 
+def _rho_single(gram: np.ndarray, n1: int, splits) -> list[float]:
+    """Single-boundary branch formulas at each split, from one pool MMD."""
+    n = gram.shape[0]
+    n2 = n - n1
+    d = mmd_squared_groups(gram, np.arange(n1), np.arange(n1, n))
+    return [
+        r * n2 * n2 * d / (n * n * (n - r)) if r <= n1 else n1 * n1 * (n - r) * d / (r * n * n)
+        for r in splits
+    ]
+
+
+def _rho_two(gram: np.ndarray, n1: int, n2: int, splits) -> list[float]:
+    """Two-boundary branch formulas at each split, from three pool MMDs."""
+    n = gram.shape[0]
+    n3 = n - n1 - n2
+    pool1, pool2, pool3 = np.arange(n1), np.arange(n1, n1 + n2), np.arange(n1 + n2, n)
+    d12 = mmd_squared_groups(gram, pool1, pool2)
+    d13 = mmd_squared_groups(gram, pool1, pool3)
+    d23 = mmd_squared_groups(gram, pool2, pool3)
+    nn = float(n) * float(n)
+    rise = n2 * (n2 + n3) * d12 + n3 * (n2 + n3) * d13 - n2 * n3 * d23
+    fall = n2 * (n1 + n2) * d23 + n1 * (n1 + n2) * d13 - n1 * n2 * d12
+
+    def branch(r):
+        if r <= n1:
+            return r * rise / (nn * (n - r))
+        if r <= n1 + n2:
+            return (n * n1 - r * (n1 + n3)) / nn * (
+                n1 * d12 / r - n3 * d23 / (n - r)
+            ) + n1 * n3 * d13 / nn
+        return (n - r) * fall / (r * nn)
+
+    return [branch(r) for r in splits]
+
+
 def oracle_rho_single(gram: np.ndarray, n1: int, r: int) -> float:
     """Labeled split statistic for one boundary after n1 observations.
 
@@ -34,11 +69,7 @@ def oracle_rho_single(gram: np.ndarray, n1: int, r: int) -> float:
         raise ConfigurationError(f"n1={n1} out of range [1, {n - 1}]")
     if not 1 <= r <= n - 1:
         raise IndexError(f"r={r} out of range [1, {n - 1}]")
-    n2 = n - n1
-    d = mmd_squared_groups(gram, np.arange(n1), np.arange(n1, n))
-    if r <= n1:
-        return r * n2 * n2 * d / (n * n * (n - r))
-    return n1 * n1 * (n - r) * d / (r * n * n)
+    return _rho_single(gram, n1, [r])[0]
 
 
 def oracle_rho_two(gram: np.ndarray, n1: int, n2: int, r: int) -> float:
@@ -48,32 +79,10 @@ def oracle_rho_two(gram: np.ndarray, n1: int, n2: int, r: int) -> float:
     falls on r > n1 + n2, so the peak sits at one of the two boundaries.
     """
     n = gram.shape[0]
-    n3 = n - n1 - n2
-    _check_pool_sizes(n, (n1, n2, n3))
+    _check_pool_sizes(n, (n1, n2, n - n1 - n2))
     if not 1 <= r <= n - 1:
         raise IndexError(f"r={r} out of range [1, {n - 1}]")
-    pool1 = np.arange(n1)
-    pool2 = np.arange(n1, n1 + n2)
-    pool3 = np.arange(n1 + n2, n)
-    d12 = mmd_squared_groups(gram, pool1, pool2)
-    d13 = mmd_squared_groups(gram, pool1, pool3)
-    d23 = mmd_squared_groups(gram, pool2, pool3)
-    nn = float(n) * float(n)
-    if r <= n1:
-        return (
-            r
-            * (n2 * (n2 + n3) * d12 + n3 * (n2 + n3) * d13 - n2 * n3 * d23)
-            / (nn * (n - r))
-        )
-    if r <= n1 + n2:
-        return (n * n1 - r * (n1 + n3)) / nn * (
-            n1 * d12 / r - n3 * d23 / (n - r)
-        ) + n1 * n3 * d13 / nn
-    return (
-        (n - r)
-        * (n2 * (n1 + n2) * d23 + n1 * (n1 + n2) * d13 - n1 * n2 * d12)
-        / (r * nn)
-    )
+    return _rho_two(gram, n1, n2, [r])[0]
 
 
 def oracle_curve(gram: np.ndarray, segment_lengths) -> np.ndarray:
@@ -82,11 +91,9 @@ def oracle_curve(gram: np.ndarray, segment_lengths) -> np.ndarray:
     n = gram.shape[0]
     _check_pool_sizes(n, sizes)
     if len(sizes) == 2:
-        return np.array([oracle_rho_single(gram, sizes[0], r) for r in range(1, n)])
+        return np.array(_rho_single(gram, sizes[0], range(1, n)))
     if len(sizes) == 3:
-        return np.array(
-            [oracle_rho_two(gram, sizes[0], sizes[1], r) for r in range(1, n)]
-        )
+        return np.array(_rho_two(gram, sizes[0], sizes[1], range(1, n)))
     raise ConfigurationError(
         f"closed-form curves exist for 2 or 3 pools, got {len(sizes)}"
     )

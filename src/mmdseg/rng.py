@@ -1,9 +1,15 @@
 """Deterministic random streams built on the Philox counter-based generator.
 
-Every source of randomness in the package is a Philox4x64 stream whose
-128-bit key is (seed, mix64(*ids)).  Streams are therefore reproducible
-across platforms and independent of execution order, which is what makes
+Every source of randomness in the package is a Philox4x64 stream keyed by
+the pair (seed, mix64(*ids)).  Streams are therefore reproducible across
+platforms and independent of execution order, which is what makes
 permutation loops and Monte Carlo replications safe to parallelize.
+
+The key is not the exact 128-bit pair.  numpy converts the pair to an array
+before keying Philox, and when either half is >= 2**63 that array is
+float64, so both halves are rounded to 53 significant bits.  About half of
+all keys are rounded this way, and distinct seeds can share a stream (seeds
+9807252377232042866 and 9807252377232042867 do).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ def mix64(*values: int) -> int:
 
 
 def stream(seed: int, *ids: int) -> np.random.Generator:
-    """Independent generator keyed by (seed, ids)."""
+    """Generator keyed by (seed, ids); see the module docstring on rounding."""
     key = (int(seed) & _MASK64, mix64(*ids) if ids else 0)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -41,12 +41,6 @@ _SEGMENT_COUNTS.update({mid: 2 for mid in ("1", "2", "3", "4", "5", "6", "7", "M
 _SEGMENT_COUNTS.update({mid: 3 for mid in ("8", "9", "10", "11", "12")})
 
 
-def segment_count(model_id: str) -> int:
-    if model_id not in _SEGMENT_COUNTS:
-        raise ConfigurationError(f"unknown model id {model_id!r}")
-    return _SEGMENT_COUNTS[model_id]
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """One generative model instance with its true segment layout."""
@@ -190,27 +184,6 @@ def _bb_sample(rng, n, p, mean):
     walk = np.cumsum(increments, axis=1)
     bridge = walk - np.outer(walk[:, -1], grid(p))
     return bridge + mean
-
-
-def brownian_bridge(grid_size: int, rng: np.random.Generator) -> np.ndarray:
-    """One standard Brownian bridge on the grid; exactly 0 at t = 1."""
-    if grid_size < 2:
-        raise ConfigurationError(f"grid_size must be >= 2, got {grid_size}")
-    return _bb_sample(rng, 1, grid_size, 0.0)[0]
-
-
-def kl_curve(basis, eigenvalues, noise, mean, rng) -> np.ndarray:
-    """One curve mu + sum_k sqrt(theta_k) W_k phi_k with i.i.d. coefficients."""
-    B = np.asarray(basis, dtype=np.float64)
-    theta = np.asarray(eigenvalues, dtype=np.float64)
-    if theta.ndim != 1 or B.ndim != 2 or B.shape[0] != theta.size:
-        raise ConfigurationError(
-            f"basis {B.shape} and eigenvalues {theta.shape} do not match"
-        )
-    if (theta < 0).any():
-        raise ConfigurationError("eigenvalues must be non-negative")
-    mean = np.broadcast_to(np.asarray(mean, dtype=np.float64), (B.shape[1],))
-    return _kl_sample(rng, 1, B, theta, noise, mean)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Everything here recomputes results by brute force (explicit loops, per-split
 block sums, high-resolution quadrature) and deliberately shares no code with
 the package internals it checks.  Two exceptions reuse package code on
 purpose.  The gathered permutation loop sweeps rho_curve over an np.ix_
-reordered copy per draw; it is the route the rank-mask engine replaced, and
-tests/test_mmd.py holds rho_curve itself to the naive recomputations.  The
+reordered copy per draw; it is the route the rank-mask engine replaced (and
+the one its near-tie recheck still takes), and tests/test_mmd.py holds
+rho_curve itself to the naive recomputations.  The
 CUSUM oracles at the end take their samples from the package's generators,
 so that they see the very draws the Monte Carlo harness hands to the
 detectors.
@@ -30,29 +31,22 @@ def naive_mmd_groups(gram, idx_a, idx_b):
     return kaa / len(a) ** 2 + kbb / len(b) ** 2 - 2.0 * kab / (len(a) * len(b))
 
 
-def naive_mmd_split(gram, r, order=None):
-    n = gram.shape[0]
-    idx = list(range(n)) if order is None else list(order)
-    return naive_mmd_groups(gram, idx[:r], idx[r:])
-
-
-def naive_rho_values(gram, order=None):
-    """Per-split recomputation of the scaled statistic for t = 1..n-1."""
+def naive_rho_values(gram):
+    """Triple-loop recomputation of the scaled statistic for t = 1..n-1."""
     n = gram.shape[0]
     return np.array(
-        [t * (n - t) / n**2 * naive_mmd_split(gram, t, order) for t in range(1, n)]
+        [t * (n - t) / n**2 * naive_mmd_groups(gram, range(t), range(t, n)) for t in range(1, n)]
     )
 
 
-def naive_rho_values_blockwise(gram, order=None):
+def naive_rho_values_blockwise(gram):
     """Same values via fresh numpy block sums per split (fast naive route)."""
     n = gram.shape[0]
-    P = gram if order is None else gram[np.ix_(list(order), list(order))]
     out = np.empty(n - 1)
     for t in range(1, n):
-        wl = P[:t, :t].sum()
-        wr = P[t:, t:].sum()
-        cr = P[:t, t:].sum()
+        wl = gram[:t, :t].sum()
+        wr = gram[t:, t:].sum()
+        cr = gram[:t, t:].sum()
         d = wl / t**2 + wr / (n - t) ** 2 - 2.0 * cr / (t * (n - t))
         out[t - 1] = t * (n - t) / n**2 * d
     return out
@@ -61,7 +55,7 @@ def naive_rho_values_blockwise(gram, order=None):
 def gathered_permutation_maxima(gram, perms, delta, min_side):
     """Per-draw maximum of the split curve of gram[np.ix_(p, p)] for each p."""
     return np.array(
-        [rho_curve(gram, delta, order=p, min_side=min_side).max_value for p in perms]
+        [rho_curve(gram[np.ix_(p, p)], delta, min_side=min_side).max_value for p in perms]
     )
 
 
@@ -75,6 +69,20 @@ def gathered_p_value(gram, config):
     if config.add_one:
         return (1 + int(np.count_nonzero(stats >= T))) / (config.R + 1)
     return int(np.count_nonzero(stats > T)) / config.R
+
+
+def l2_distance(a, b):
+    """Scaled L2 distance sqrt((1/p) sum_j (a_j - b_j)^2) between two curves,
+    one pair at a time."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return float(np.sqrt(np.sum((a - b) ** 2) / a.size))
+
+
+def gaussian_kernel(a, b, h):
+    """k(a, b) = exp(-l2_distance(a, b)^2 / (2 h^2)) for one pair of curves."""
+    d = l2_distance(a, b)
+    return float(np.exp(-(d * d) / (2.0 * h * h)))
 
 
 def quadrature_l2(f, g, points=10**6):

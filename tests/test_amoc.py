@@ -3,15 +3,15 @@ import pytest
 
 from mmdseg import (
     AmocConfig,
-    amoc_statistic,
     detect_u,
     generate,
     gram_matrix,
     median_heuristic,
     permutation_test,
     ModelSpec,
+    rho_curve,
 )
-from mmdseg.amoc import splittable
+from mmdseg.amoc import MIN_SIDE, splittable
 from mmdseg.errors import ConfigurationError
 from mmdseg.rng import permutation_stream
 
@@ -34,19 +34,19 @@ def test_config_validation():
 
 
 def test_statistic_zero_on_constant_data():
-    T, tau = amoc_statistic(np.ones((30, 30)), 0.05)
-    assert T == 0.0
-    assert tau == 2  # smallest admissible split
+    c = rho_curve(np.ones((30, 30)), 0.05, min_side=MIN_SIDE)
+    assert c.max_value == 0.0
+    assert c.argmax_t == 2  # smallest admissible split
 
 
 def test_statistic_matches_exhaustive_evaluation():
     G = random_gram(3, n=20)
-    T, tau = amoc_statistic(G, 0.05)
+    c = rho_curve(G, 0.05, min_side=MIN_SIDE)
     naive = naive_rho_values_blockwise(G)
     lo, hi = 2, 18  # ceil(1) floored to 2, min(floor(19), 18)
     window = naive[lo - 1 : hi]
-    assert T == pytest.approx(window.max(), abs=1e-10)
-    assert tau == lo + int(np.argmax(window))
+    assert c.max_value == pytest.approx(window.max(), abs=1e-10)
+    assert c.argmax_t == lo + int(np.argmax(window))
 
 
 def test_estimator_locates_boundary_on_separated_data():
@@ -55,7 +55,7 @@ def test_estimator_locates_boundary_on_separated_data():
         rng = np.random.default_rng(seed)
         X = separated_pools(rng, (150, 150), p=8, gap=2.0)
         G = gram_matrix(X, median_heuristic(X))
-        _, tau = amoc_statistic(G, 0.05)
+        tau = rho_curve(G, 0.05, min_side=MIN_SIDE).argmax_t
         hits += abs(tau - 150) <= 1
     assert hits >= 34  # 85% of seeds
 
@@ -109,8 +109,19 @@ def test_permutation_reuse_equals_physical_permutation():
     for seed in range(20):
         perm = permutation_stream(seed, 1).permutation(28)
         reused = permutation_test(G, AmocConfig(R=1, seed=seed))
-        physical = amoc_statistic(gram_matrix(X[perm], h), 0.05)
-        assert reused.permutation_stats[0] == pytest.approx(physical[0], abs=1e-12)
+        physical = rho_curve(gram_matrix(X[perm], h), 0.05, min_side=MIN_SIDE)
+        assert reused.permutation_stats[0] == pytest.approx(physical.max_value, abs=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="stream keys are rounded to float64 when either half is >= 2**63, so "
+    "these seeds share one stream; exact keys are ROADMAP item 1",
+)
+def test_distinct_seeds_give_distinct_permutation_streams():
+    a = permutation_stream(9807252377232042867, 1).permutation(50)
+    b = permutation_stream(9807252377232042866, 1).permutation(50)
+    assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("m", range(4, 17))
@@ -145,7 +156,7 @@ def _mean_statistic(model_id, lengths, seeds):
     for seed in seeds:
         sample = generate(ModelSpec(model_id, lengths, seed=seed))
         G = gram_matrix(sample.data, median_heuristic(sample.data))
-        vals.append(amoc_statistic(G, 0.05)[0])
+        vals.append(rho_curve(G, 0.05, min_side=MIN_SIDE).max_value)
     return np.array(vals)
 
 

@@ -263,11 +263,39 @@ _VALUES = ["json", "csv", "median", "0", "1", "2", "3", "-1", "0.3", "1e-300", "
 _KEYS = ["permutations", "delta", "alpha", "seed", "add_one", "add-one", "bandwidth",
          "format", "changepoints", "lower", "upper", "config", "R", "input", "alhpa"]
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_NUMBER = st.one_of(
+    st.floats(-9.0, 9.0).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["1e308", "-1e308", "1e309", '"1"', " 2", "0x1", "1_0"]),
+).map(str.encode)
+_JUNK = st.sampled_from(
+    [b"x", b"'", b'"', b",", b";", b"\t", b"\r", b"\n", b"\x00", b"\xff", b"\xc3(", b"\xef\xbb\xbf"]
+) | st.binary(max_size=3)
+
+
+def _csv_bytes(rows, sep, eol, edits):
+    """Rows of number cells, then each junk insertion spliced in at its offset."""
+    text = eol.join(sep.join(row) for row in rows)
+    for at, junk in edits:
+        at %= len(text) + 1
+        text = text[:at] + junk + text[at:]
+    return text
+
+
+_CSV_BYTES = st.builds(
+    _csv_bytes,
+    st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.lists(_NUMBER, min_size=k, max_size=k), max_size=14)
+    ),
+    st.sampled_from([b",", b",", b";", b", ", b"\t"]),
+    st.sampled_from([b"\n", b"\r\n", b"\r"]),
+    st.lists(st.tuples(st.integers(0, 400), _JUNK), max_size=2),
+)
 
 
 @given(
     command=st.sampled_from(["detect-u", "detect-s", "detect-ss", "detect-forward", "", "-h"]),
-    data=st.sampled_from(["tiny.csv", "constant.csv", "bad.csv", "missing.csv"]),
+    data=st.sampled_from(["tiny.csv", "constant.csv", "bad.csv", "missing.csv"]) | _CSV_BYTES,
     options=st.lists(
         st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES))
         | st.tuples(_TEXT, st.sampled_from(_VALUES) | _TEXT),
@@ -283,6 +311,9 @@ _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 def test_fuzzed_argv_and_config_end_in_result_or_json_error(
     fuzz_dir, command, data, options, lines
 ):
+    if isinstance(data, bytes):
+        (fuzz_dir / "fuzzed.csv").write_bytes(data)
+        data = "fuzzed.csv"
     argv = [command, data, *(tok for pair in options for tok in pair)]
     if lines is not None:
         (fuzz_dir / "fuzz.cfg").write_text(
@@ -304,6 +335,20 @@ def test_fuzzed_argv_and_config_end_in_result_or_json_error(
     assert code in (0, 2, 3)
     if code:
         assert json.loads(err.getvalue())["kind"] in ("configuration", "data")
+
+
+def test_input_too_large_for_memory_is_data_error(model8_csv, capsys, monkeypatch):
+    def out_of_memory(data):
+        raise MemoryError(
+            "Unable to allocate 149. GiB for an array with shape (19999900000,) "
+            "and data type float64"
+        )
+
+    monkeypatch.setattr("mmdseg.segment.squared_distances", out_of_memory)
+    code, out, err = run(capsys, "detect-s", str(model8_csv), "-K", "1")
+    assert code == 3 and out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "data" and "149. GiB" in doc["error"]
 
 
 # oracle-curve ---------------------------------------------------------------

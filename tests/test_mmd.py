@@ -6,7 +6,6 @@ from mmdseg import (
     gram_matrix,
     median_heuristic,
     mmd_squared_groups,
-    mmd_squared_split,
     rho_curve,
     rho_values,
 )
@@ -17,6 +16,7 @@ from mmdseg.rng import permutation_stream
 from reference import (
     gathered_permutation_maxima,
     naive_mmd_groups,
+    naive_rho_values,
     naive_rho_values_blockwise,
     separated_pools,
 )
@@ -30,9 +30,7 @@ def random_gram(seed, n=None, p=6):
 
 
 def test_split_all_identical_observations_is_zero():
-    G = np.ones((8, 8))
-    for r in range(1, 8):
-        assert mmd_squared_split(G, r) == 0.0
+    assert np.array_equal(rho_values(np.ones((8, 8))), np.zeros(7))
 
 
 def test_split_n2_expansion():
@@ -40,23 +38,13 @@ def test_split_n2_expansion():
     X = rng.normal(size=(2, 5))
     h = 1.3
     G = gram_matrix(X, h)
-    assert mmd_squared_split(G, 1) == pytest.approx(2.0 - 2.0 * G[0, 1], abs=1e-12)
+    # the one split t = 1: t(n - t)/n^2 * d = (2 - 2 k(x1, x2)) / 4
+    assert rho_values(G) == pytest.approx([(2.0 - 2.0 * G[0, 1]) / 4], abs=1e-12)
 
 
 def test_split_matches_naive_oracle():
     G = random_gram(7, n=10)
-    for r in range(1, 10):
-        assert mmd_squared_split(G, r) == pytest.approx(
-            naive_mmd_groups(G, range(r), range(r, 10)), abs=1e-10
-        )
-
-
-def test_split_bounds_error():
-    G = random_gram(0, n=6)
-    with pytest.raises(IndexError):
-        mmd_squared_split(G, 0)
-    with pytest.raises(IndexError):
-        mmd_squared_split(G, 6)
+    np.testing.assert_allclose(rho_values(G), naive_rho_values(G), rtol=0, atol=1e-10)
 
 
 def test_groups_identical_points_zero():
@@ -101,7 +89,7 @@ def test_split_nonnegative_and_conserved(seed):
         assert wl[t - 1] + wr[t - 1] + 2 * cross[t - 1] == pytest.approx(
             total, rel=1e-8
         )
-        assert mmd_squared_split(G, t) >= 0.0
+    assert (rho_values(G) >= 0.0).all()
 
 
 def test_rho_curve_constant_data():
@@ -147,15 +135,19 @@ def test_rho_curve_matches_naive_recomputation(seed):
 
 
 def test_rho_curve_reindexing_equals_physical_permutation():
+    # A permutation reorders Gram entries, never recomputes them: both the
+    # rank-mask maxima and the gathered copy the near-tie recheck sweeps
+    # match the curve of the physically permuted data.
     rng = np.random.default_rng(21)
     X = rng.normal(size=(25, 6))
     h = median_heuristic(X)
     G = gram_matrix(X, h)
     perm = rng.permutation(25)
-    via_order = rho_curve(G, 0.05, order=perm)
     physical = rho_curve(gram_matrix(X[perm], h), 0.05)
-    assert np.max(np.abs(via_order.values - physical.values)) < 1e-12
-    assert via_order.argmax_t == physical.argmax_t
+    gathered = rho_curve(G[np.ix_(perm, perm)], 0.05)
+    assert np.max(np.abs(gathered.values - physical.values)) < 1e-12
+    assert gathered.argmax_t == physical.argmax_t
+    assert abs(permuted_maxima(G, [perm], 0.05)[0] - physical.max_value) < 1e-12
 
 
 def test_rho_curve_two_population_shape():

@@ -130,6 +130,12 @@ def test_oracle_curve_dispatch_and_limits():
     G = labeled_gram(6, (5, 7))
     curve = oracle_curve(G, (5, 7))
     assert curve.shape == (11,)
+    # one pool-MMD pass per curve gives the per-split values bit for bit
+    assert np.array_equal(curve, [oracle_rho_single(G, 5, r) for r in range(1, 12)])
+    G3 = labeled_gram(6, (4, 3, 5))
+    assert np.array_equal(
+        oracle_curve(G3, (4, 3, 5)), [oracle_rho_two(G3, 4, 3, r) for r in range(1, 12)]
+    )
     with pytest.raises(ConfigurationError):
         oracle_curve(G, (5, 6))  # wrong total
     with pytest.raises(ConfigurationError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmdseg import ModelSpec, brownian_bridge, generate, grid, kl_curve
+from mmdseg import ModelSpec, generate, grid
 from mmdseg.errors import ConfigurationError
 from mmdseg.rng import stream
 from mmdseg.simulate import MODEL_IDS, _basis, _bb_sample, _kl_sample, _theta
@@ -58,10 +58,7 @@ def test_every_model_generates():
 
 
 def test_bridge_pins_to_zero_at_one():
-    rng = stream(7)
-    for _ in range(20):
-        curve = brownian_bridge(128, rng)
-        assert curve[-1] == 0.0
+    assert np.all(_bb_sample(stream(7), 20, 128, 0.0)[:, -1] == 0.0)
 
 
 def test_bridge_variance_at_midpoint():
@@ -74,13 +71,8 @@ def test_kl_curve_zero_eigenvalues_returns_mean():
     t = grid(16)
     basis = _basis("sine", 5, 16)
     mean = 2.0 * t
-    curve = kl_curve(basis, np.zeros(5), "gaussian", mean, stream(3))
-    assert np.array_equal(curve, mean)
-
-
-def test_kl_curve_rejects_mismatched_shapes():
-    with pytest.raises(ConfigurationError):
-        kl_curve(_basis("sine", 5, 16), np.ones(4), "gaussian", 0.0, stream(0))
+    curves = _kl_sample(stream(3), 4, basis, np.zeros(5), "gaussian", mean)
+    assert np.array_equal(curves, np.tile(mean, (4, 1)))
 
 
 def test_n4_variance_matches_truncated_series():
