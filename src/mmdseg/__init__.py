@@ -6,7 +6,7 @@ from .errors import ConfigurationError, DataError, DegenerateBandwidthError
 from .kernel import gram_matrix, median_heuristic
 from .metrics import hausdorff, match, subset_match, superset_match
 from .mmd import RhoCurve, mmd_squared_groups, rho_curve, rho_values
-from .oracle import mixture_mmd, oracle_curve, oracle_rho_single, oracle_rho_two
+from .oracle import oracle_curve
 from .segment import (
     DetectionResult,
     Segmentation,
@@ -42,11 +42,8 @@ __all__ = [
     "hausdorff",
     "match",
     "median_heuristic",
-    "mixture_mmd",
     "mmd_squared_groups",
     "oracle_curve",
-    "oracle_rho_single",
-    "oracle_rho_two",
     "permutation_test",
     "rho_curve",
     "rho_values",

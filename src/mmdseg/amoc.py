@@ -14,13 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .mmd import admissible_range, permuted_maxima, rho_curve
+from .mmd import permuted_maxima, rho_curve, splittable
 from .rng import derive_seed, permutation_stream, TAG_SEGMENT
-
-# Both sides of any tested split keep at least this many observations, on
-# top of the delta exclusion; recursion on short segments must terminate.
-MIN_SIDE = 2
-MIN_SEGMENT = 2 * MIN_SIDE
 
 # permuted_maxima agrees with rho_curve on a reordered copy of the block to
 # well within this (1.3e-14 at most over m = 4..3000).  A draw closer than
@@ -69,17 +64,6 @@ class AmocResult:
     permutation_stats: np.ndarray = field(repr=False)
 
 
-def splittable(m: int, delta: float) -> bool:
-    """True when a block of m observations admits at least one tested split."""
-    if m < MIN_SEGMENT:
-        return False
-    try:
-        admissible_range(m, delta, MIN_SIDE)
-    except ConfigurationError:
-        return False
-    return True
-
-
 def permutation_test(
     gram: np.ndarray,
     config: AmocConfig,
@@ -104,15 +88,15 @@ def permutation_test(
     seed = config.seed if stream_seed is None else stream_seed
 
     block = gram[start:stop, start:stop]
-    observed = rho_curve(block, config.delta, min_side=MIN_SIDE)
+    observed = rho_curve(block, config.delta)
 
     perms = np.array(
         [permutation_stream(seed, r).permutation(m) for r in range(1, config.R + 1)]
     )
-    stats = permuted_maxima(block, perms, config.delta, MIN_SIDE)
+    stats = permuted_maxima(block, perms, config.delta)
     for i in np.flatnonzero(np.abs(stats - observed.max_value) <= TIE_BAND):
         p = perms[i]
-        stats[i] = rho_curve(block[np.ix_(p, p)], config.delta, min_side=MIN_SIDE).max_value
+        stats[i] = rho_curve(block[np.ix_(p, p)], config.delta).max_value
 
     if config.add_one:
         p_value = (1 + int(np.count_nonzero(stats >= observed.max_value))) / (config.R + 1)

@@ -21,7 +21,8 @@ from .rng import TAG_ALGO, TAG_DATA, derive_seed
 from .segment import detect_forward, detect_s, detect_ss, detect_u
 from .simulate import ModelSpec, generate
 
-ALGORITHMS = ("u", "s", "ss", "forward")
+# The budget parameters each algorithm takes.
+BUDGETS = {"u": (), "s": ("K",), "ss": ("K_l", "K_u"), "forward": ("K_l",)}
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,9 @@ class BenchmarkCell:
     label: str = ""
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in BUDGETS:
             raise ConfigurationError(
-                f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
+                f"algorithm must be one of {tuple(BUDGETS)}, got {self.algorithm!r}"
             )
         if self.algorithm == "s" and self.K is None:
             raise ConfigurationError("supervised cells need K")
@@ -48,6 +49,14 @@ class BenchmarkCell:
             raise ConfigurationError("semi-supervised cells need K_u")
         if self.algorithm == "forward" and self.K_l is None:
             raise ConfigurationError("forward cells need K_l")
+        unused = [
+            name for name in ("K", "K_l", "K_u")
+            if name not in BUDGETS[self.algorithm] and getattr(self, name) is not None
+        ]
+        if unused:
+            raise ConfigurationError(
+                f"algorithm {self.algorithm!r} takes no {', '.join(unused)}"
+            )
 
 
 def run_replication(cell: BenchmarkCell, base_seed: int) -> dict:

@@ -23,6 +23,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# Both sides of any tested split keep at least this many observations, on
+# top of the delta exclusion; recursion on short segments must terminate.
+MIN_SIDE = 2
+
 # V-statistics with a PSD kernel are provably >= 0; anything below this is
 # floating-point cancellation gone wrong rather than roundoff.
 CLAMP_WARN_THRESHOLD = -1e-9
@@ -105,16 +109,23 @@ def mmd_squared_groups(gram: np.ndarray, idx_a, idx_b) -> float:
     return float(_clamp_nonnegative(v))
 
 
-def admissible_range(n: int, delta: float, min_side: int = 1) -> tuple[int, int]:
-    """Split bounds [max(ceil(n delta), min_side), min(floor(n(1-delta)), n - min_side)]."""
+def _split_bounds(n: int, delta: float) -> tuple[int, int]:
     if not 0.0 < delta < 0.5:
         raise ConfigurationError(f"delta must lie in (0, 1/2), got {delta}")
-    t_min = max(ceil(n * delta), min_side, 1)
-    t_max = min(floor(n * (1.0 - delta)), n - min_side, n - 1)
+    return max(ceil(n * delta), MIN_SIDE), min(floor(n * (1.0 - delta)), n - MIN_SIDE)
+
+
+def splittable(n: int, delta: float) -> bool:
+    """True when a block of n observations admits at least one tested split."""
+    t_min, t_max = _split_bounds(n, delta)
+    return t_min <= t_max
+
+
+def admissible_range(n: int, delta: float) -> tuple[int, int]:
+    """Split bounds [max(ceil(n delta), MIN_SIDE), min(floor(n(1-delta)), n - MIN_SIDE)]."""
+    t_min, t_max = _split_bounds(n, delta)
     if t_min > t_max:
-        raise ConfigurationError(
-            f"admissible split range is empty for n={n}, delta={delta}, min_side={min_side}"
-        )
+        raise ConfigurationError(f"admissible split range is empty for n={n}, delta={delta}")
     return t_min, t_max
 
 
@@ -130,9 +141,9 @@ def _rho_from_sums(within_left, within_right, cross, n: int) -> np.ndarray:
     return _clamp_nonnegative(values)
 
 
-def rho_curve(gram: np.ndarray, delta: float, min_side: int = 1) -> RhoCurve:
+def rho_curve(gram: np.ndarray, delta: float) -> RhoCurve:
     """Split curve over the admissible range, with its (max, smallest argmax)."""
-    t_min, t_max = admissible_range(gram.shape[0], delta, min_side)
+    t_min, t_max = admissible_range(gram.shape[0], delta)
     values = rho_values(gram)[t_min - 1 : t_max]
     argmax = t_min + int(np.argmax(values))  # first occurrence = smallest t
     return RhoCurve(
@@ -144,9 +155,8 @@ def rho_curve(gram: np.ndarray, delta: float, min_side: int = 1) -> RhoCurve:
     )
 
 
-def permuted_maxima(gram: np.ndarray, perms, delta: float, min_side: int = 1) -> np.ndarray:
-    """rho_curve(gram[np.ix_(p, p)], delta, min_side=min_side).max_value for
-    each row p of perms.
+def permuted_maxima(gram: np.ndarray, perms, delta: float) -> np.ndarray:
+    """rho_curve(gram[np.ix_(p, p)], delta).max_value for each row p of perms.
 
     No reordered copy of the Gram matrix is built.  With r the inverse of a
     permutation p, the strict-lower row sums of the reordered matrix are
@@ -158,7 +168,7 @@ def permuted_maxima(gram: np.ndarray, perms, delta: float, min_side: int = 1) ->
     """
     perms = np.asarray(perms, dtype=np.intp)
     m = gram.shape[0]
-    t_min, t_max = admissible_range(m, delta, min_side)
+    t_min, t_max = admissible_range(m, delta)
     ranks = np.empty(perms.shape, dtype=np.min_scalar_type(m))  # narrow: faster masks
     np.put_along_axis(ranks, perms, np.arange(m), axis=1)
     diag = np.diagonal(gram)

@@ -1,19 +1,19 @@
 """Multiple-changepoint detectors built on the block permutation test.
 
-Three strategies over one shared Gram matrix and one global bandwidth:
+The four detectors are one pipeline over one shared Gram matrix and one
+global bandwidth, and differ only in how they use prior knowledge of the
+changepoint count:
 
-* detect_u -- unsupervised recursive binary segmentation; every split must
-  pass the permutation test, recursion stops when all blocks accept.
-* detect_s -- supervised with a fixed budget K: each round force-splits
-  every block, keeps only the split with the largest (segment-locally
-  scaled) statistic and merges the rest back, so exactly one boundary is
-  added per round and the boundary sets are nested across budgets.
-* detect_ss -- semi-supervised with bounds [K_l, K_u]: detect_s at K_u,
-  then backward merging of the adjacent pair with the largest permutation
-  p-value until every pair is significant at the Bonferroni level
-  alpha / (K_u - m + 1) or the lower bound is reached.
-* detect_forward -- lower-bound-only variant: detect_s at K_l, then
-  detect_u independently inside each block.
+1. prepare: load the data, check that k supervised rounds fit it, then make
+   one distance pass for the bandwidth and the Gram matrix;
+2. k supervised rounds: each force-splits every block, keeps only the split
+   with the largest (segment-locally scaled) statistic and merges the rest
+   back, so exactly one boundary is added per round and the boundary sets
+   are nested across budgets;
+3. refine: nothing for detect_s (k = K); Bonferroni-gated backward merging
+   down towards K_l for detect_ss (k = K_u); permutation-gated recursive
+   splitting inside every block for detect_u (k = 0) and detect_forward
+   (k = K_l).
 
 Every decision is appended to a JSON-serializable trace.
 """
@@ -24,16 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amoc import (
-    MIN_SIDE,
-    AmocConfig,
-    permutation_test,
-    segment_seed,
-    splittable,
-)
+from .amoc import AmocConfig, permutation_test, segment_seed
 from .errors import ConfigurationError
 from .kernel import as_dataset, gram_matrix, median_heuristic, squared_distances
-from .mmd import rho_curve
+from .mmd import rho_curve, splittable
 from .rng import TAG_PAIRTEST, derive_seed
 
 
@@ -79,17 +73,106 @@ class DetectionResult:
     bandwidth: float
 
 
-def _prepare(data, h: float | None):
-    """Dataset, bandwidth and Gram matrix from one pairwise-distance pass."""
+def _prepare(data, h: float | None, k: int):
+    """Bandwidth and Gram matrix from one pairwise-distance pass, made only
+    once k supervised rounds are known to fit the data."""
     X = as_dataset(data)
+    n = X.shape[0]
+    if k and n < 2 * (k + 1):
+        raise ConfigurationError(
+            f"a budget of {k} changepoints needs at least {2 * (k + 1)} observations, got {n}"
+        )
     sq = squared_distances(X)
     bw = median_heuristic(X, sq) if h is None else float(h)
-    return X, bw, gram_matrix(X, bw, sq)
+    return bw, gram_matrix(X, bw, sq)
 
 
-# ---------------------------------------------------------------------------
-# unsupervised
-# ---------------------------------------------------------------------------
+def _detect(algorithm: str, data, config: AmocConfig, h, k: int, K_l: int = 0):
+    """k supervised rounds, then the algorithm's refinement of their blocks."""
+    bw, gram = _prepare(data, h, k)
+    n = gram.shape[0]
+    trace: list[dict] = []
+    boundaries = _supervised_boundaries(gram, k, config.delta, trace)
+    if algorithm == "ss":
+        _merge_insignificant(gram, config, boundaries, K_l, trace)
+    elif algorithm != "s":
+        edges = [0, *boundaries, n]
+        for a, b in zip(edges[:-1], edges[1:]):
+            _recurse_u(gram, config, a, b, boundaries, trace)
+    return DetectionResult(algorithm, Segmentation(n, tuple(sorted(boundaries))), trace, bw)
+
+
+def _supervised_boundaries(gram, K: int, delta: float, trace: list[dict]) -> list[int]:
+    n = gram.shape[0]
+    boundaries: list[int] = []
+    for i in range(K):
+        edges = [0, *boundaries, n]
+        candidates = []  # (rho, block index, boundary)
+        for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            if not splittable(b - a, delta):
+                trace.append(
+                    {"op": "sweep", "round": i, "block": [a, b], "rho": None,
+                     "reason": "too_short"}
+                )
+                continue
+            curve = rho_curve(gram[a:b, a:b], delta)
+            trace.append(
+                {"op": "sweep", "round": i, "block": [a, b],
+                 "candidate": a + curve.argmax_t, "rho": curve.max_value}
+            )
+            candidates.append((curve.max_value, j, a + curve.argmax_t))
+        if not candidates:
+            raise ConfigurationError(
+                f"budget infeasible: no block is splittable at round {i} "
+                f"(n={n}, K={K})"
+            )
+        # Ascending merge order with ties broken by leftmost block; the last
+        # entry survives as the committed split, everything else merges back.
+        candidates.sort(key=lambda c: (c[0], c[1]))
+        for rho, j, _ in candidates[:-1]:
+            trace.append({"op": "merge_back", "round": i, "block_index": j, "rho": rho})
+        rho, j, boundary = candidates[-1]
+        boundaries.append(boundary)
+        boundaries.sort()
+        trace.append({"op": "commit", "round": i, "boundary": boundary, "rho": rho})
+    return boundaries
+
+
+def _merge_insignificant(gram, config, boundaries, K_l, trace):
+    """Bonferroni-gated backward merging of the K_u supervised boundaries.
+
+    Stage m tests all K_u - m + 1 adjacent block pairs; if every p-value is
+    below alpha / (K_u - m + 1) the current boundaries stand, otherwise the
+    pair with the largest p-value merges (ties to the leftmost pair).  The
+    loop also stops once only K_l boundaries remain; the final-stage pair
+    tests are skipped then, as they cannot change the output.
+    """
+    K_u = len(boundaries)
+    for m in range(1, K_u - K_l + 1):
+        edges = [0, *boundaries, gram.shape[0]]
+        level = config.alpha / (K_u - m + 1)
+        p_values = []
+        for i in range(len(boundaries)):
+            a, c = edges[i], edges[i + 2]
+            res = permutation_test(
+                gram, config, a, c,
+                stream_seed=derive_seed(config.seed, TAG_PAIRTEST, m, i),
+            )
+            p_values.append(res.p_value)
+            trace.append(
+                {"op": "pair_test", "stage": m, "pair": i, "block": [a, c],
+                 "p_value": res.p_value, "level": level}
+            )
+        if max(p_values) < level:
+            trace.append({"op": "stop", "stage": m, "reason": "all_pairs_significant"})
+            return
+        j = int(np.argmax(p_values))  # ties resolve to the leftmost pair
+        removed = boundaries.pop(j)
+        trace.append(
+            {"op": "merge", "stage": m, "pair": j, "boundary": removed,
+             "p_value": p_values[j]}
+        )
+    trace.append({"op": "stop", "stage": K_u - K_l + 1, "reason": "lower_bound_reached"})
 
 
 def _recurse_u(gram, config, start, stop, boundaries, trace):
@@ -118,91 +201,25 @@ def _recurse_u(gram, config, start, stop, boundaries, trace):
         _recurse_u(gram, config, b, stop, boundaries, trace)
 
 
+# ---------------------------------------------------------------------------
+# public detectors: each checks its own budget, then runs the pipeline once
+# ---------------------------------------------------------------------------
+
+
 def detect_u(data, config: AmocConfig, h: float | None = None) -> DetectionResult:
     """Unsupervised detection: recursive splitting gated by the permutation test.
 
     Depth-first, left block first; each block's permutation stream is keyed
     by its coordinates, so the result does not depend on traversal order.
     """
-    X, bw, gram = _prepare(data, h)
-    boundaries: list[int] = []
-    trace: list[dict] = []
-    _recurse_u(gram, config, 0, X.shape[0], boundaries, trace)
-    return DetectionResult(
-        algorithm="u",
-        segmentation=Segmentation(X.shape[0], tuple(sorted(boundaries))),
-        trace=trace,
-        bandwidth=bw,
-    )
-
-
-# ---------------------------------------------------------------------------
-# supervised
-# ---------------------------------------------------------------------------
-
-
-def _supervised_boundaries(gram, K: int, delta: float, trace: list[dict]) -> list[int]:
-    n = gram.shape[0]
-    boundaries: list[int] = []
-    for i in range(K):
-        edges = [0, *boundaries, n]
-        candidates = []  # (rho, block index, boundary)
-        for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            if not splittable(b - a, delta):
-                trace.append(
-                    {"op": "sweep", "round": i, "block": [a, b], "rho": None,
-                     "reason": "too_short"}
-                )
-                continue
-            curve = rho_curve(gram[a:b, a:b], delta, min_side=MIN_SIDE)
-            trace.append(
-                {"op": "sweep", "round": i, "block": [a, b],
-                 "candidate": a + curve.argmax_t, "rho": curve.max_value}
-            )
-            candidates.append((curve.max_value, j, a + curve.argmax_t))
-        if not candidates:
-            raise ConfigurationError(
-                f"budget infeasible: no block is splittable at round {i} "
-                f"(n={n}, K={K})"
-            )
-        # Ascending merge order with ties broken by leftmost block; the last
-        # entry survives as the committed split, everything else merges back.
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        for rho, j, _ in candidates[:-1]:
-            trace.append({"op": "merge_back", "round": i, "block_index": j, "rho": rho})
-        rho, j, boundary = candidates[-1]
-        boundaries.append(boundary)
-        boundaries.sort()
-        trace.append({"op": "commit", "round": i, "boundary": boundary, "rho": rho})
-    return boundaries
+    return _detect("u", data, config, h, 0)
 
 
 def detect_s(data, K: int, delta: float = 0.05, h: float | None = None) -> DetectionResult:
     """Supervised detection returning exactly K boundaries (no testing step)."""
     if K < 1:
         raise ConfigurationError(f"K must be >= 1, got {K}")
-    if not 0.0 < delta < 0.5:
-        raise ConfigurationError(f"delta must lie in (0, 1/2), got {delta}")
-    X = as_dataset(data)
-    n = X.shape[0]
-    if n < 2 * (K + 1):
-        raise ConfigurationError(
-            f"budget K={K} needs at least {2 * (K + 1)} observations, got {n}"
-        )
-    X, bw, gram = _prepare(X, h)
-    trace: list[dict] = []
-    boundaries = _supervised_boundaries(gram, K, delta, trace)
-    return DetectionResult(
-        algorithm="s",
-        segmentation=Segmentation(n, tuple(boundaries)),
-        trace=trace,
-        bandwidth=bw,
-    )
-
-
-# ---------------------------------------------------------------------------
-# semi-supervised
-# ---------------------------------------------------------------------------
+    return _detect("s", data, AmocConfig(delta=delta), h, K)
 
 
 def detect_ss(
@@ -212,70 +229,15 @@ def detect_ss(
     config: AmocConfig,
     h: float | None = None,
 ) -> DetectionResult:
-    """Bounded detection: supervised at K_u, then Bonferroni-gated merging.
-
-    Stage m tests all K_u - m + 1 adjacent block pairs; if every p-value is
-    below alpha / (K_u - m + 1) the current boundaries stand, otherwise the
-    pair with the largest p-value merges (ties to the leftmost pair).  The
-    loop also stops once only K_l boundaries remain; the final-stage pair
-    tests are skipped then, as they cannot change the output.
-    """
+    """Bounded detection: supervised at K_u, then Bonferroni-gated merging
+    down towards K_l (see _merge_insignificant)."""
     if K_l < 0:
         raise ConfigurationError(f"K_l must be >= 0, got {K_l}")
     if K_u < 1:
         raise ConfigurationError(f"K_u must be >= 1, got {K_u}")
     if K_l > K_u:
         raise ConfigurationError(f"K_l={K_l} exceeds K_u={K_u}")
-    X, bw, gram = _prepare(data, h)
-    n = X.shape[0]
-    if n < 2 * (K_u + 1):
-        raise ConfigurationError(
-            f"upper bound K_u={K_u} needs at least {2 * (K_u + 1)} observations, got {n}"
-        )
-    trace: list[dict] = []
-    boundaries = _supervised_boundaries(gram, K_u, config.delta, trace)
-
-    m = 1
-    while True:
-        if m == K_u - K_l + 1:
-            trace.append({"op": "stop", "stage": m, "reason": "lower_bound_reached"})
-            break
-        edges = [0, *boundaries, n]
-        level = config.alpha / (K_u - m + 1)
-        p_values = []
-        for i in range(len(boundaries)):
-            a, c = edges[i], edges[i + 2]
-            res = permutation_test(
-                gram, config, a, c,
-                stream_seed=derive_seed(config.seed, TAG_PAIRTEST, m, i),
-            )
-            p_values.append(res.p_value)
-            trace.append(
-                {"op": "pair_test", "stage": m, "pair": i, "block": [a, c],
-                 "p_value": res.p_value, "level": level}
-            )
-        if max(p_values) < level:
-            trace.append({"op": "stop", "stage": m, "reason": "all_pairs_significant"})
-            break
-        j = int(np.argmax(p_values))  # ties resolve to the leftmost pair
-        removed = boundaries.pop(j)
-        trace.append(
-            {"op": "merge", "stage": m, "pair": j, "boundary": removed,
-             "p_value": p_values[j]}
-        )
-        m += 1
-
-    return DetectionResult(
-        algorithm="ss",
-        segmentation=Segmentation(n, tuple(boundaries)),
-        trace=trace,
-        bandwidth=bw,
-    )
-
-
-# ---------------------------------------------------------------------------
-# forward (lower bound only)
-# ---------------------------------------------------------------------------
+    return _detect("ss", data, config, h, K_u, K_l)
 
 
 def detect_forward(
@@ -284,27 +246,8 @@ def detect_forward(
     config: AmocConfig,
     h: float | None = None,
 ) -> DetectionResult:
-    """Supervised pass at K_l, then unsupervised recursion inside each block."""
+    """Supervised pass at K_l, then unsupervised recursion inside each block;
+    at K_l = 0 this is detect_u."""
     if K_l < 0:
         raise ConfigurationError(f"K_l must be >= 0, got {K_l}")
-    if K_l == 0:
-        return detect_u(data, config, h)
-    X = as_dataset(data)
-    n = X.shape[0]
-    if n < 2 * (K_l + 1):
-        raise ConfigurationError(
-            f"lower bound K_l={K_l} needs at least {2 * (K_l + 1)} observations, got {n}"
-        )
-    X, bw, gram = _prepare(X, h)
-    trace: list[dict] = []
-    boundaries = _supervised_boundaries(gram, K_l, config.delta, trace)
-    all_boundaries = list(boundaries)
-    edges = [0, *boundaries, n]
-    for a, b in zip(edges[:-1], edges[1:]):
-        _recurse_u(gram, config, a, b, all_boundaries, trace)
-    return DetectionResult(
-        algorithm="forward",
-        segmentation=Segmentation(n, tuple(sorted(all_boundaries))),
-        trace=trace,
-        bandwidth=bw,
-    )
+    return _detect("forward" if K_l else "u", data, config, h, K_l)

@@ -17,7 +17,6 @@ from math import ceil, floor
 import numpy as np
 
 from mmdseg import ModelSpec, generate, rho_curve
-from mmdseg.amoc import MIN_SIDE
 from mmdseg.rng import TAG_DATA, derive_seed, permutation_stream
 
 
@@ -52,20 +51,18 @@ def naive_rho_values_blockwise(gram):
     return out
 
 
-def gathered_permutation_maxima(gram, perms, delta, min_side):
+def gathered_permutation_maxima(gram, perms, delta):
     """Per-draw maximum of the split curve of gram[np.ix_(p, p)] for each p."""
-    return np.array(
-        [rho_curve(gram[np.ix_(p, p)], delta, min_side=min_side).max_value for p in perms]
-    )
+    return np.array([rho_curve(gram[np.ix_(p, p)], delta).max_value for p in perms])
 
 
 def gathered_p_value(gram, config):
     """permutation_test(gram, config).p_value from the gathered per-draw loop,
     with the same streams, statistic and exceedance rules."""
     m = gram.shape[0]
-    T = rho_curve(gram, config.delta, min_side=MIN_SIDE).max_value
+    T = rho_curve(gram, config.delta).max_value
     perms = [permutation_stream(config.seed, r).permutation(m) for r in range(1, config.R + 1)]
-    stats = gathered_permutation_maxima(gram, perms, config.delta, MIN_SIDE)
+    stats = gathered_permutation_maxima(gram, perms, config.delta)
     if config.add_one:
         return (1 + int(np.count_nonzero(stats >= T))) / (config.R + 1)
     return int(np.count_nonzero(stats > T)) / config.R
@@ -83,6 +80,22 @@ def gaussian_kernel(a, b, h):
     """k(a, b) = exp(-l2_distance(a, b)^2 / (2 h^2)) for one pair of curves."""
     d = l2_distance(a, b)
     return float(np.exp(-(d * d) / (2.0 * h * h)))
+
+
+def mixture_mmd(gram, pool_a, pool_b, alpha, beta):
+    """Squared MMD between the weighted mixtures alpha P_A + (1 - alpha) P_B
+    and beta P_A + (1 - beta) P_B of two pool empiricals, by the explicit
+    three-term double sums over the Gram matrix.  Equals (alpha - beta)^2
+    times the pure-pool MMD, which is what the identity tests verify."""
+    a = np.asarray(pool_a, dtype=np.intp)
+    b = np.asarray(pool_b, dtype=np.intp)
+    w = np.zeros(gram.shape[0])
+    v = np.zeros(gram.shape[0])
+    w[a] += alpha / a.size
+    w[b] += (1.0 - alpha) / b.size
+    v[a] += beta / a.size
+    v[b] += (1.0 - beta) / b.size
+    return float(w @ gram @ w + v @ gram @ v - 2.0 * (w @ gram @ v))
 
 
 def quadrature_l2(f, g, points=10**6):

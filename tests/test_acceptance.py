@@ -23,10 +23,8 @@ from mmdseg import (
     generate,
     gram_matrix,
     median_heuristic,
-    mixture_mmd,
     mmd_squared_groups,
-    oracle_rho_single,
-    oracle_rho_two,
+    oracle_curve,
     rho_curve,
     run_benchmark,
 )
@@ -38,6 +36,7 @@ from mmdseg.rng import derive_seed, stream
 
 from reference import (
     cusum_oracle_match,
+    mixture_mmd,
     model1_shift_projection,
     naive_mmd_groups,
     naive_rho_values_blockwise,
@@ -132,7 +131,7 @@ def test_c02_single_boundary_curve_shape():
         n2 = int(rng.integers(2, 30))
         X = separated_pools(rng, (n1, n2), p=5, gap=float(rng.uniform(0.5, 4.0)))
         G = gram_matrix(X, median_heuristic(X))
-        vals = np.array([oracle_rho_single(G, n1, r) for r in range(1, n1 + n2)])
+        vals = oracle_curve(G, (n1, n2))
         rising = np.all(np.diff(vals[:n1]) >= -1e-12)
         falling = np.all(np.diff(vals[n1 - 1 :]) <= 1e-12)
         peak = int(np.argmax(vals)) + 1 == n1
@@ -152,7 +151,7 @@ def test_c03_two_boundary_convexity():
         n1, n2, n3 = (int(rng.integers(4, 20)) for _ in range(3))
         X = separated_pools(rng, (n1, n2, n3), p=5, gap=float(rng.uniform(0.5, 3.0)))
         G = gram_matrix(X, median_heuristic(X))
-        vals = [oracle_rho_two(G, n1, n2, r) for r in range(n1 + 1, n1 + n2 + 1)]
+        vals = oracle_curve(G, (n1, n2, n3))[n1 : n1 + n2]  # r = n1 + 1 .. n1 + n2
         if len(vals) >= 3:
             worst = min(worst, float(np.min(np.diff(vals, 2))))
     assert report(

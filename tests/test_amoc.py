@@ -11,7 +11,7 @@ from mmdseg import (
     ModelSpec,
     rho_curve,
 )
-from mmdseg.amoc import MIN_SIDE, splittable
+from mmdseg.mmd import splittable
 from mmdseg.errors import ConfigurationError
 from mmdseg.rng import permutation_stream
 
@@ -34,14 +34,14 @@ def test_config_validation():
 
 
 def test_statistic_zero_on_constant_data():
-    c = rho_curve(np.ones((30, 30)), 0.05, min_side=MIN_SIDE)
+    c = rho_curve(np.ones((30, 30)), 0.05)
     assert c.max_value == 0.0
     assert c.argmax_t == 2  # smallest admissible split
 
 
 def test_statistic_matches_exhaustive_evaluation():
     G = random_gram(3, n=20)
-    c = rho_curve(G, 0.05, min_side=MIN_SIDE)
+    c = rho_curve(G, 0.05)
     naive = naive_rho_values_blockwise(G)
     lo, hi = 2, 18  # ceil(1) floored to 2, min(floor(19), 18)
     window = naive[lo - 1 : hi]
@@ -55,7 +55,7 @@ def test_estimator_locates_boundary_on_separated_data():
         rng = np.random.default_rng(seed)
         X = separated_pools(rng, (150, 150), p=8, gap=2.0)
         G = gram_matrix(X, median_heuristic(X))
-        tau = rho_curve(G, 0.05, min_side=MIN_SIDE).argmax_t
+        tau = rho_curve(G, 0.05).argmax_t
         hits += abs(tau - 150) <= 1
     assert hits >= 34  # 85% of seeds
 
@@ -109,7 +109,7 @@ def test_permutation_reuse_equals_physical_permutation():
     for seed in range(20):
         perm = permutation_stream(seed, 1).permutation(28)
         reused = permutation_test(G, AmocConfig(R=1, seed=seed))
-        physical = rho_curve(gram_matrix(X[perm], h), 0.05, min_side=MIN_SIDE)
+        physical = rho_curve(gram_matrix(X[perm], h), 0.05)
         assert reused.permutation_stats[0] == pytest.approx(physical.max_value, abs=1e-12)
 
 
@@ -156,7 +156,7 @@ def _mean_statistic(model_id, lengths, seeds):
     for seed in seeds:
         sample = generate(ModelSpec(model_id, lengths, seed=seed))
         G = gram_matrix(sample.data, median_heuristic(sample.data))
-        vals.append(rho_curve(G, 0.05, min_side=MIN_SIDE).max_value)
+        vals.append(rho_curve(G, 0.05).max_value)
     return np.array(vals)
 
 

@@ -232,6 +232,9 @@ def test_fixed_bandwidth_flag(model8_csv, capsys):
         pytest.param(["benchmark", "--model", "N4", "--lengths", "24", "--algorithm", "u",
                       "--replications", "1", "-R", "9", "--output", "{tmp}/missing/b"],
                      None, 2, id="unwritable-benchmark"),
+        pytest.param(["benchmark", "--model", "N1", "--lengths", "30", "--algorithm", "u",
+                      "-K", "3", "--replications", "1", "-R", "9"],
+                     None, 2, id="benchmark-unused-budget"),
     ],
 )
 def test_error_contract(model8_csv, tmp_path, capsys, argv, config, expected):

@@ -95,3 +95,19 @@ def test_run_benchmark_is_deterministic_and_validates():
         run_benchmark([cell], replications=0)
     with pytest.raises(ConfigurationError):
         BenchmarkCell(model=ModelSpec("N4", (24,)), algorithm="s")  # K missing
+
+
+@pytest.mark.parametrize(
+    "algorithm, budget",
+    [
+        ("u", {"K": 3}),
+        ("u", {"K_u": 9}),
+        ("u", {"K_l": 0}),
+        ("s", {"K": 1, "K_l": 5}),
+        ("ss", {"K_u": 2, "K": 1}),
+        ("forward", {"K_l": 1, "K_u": 3}),
+    ],
+)
+def test_benchmark_cell_rejects_budget_its_algorithm_ignores(algorithm, budget):
+    with pytest.raises(ConfigurationError, match="takes no"):
+        BenchmarkCell(model=ModelSpec("N4", (24,)), algorithm=algorithm, **budget)

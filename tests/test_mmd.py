@@ -15,6 +15,7 @@ from mmdseg.rng import permutation_stream
 
 from reference import (
     gathered_permutation_maxima,
+    mixture_mmd,
     naive_mmd_groups,
     naive_rho_values,
     naive_rho_values_blockwise,
@@ -119,7 +120,7 @@ def test_rho_curve_empty_range_rejected():
     # n=5, delta=0.45: t_min = max(ceil(2.25), 2) = 3 > t_max = min(floor(2.75), 3) = 2
     G = random_gram(4, n=5)
     with pytest.raises(ConfigurationError):
-        rho_curve(G, 0.45, min_side=2)
+        rho_curve(G, 0.45)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -166,8 +167,6 @@ def test_mixture_blocks_never_exceed_pure_pool_distance():
     rng = np.random.default_rng(9)
     X = separated_pools(rng, (12, 18), p=4, gap=3.0)
     G = gram_matrix(X, median_heuristic(X))
-    from mmdseg import mixture_mmd
-
     pure = mmd_squared_groups(G, range(12), range(12, 30))
     for alpha in (0.0, 0.3, 0.7, 1.0):
         for beta in (0.0, 0.4, 1.0):
@@ -184,8 +183,8 @@ def test_permuted_maxima_match_gathered_route(m, R):
     G = random_gram(m, n=m)
     perms = np.array([permutation_stream(m, r).permutation(m) for r in range(1, R + 1)])
     np.testing.assert_allclose(
-        permuted_maxima(G, perms, 0.05, min_side=2),
-        gathered_permutation_maxima(G, perms, 0.05, 2),
+        permuted_maxima(G, perms, 0.05),
+        gathered_permutation_maxima(G, perms, 0.05),
         rtol=0,
         atol=1e-12,
     )

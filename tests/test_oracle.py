@@ -5,16 +5,14 @@ from hypothesis import given, settings, strategies as st
 from mmdseg import (
     gram_matrix,
     median_heuristic,
-    mixture_mmd,
     mmd_squared_groups,
     oracle_curve,
-    oracle_rho_single,
-    oracle_rho_two,
     rho_curve,
 )
 from mmdseg.errors import ConfigurationError
 
 from reference import (
+    mixture_mmd,
     naive_mmd_groups,
     separated_pools,
     single_boundary_curve,
@@ -33,29 +31,20 @@ def test_single_peak_value_at_boundary():
     G = labeled_gram(0, (n1, n2))
     n = n1 + n2
     d = mmd_squared_groups(G, range(n1), range(n1, n))
-    assert oracle_rho_single(G, n1, n1) == pytest.approx(n1 * n2 * d / n**2, abs=1e-12)
+    assert oracle_curve(G, (n1, n2))[n1 - 1] == pytest.approx(n1 * n2 * d / n**2, abs=1e-12)
 
 
 def test_single_zero_when_pools_identical():
     G = np.ones((10, 10))
-    for r in range(1, 10):
-        assert oracle_rho_single(G, 4, r) == 0.0
+    assert np.all(oracle_curve(G, (4, 6)) == 0.0)
 
 
 def test_single_matches_hand_expansion():
     G = labeled_gram(3, (3, 3))
     d = naive_mmd_groups(G, range(3), range(3, 6))
     expected = single_boundary_curve(d, 6, 3)
-    got = np.array([oracle_rho_single(G, 3, r) for r in range(1, 6)])
+    got = oracle_curve(G, (3, 3))
     assert np.max(np.abs(got - expected)) < 1e-12
-
-
-def test_single_rejects_out_of_range():
-    G = labeled_gram(1, (4, 4))
-    with pytest.raises(ConfigurationError):
-        oracle_rho_single(G, 8, 2)
-    with pytest.raises(IndexError):
-        oracle_rho_single(G, 4, 8)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -65,7 +54,7 @@ def test_single_monotone_and_peaked_at_boundary(seed):
     n1 = int(rng.integers(2, 12))
     n2 = int(rng.integers(2, 12))
     G = labeled_gram(seed, (n1, n2))
-    vals = np.array([oracle_rho_single(G, n1, r) for r in range(1, n1 + n2)])
+    vals = oracle_curve(G, (n1, n2))
     assert np.all(np.diff(vals[:n1]) >= -1e-12)
     assert np.all(np.diff(vals[n1 - 1 :]) <= 1e-12)
     assert int(np.argmax(vals)) + 1 == n1
@@ -73,8 +62,7 @@ def test_single_monotone_and_peaked_at_boundary(seed):
 
 def test_two_zero_when_all_pools_identical():
     G = np.ones((12, 12))
-    for r in range(1, 12):
-        assert oracle_rho_two(G, 4, 4, r) == 0.0
+    assert np.all(oracle_curve(G, (4, 4, 4)) == 0.0)
 
 
 def test_two_matches_branch_formulas():
@@ -85,9 +73,10 @@ def test_two_matches_branch_formulas():
     d13 = naive_mmd_groups(G, range(n1), range(n1 + n2, n))
     d23 = naive_mmd_groups(G, range(n1, n1 + n2), range(n1 + n2, n))
     b1, b2, b3 = two_boundary_branches(d12, d13, d23, n, n1, n2)
+    curve = oracle_curve(G, (n1, n2, n3))
     for r in range(1, n):
         expected = b1(r) if r <= n1 else b2(r) if r <= n1 + n2 else b3(r)
-        assert oracle_rho_two(G, n1, n2, r) == pytest.approx(expected, abs=1e-12)
+        assert curve[r - 1] == pytest.approx(expected, abs=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -110,7 +99,7 @@ def test_two_convex_between_boundaries(seed):
     rng = np.random.default_rng(seed)
     n1, n2, n3 = (int(rng.integers(4, 12)) for _ in range(3))
     G = labeled_gram(seed, (n1, n2, n3))
-    vals = [oracle_rho_two(G, n1, n2, r) for r in range(n1 + 1, n1 + n2 + 1)]
+    vals = oracle_curve(G, (n1, n2, n3))[n1 : n1 + n2]  # r = n1 + 1 .. n1 + n2
     second = np.diff(vals, 2)
     assert second.size == 0 or np.min(second) >= -1e-9
 
@@ -122,7 +111,7 @@ def test_two_boundary_data_peaks_at_second_boundary():
 
     sample = generate(ModelSpec("10", (100, 100, 100), seed=4))
     G = gram_matrix(sample.data, median_heuristic(sample.data))
-    vals = np.array([oracle_rho_two(G, 100, 100, r) for r in range(1, 300)])
+    vals = oracle_curve(G, (100, 100, 100))
     assert int(np.argmax(vals)) + 1 == 200
 
 
@@ -130,12 +119,10 @@ def test_oracle_curve_dispatch_and_limits():
     G = labeled_gram(6, (5, 7))
     curve = oracle_curve(G, (5, 7))
     assert curve.shape == (11,)
-    # one pool-MMD pass per curve gives the per-split values bit for bit
-    assert np.array_equal(curve, [oracle_rho_single(G, 5, r) for r in range(1, 12)])
+    d = naive_mmd_groups(G, range(5), range(5, 12))
+    assert np.max(np.abs(curve - single_boundary_curve(d, 12, 5))) < 1e-12
     G3 = labeled_gram(6, (4, 3, 5))
-    assert np.array_equal(
-        oracle_curve(G3, (4, 3, 5)), [oracle_rho_two(G3, 4, 3, r) for r in range(1, 12)]
-    )
+    assert oracle_curve(G3, (4, 3, 5)).shape == (11,)
     with pytest.raises(ConfigurationError):
         oracle_curve(G, (5, 6))  # wrong total
     with pytest.raises(ConfigurationError):

@@ -92,7 +92,7 @@ def test_s_budget_of_one_is_global_argmax():
     data = two_change_data(3)
     det = detect_s(data, 1)
     G = gram_matrix(data, det.bandwidth)
-    curve = rho_curve(G, 0.05, min_side=2)
+    curve = rho_curve(G, 0.05)
     assert det.segmentation.boundaries == (curve.argmax_t,)
 
 
@@ -153,6 +153,23 @@ def test_s_faithful_at_desk_scale(model_id):
 
 
 # semi-supervised ------------------------------------------------------------
+
+
+def test_ss_rejects_budget_too_large_before_distance_pass(monkeypatch):
+    import mmdseg.kernel
+
+    passes = []
+    pdist = mmdseg.kernel.pdist
+    monkeypatch.setattr(mmdseg.kernel, "pdist", lambda *a, **k: passes.append(1) or pdist(*a, **k))
+    data = np.random.default_rng(14).normal(size=(9, 4))
+    for detect in (
+        lambda: detect_ss(data, 0, 4, CFG),  # K_u = 4 needs 10 observations
+        lambda: detect_s(data, 4),
+        lambda: detect_forward(data, 4, CFG),
+    ):
+        with pytest.raises(ConfigurationError, match="at least 10 observations, got 9"):
+            detect()
+        assert passes == []
 
 
 def test_ss_rejects_crossed_bounds():
