@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .mmd import permuted_maxima, rho_curve, splittable
-from .rng import derive_seed, permutation_stream, TAG_SEGMENT
+from .rng import check_seed, derive_seed, permutations, TAG_SEGMENT
 
 # permuted_maxima agrees with rho_curve on a reordered copy of the block to
 # well within this (1.3e-14 at most over m = 4..3000).  A draw closer than
@@ -42,8 +42,7 @@ class AmocConfig:
             raise ConfigurationError(f"R must be >= 1, got {self.R}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if int(self.seed) < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,9 @@ def permutation_test(
     """Exact permutation test on the block [start, stop) of the Gram matrix.
 
     Permutation r is drawn from the deterministic stream keyed by
-    (stream_seed, r), so results do not depend on evaluation order; every
+    (stream_seed, r), so results do not depend on evaluation order.  All R
+    draws are made by one call to `rng.permutations`, on one generator
+    re-keyed per draw with the same keys `permutation_stream` uses.  Every
     draw's statistic comes from rank-masked sums over the shared block
     (`permuted_maxima`), never from recomputed kernel values.
     """
@@ -90,9 +91,7 @@ def permutation_test(
     block = gram[start:stop, start:stop]
     observed = rho_curve(block, config.delta)
 
-    perms = np.array(
-        [permutation_stream(seed, r).permutation(m) for r in range(1, config.R + 1)]
-    )
+    perms = permutations(seed, config.R, m)
     stats = permuted_maxima(block, perms, config.delta)
     for i in np.flatnonzero(np.abs(stats - observed.max_value) <= TIE_BAND):
         p = perms[i]

@@ -17,7 +17,7 @@ import numpy as np
 from .amoc import AmocConfig
 from .errors import ConfigurationError
 from .metrics import hausdorff, match, subset_match, superset_match
-from .rng import TAG_ALGO, TAG_DATA, derive_seed
+from .rng import TAG_ALGO, TAG_DATA, check_seed, derive_seed
 from .segment import detect_forward, detect_s, detect_ss, detect_u
 from .simulate import ModelSpec, generate
 
@@ -47,6 +47,8 @@ class BenchmarkCell:
             raise ConfigurationError("supervised cells need K")
         if self.algorithm == "ss" and self.K_u is None:
             raise ConfigurationError("semi-supervised cells need K_u")
+        if self.algorithm == "ss" and self.K_l is None:
+            object.__setattr__(self, "K_l", 0)
         if self.algorithm == "forward" and self.K_l is None:
             raise ConfigurationError("forward cells need K_l")
         unused = [
@@ -71,7 +73,7 @@ def run_replication(cell: BenchmarkCell, base_seed: int) -> dict:
     elif cell.algorithm == "s":
         det = detect_s(sample.data, cell.K, config.delta, h=cell.bandwidth)
     elif cell.algorithm == "ss":
-        det = detect_ss(sample.data, cell.K_l or 0, cell.K_u, config, h=cell.bandwidth)
+        det = detect_ss(sample.data, cell.K_l, cell.K_u, config, h=cell.bandwidth)
     else:
         det = detect_forward(sample.data, cell.K_l, config, h=cell.bandwidth)
     seconds = time.perf_counter() - t0
@@ -123,6 +125,7 @@ def run_benchmark(
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    check_seed(seed)
     cells = list(cells)
     rows = []
     for ci, cell in enumerate(cells):

@@ -5,16 +5,29 @@ the pair (seed, mix64(*ids)).  Streams are therefore reproducible across
 platforms and independent of execution order, which is what makes
 permutation loops and Monte Carlo replications safe to parallelize.
 
+Seeds must lie in [0, 2**64); `check_seed` rejects anything else rather
+than let the key's 64-bit mask alias it onto another seed.
+
 The key is not the exact 128-bit pair.  numpy converts the pair to an array
 before keying Philox, and when either half is >= 2**63 that array is
 float64, so both halves are rounded to 53 significant bits.  About half of
 all keys are rounded this way, and distinct seeds can share a stream (seeds
-9807252377232042866 and 9807252377232042867 do).
+9807252377232042866 and 9807252377232042867 do).  Seeds in
+[2**64 - 1024, 2**64) round to 2**64 itself, which does not fit the key, so
+numpy warns on the cast.
+
+A permutation test's R draws are all made in `permutations`, on one Philox
+whose key is reset for each draw to the rounded key `permutation_stream`
+would build; every draw is the one `permutation_stream(seed, r)` gives.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+from .errors import ConfigurationError
 
 _MASK64 = (1 << 64) - 1
 
@@ -26,6 +39,12 @@ TAG_PAIRTEST = 0x50414952  # "PAIR"
 TAG_SIMULATE = 0x53494D55  # "SIMU"
 TAG_DATA = 0x44415441  # "DATA"
 TAG_ALGO = 0x414C474F  # "ALGO"
+
+
+def check_seed(seed: int) -> None:
+    """Raise ConfigurationError unless seed is an integer in [0, 2**64)."""
+    if not 0 <= int(seed) <= _MASK64:
+        raise ConfigurationError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 def mix64(*values: int) -> int:
@@ -49,6 +68,40 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
 def permutation_stream(seed: int, index: int) -> np.random.Generator:
     """Stream for the index-th permutation of a permutation test."""
     return stream(seed, TAG_PERMUTATION, index)
+
+
+@lru_cache(maxsize=None)
+def _permutation_ids(R: int) -> tuple[int, ...]:
+    return tuple(mix64(TAG_PERMUTATION, r) for r in range(1, R + 1))
+
+
+def permutations(seed: int, R: int, m: int) -> np.ndarray:
+    """(R, m) array whose row r - 1 is permutation_stream(seed, r).permutation(m).
+
+    One Philox serves all R draws: before each draw its state is reset to
+    what Philox(key=) would set up (counter 0, empty buffer), with the key
+    converted as Philox(key=) converts it, rounding included.  Each row is
+    then shuffled in place, which is all Generator.permutation(m) does to
+    arange(m).
+    """
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    seed = int(seed) & _MASK64
+    perms = np.tile(np.arange(m), (R, 1))
+    for row, index in zip(perms, _permutation_ids(R)):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.asarray((seed, index)).astype(np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.shuffle(row)
+    return perms
 
 
 def derive_seed(seed: int, *ids: int) -> int:

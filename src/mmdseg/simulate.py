@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigurationError
-from .rng import TAG_SIMULATE, stream
+from .rng import TAG_SIMULATE, check_seed, stream
 from .segment import Segmentation
 
 DEFAULT_GRID_SIZE = 128
@@ -68,6 +68,7 @@ class ModelSpec:
             raise ConfigurationError("segment lengths must be positive")
         if self.grid_size < 2:
             raise ConfigurationError(f"grid_size must be >= 2, got {self.grid_size}")
+        check_seed(self.seed)
         unknown = set(self.params) - ({"c"} if self.model_id in PARAMETRIC_MODELS else set())
         if unknown:
             raise ConfigurationError(f"unknown params for model {self.model_id}: {sorted(unknown)}")

@@ -13,7 +13,7 @@ from mmdseg import (
 )
 from mmdseg.mmd import splittable
 from mmdseg.errors import ConfigurationError
-from mmdseg.rng import permutation_stream
+from mmdseg.rng import permutation_stream, permutations
 
 from reference import gathered_p_value, naive_rho_values_blockwise, separated_pools
 
@@ -31,6 +31,10 @@ def test_config_validation():
         AmocConfig(R=0)
     with pytest.raises(ConfigurationError):
         AmocConfig(alpha=1.0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigurationError):
+            AmocConfig(seed=seed)
+    AmocConfig(seed=2**64 - 1)
 
 
 def test_statistic_zero_on_constant_data():
@@ -111,6 +115,41 @@ def test_permutation_reuse_equals_physical_permutation():
         reused = permutation_test(G, AmocConfig(R=1, seed=seed))
         physical = rho_curve(gram_matrix(X[perm], h), 0.05)
         assert reused.permutation_stats[0] == pytest.approx(physical.max_value, abs=1e-12)
+
+
+def _drawn_seeds():
+    # 20 seeds on each side of 2**63; the top 1024 seeds, whose keys round to
+    # 2**64 and warn on the cast, are left out.
+    draw = np.random.default_rng(8)
+    low = draw.integers(0, 2**63, size=20, dtype=np.uint64)
+    high = draw.integers(2**63, 2**64 - 1024, size=20, dtype=np.uint64)
+    return [int(s) for s in (*low, *high)]
+
+
+@pytest.mark.parametrize("m", [4, 5, 20, 101])
+def test_permutations_equal_per_draw_streams(m):
+    # Keys of both kinds occur (exact, and rounded to float64 when a half is
+    # >= 2**63), as does the pair of seeds that rounding maps to one stream.
+    seeds = [0, 1, 2**63 - 1, 2**63, 9807252377232042866, 9807252377232042867]
+    for seed in seeds + _drawn_seeds():
+        per_draw = np.array([permutation_stream(seed, r).permutation(m) for r in range(1, 200)])
+        for R in (1, 19, 199):
+            got = permutations(seed, R, m)
+            assert got.dtype == per_draw.dtype
+            assert np.array_equal(got, per_draw[:R]), (seed, R)
+
+
+def test_permutation_test_builds_one_generator(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    permutation_test(random_gram(2, n=40), AmocConfig(R=199, seed=3))
+    assert len(built) == 1
 
 
 @pytest.mark.xfail(

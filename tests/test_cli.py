@@ -235,6 +235,10 @@ def test_fixed_bandwidth_flag(model8_csv, capsys):
         pytest.param(["benchmark", "--model", "N1", "--lengths", "30", "--algorithm", "u",
                       "-K", "3", "--replications", "1", "-R", "9"],
                      None, 2, id="benchmark-unused-budget"),
+        pytest.param(["simulate", "{tmp}/d.csv", "--model", "8", "--lengths", "9,9,9",
+                      "--seed", "-1"], None, 2, id="negative-seed"),
+        pytest.param(["detect-u", "{csv}", "-R", "9", "--seed", str(2**64)],
+                     None, 2, id="seed-out-of-range"),
     ],
 )
 def test_error_contract(model8_csv, tmp_path, capsys, argv, config, expected):
@@ -397,3 +401,17 @@ def test_benchmark_writes_reports(tmp_path, capsys):
     assert doc["cells"][0]["replications"] == 2
     header = (tmp_path / "bench.csv").read_text().splitlines()[0]
     assert "rate_match" in header
+
+
+def test_benchmark_reports_lower_bound_zero_for_ss_without_lower(capsys):
+    argv = ["benchmark", "--model", "8", "--lengths", "20,20,20", "--algorithm", "ss",
+            "--upper", "2", "--replications", "2", "-R", "9"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    row = json.loads(out)["cells"][0]
+    assert row["K_l"] == 0
+    code, out, _ = run(capsys, *argv, "--lower", "0")
+    assert code == 0
+    explicit = json.loads(out)["cells"][0]
+    assert row["rate_match"] == explicit["rate_match"]
+    assert row["rate_k_correct"] == explicit["rate_k_correct"]
