@@ -18,11 +18,8 @@ from .amoc import AmocConfig
 from .errors import ConfigurationError
 from .metrics import hausdorff, match, subset_match, superset_match
 from .rng import TAG_ALGO, TAG_DATA, check_seed, derive_seed
-from .segment import detect_forward, detect_s, detect_ss, detect_u
+from .segment import check_budget, detect
 from .simulate import ModelSpec, generate
-
-# The budget parameters each algorithm takes.
-BUDGETS = {"u": (), "s": ("K",), "ss": ("K_l", "K_u"), "forward": ("K_l",)}
 
 
 @dataclass(frozen=True)
@@ -39,26 +36,10 @@ class BenchmarkCell:
     label: str = ""
 
     def __post_init__(self):
-        if self.algorithm not in BUDGETS:
-            raise ConfigurationError(
-                f"algorithm must be one of {tuple(BUDGETS)}, got {self.algorithm!r}"
-            )
-        if self.algorithm == "s" and self.K is None:
-            raise ConfigurationError("supervised cells need K")
-        if self.algorithm == "ss" and self.K_u is None:
-            raise ConfigurationError("semi-supervised cells need K_u")
-        if self.algorithm == "ss" and self.K_l is None:
-            object.__setattr__(self, "K_l", 0)
-        if self.algorithm == "forward" and self.K_l is None:
-            raise ConfigurationError("forward cells need K_l")
-        unused = [
-            name for name in ("K", "K_l", "K_u")
-            if name not in BUDGETS[self.algorithm] and getattr(self, name) is not None
-        ]
-        if unused:
-            raise ConfigurationError(
-                f"algorithm {self.algorithm!r} takes no {', '.join(unused)}"
-            )
+        # Rejects a bad budget before any sample is drawn; fills ss's K_l.
+        budget = check_budget(self.algorithm, self.K, self.K_l, self.K_u)
+        for name, value in budget.items():
+            object.__setattr__(self, name, value)
 
 
 def run_replication(cell: BenchmarkCell, base_seed: int) -> dict:
@@ -68,14 +49,9 @@ def run_replication(cell: BenchmarkCell, base_seed: int) -> dict:
     sample = generate(model)
     config = replace(cell.config, seed=derive_seed(base_seed, TAG_ALGO))
     t0 = time.perf_counter()
-    if cell.algorithm == "u":
-        det = detect_u(sample.data, config, h=cell.bandwidth)
-    elif cell.algorithm == "s":
-        det = detect_s(sample.data, cell.K, config.delta, h=cell.bandwidth)
-    elif cell.algorithm == "ss":
-        det = detect_ss(sample.data, cell.K_l, cell.K_u, config, h=cell.bandwidth)
-    else:
-        det = detect_forward(sample.data, cell.K_l, config, h=cell.bandwidth)
+    det = detect(
+        cell.algorithm, sample.data, config, cell.bandwidth, K=cell.K, K_l=cell.K_l, K_u=cell.K_u
+    )
     seconds = time.perf_counter() - t0
     est, truth = det.segmentation, sample.truth
     record = {
@@ -97,11 +73,6 @@ def run_replication(cell: BenchmarkCell, base_seed: int) -> dict:
 
 def _binomial_se(rate: float, n: int) -> float:
     return float(np.sqrt(rate * (1.0 - rate) / n))
-
-
-def _cell_worker(args):
-    cell, base_seed = args
-    return run_replication(cell, base_seed)
 
 
 @dataclass(frozen=True)
@@ -129,12 +100,13 @@ def run_benchmark(
     cells = list(cells)
     rows = []
     for ci, cell in enumerate(cells):
-        tasks = [(cell, derive_seed(seed, ci, rep)) for rep in range(replications)]
+        seeds = [derive_seed(seed, ci, rep) for rep in range(replications)]
         if workers == 1:
-            records = [run_replication(c, s) for c, s in tasks]
+            records = [run_replication(cell, s) for s in seeds]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_cell_worker, tasks, chunksize=4))
+                records = list(pool.map(run_replication, [cell] * replications, seeds,
+                                        chunksize=4))
         rates = {
             key: float(np.mean([r[key] for r in records]))
             for key in ("k_correct", "match", "superset", "subset")

@@ -25,10 +25,9 @@ from .dataio import (
     write_json,
 )
 from .errors import ConfigurationError, DataError
-from .kernel import gram_matrix, median_heuristic, squared_distances
 from .mmd import rho_values
 from .oracle import oracle_curve
-from .segment import detect_forward, detect_s, detect_ss, detect_u
+from .segment import BUDGETS, check_budget, detect, prepare
 from .simulate import DEFAULT_GRID_SIZE, MODEL_IDS, ModelSpec, generate
 
 _DEFAULT = AmocConfig()
@@ -164,33 +163,15 @@ def _cmd_detect(args) -> int:
     h = args.bandwidth
     data = load_csv(args.input)
 
-    algo = args.algorithm
-    params: dict = {}
+    budget = check_budget(args.algorithm, args.K, args.K_l, args.K_u)
     t0 = time.perf_counter()
-    if algo == "u":
-        result = detect_u(data, config, h=h)
-    elif algo == "s":
-        if args.changepoints is None:
-            raise ConfigurationError("detect-s requires -K/--changepoints")
-        params["K"] = args.changepoints
-        result = detect_s(data, args.changepoints, config.delta, h=h)
-    elif algo == "ss":
-        if args.upper is None:
-            raise ConfigurationError("detect-ss requires --upper")
-        K_l = 0 if args.lower is None else args.lower
-        params["K_l"], params["K_u"] = K_l, args.upper
-        result = detect_ss(data, K_l, args.upper, config, h=h)
-    else:
-        if args.lower is None:
-            raise ConfigurationError("detect-forward requires --lower")
-        params["K_l"] = args.lower
-        result = detect_forward(data, args.lower, config, h=h)
+    result = detect(args.algorithm, data, config, h, **budget)
     elapsed = time.perf_counter() - t0
 
     seg = result.segmentation
     by_boundary = _boundary_p_values(result.trace)
     doc = {
-        "command": f"detect-{algo}",
+        "command": f"detect-{args.algorithm}",
         "n": seg.n,
         "grid_size": int(data.shape[1]),
         "config": {
@@ -200,7 +181,7 @@ def _cmd_detect(args) -> int:
             "seed": config.seed,
             "add_one": config.add_one,
             "bandwidth": "median" if h is None else h,
-            **params,
+            **budget,
         },
         "bandwidth": result.bandwidth,
         "k_hat": seg.k,
@@ -269,9 +250,7 @@ def _cmd_oracle_curve(args) -> int:
         spec = _model_spec(args)
         data = generate(spec).data
         lengths = spec.segment_lengths
-    sq = squared_distances(data)
-    h = median_heuristic(data, sq) if args.bandwidth is None else args.bandwidth
-    gram = gram_matrix(data, h, sq)
+    _, gram = prepare(data, args.bandwidth)
     star = oracle_curve(gram, lengths)
     empirical = rho_values(gram)
     lines = ["r,rho_star,rho"]
@@ -290,9 +269,9 @@ def _cmd_benchmark(args) -> int:
         model=spec,
         algorithm=args.algorithm,
         config=config,
-        K=args.changepoints,
-        K_l=args.lower,
-        K_u=args.upper,
+        K=args.K,
+        K_l=args.K_l,
+        K_u=args.K_u,
         bandwidth=args.bandwidth,
         label=f"{spec.model_id}-{args.algorithm}",
     )
@@ -351,6 +330,22 @@ def _add_bandwidth(sub):
                      help="'median' (default) or a fixed positive value")
 
 
+# The flags and help of each budget parameter; segment.BUDGETS says which
+# parameters an algorithm takes.
+_BUDGET_FLAGS = {
+    "K": (("-K", "--changepoints"), "number of changepoints K (algorithm s)"),
+    "K_l": (("--lower",), "lower bound K_l (ss, forward)"),
+    "K_u": (("--upper",), "upper bound K_u (ss)"),
+}
+
+
+def _add_budget(sub, names):
+    for name in names:
+        flags, blurb = _BUDGET_FLAGS[name]
+        sub.add_argument(*flags, dest=name, type=int, help=blurb)
+    sub.set_defaults(**dict.fromkeys(_BUDGET_FLAGS))
+
+
 def _add_model(sub, required=False):
     sub.add_argument("--model", choices=MODEL_IDS, required=required, help="model id")
     sub.add_argument("--lengths", type=_lengths, required=required,
@@ -379,12 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(sub)
         sub.add_argument("--format", choices=("json", "csv"), default="json",
                          help="output format")
-        if algo == "s":
-            sub.add_argument("-K", "--changepoints", type=int, help="number of changepoints")
-        if algo in ("ss", "forward"):
-            sub.add_argument("--lower", type=int, help="lower bound K_l")
-        if algo == "ss":
-            sub.add_argument("--upper", type=int, help="upper bound K_u")
+        _add_budget(sub, BUDGETS[algo])
         sub.set_defaults(func=_cmd_detect, algorithm=algo)
 
     sub = subs.add_parser("simulate", help="draw a sample from a benchmark model")
@@ -410,11 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("benchmark", help="Monte Carlo success rates for one cell")
     _add_model(sub, required=True)
-    sub.add_argument("--algorithm", choices=("u", "s", "ss", "forward"), required=True)
+    sub.add_argument("--algorithm", choices=tuple(BUDGETS), required=True)
     sub.add_argument("--replications", type=int, default=100)
-    sub.add_argument("-K", "--changepoints", type=int, help="K for algorithm s")
-    sub.add_argument("--lower", type=int, help="K_l for ss/forward")
-    sub.add_argument("--upper", type=int, help="K_u for ss")
+    _add_budget(sub, _BUDGET_FLAGS)
     sub.add_argument("--workers", type=int, default=1, help="parallel replication workers")
     _add_common(sub)
     sub.set_defaults(func=_cmd_benchmark)

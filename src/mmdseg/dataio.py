@@ -75,12 +75,10 @@ def open_output(path):
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
-def save_csv(data, path, header: list[str] | None = None):
+def save_csv(data, path):
     arr = np.asarray(data, dtype=np.float64)
     with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if header is not None:
-            writer.writerow(header)
         for row in arr:
             writer.writerow([format_float(v) for v in row])
 

@@ -73,7 +73,7 @@ class DetectionResult:
     bandwidth: float
 
 
-def _prepare(data, h: float | None, k: int):
+def prepare(data, h: float | None = None, k: int = 0):
     """Bandwidth and Gram matrix from one pairwise-distance pass, made only
     once k supervised rounds are known to fit the data."""
     X = as_dataset(data)
@@ -89,7 +89,7 @@ def _prepare(data, h: float | None, k: int):
 
 def _detect(algorithm: str, data, config: AmocConfig, h, k: int, K_l: int = 0):
     """k supervised rounds, then the algorithm's refinement of their blocks."""
-    bw, gram = _prepare(data, h, k)
+    bw, gram = prepare(data, h, k)
     n = gram.shape[0]
     trace: list[dict] = []
     boundaries = _supervised_boundaries(gram, k, config.delta, trace)
@@ -202,8 +202,51 @@ def _recurse_u(gram, config, start, stop, boundaries, trace):
 
 
 # ---------------------------------------------------------------------------
-# public detectors: each checks its own budget, then runs the pipeline once
+# public API: the budget table, its one check, the one dispatcher and the four
+# detectors; each detector checks its own budget, then runs the pipeline once
 # ---------------------------------------------------------------------------
+
+# The budget parameters each algorithm takes, in its detector's argument order.
+BUDGETS = {"u": (), "s": ("K",), "ss": ("K_l", "K_u"), "forward": ("K_l",)}
+
+
+def check_budget(algorithm: str, K=None, K_l=None, K_u=None) -> dict:
+    """The budget `algorithm` runs with, in BUDGETS order (None means not
+    given; ss's K_l defaults to 0).  ConfigurationError for an unknown
+    algorithm, a parameter it does not take, a missing one or a bad value."""
+    if algorithm not in BUDGETS:
+        raise ConfigurationError(f"algorithm must be one of {tuple(BUDGETS)}, got {algorithm!r}")
+    if algorithm == "ss" and K_l is None:
+        K_l = 0
+    given = {"K": K, "K_l": K_l, "K_u": K_u}
+    unused = [n for n, v in given.items() if v is not None and n not in BUDGETS[algorithm]]
+    if unused:
+        raise ConfigurationError(f"algorithm {algorithm!r} takes no {', '.join(unused)}")
+    budget = {name: given[name] for name in BUDGETS[algorithm]}
+    missing = [name for name, value in budget.items() if value is None]
+    if missing:
+        raise ConfigurationError(f"algorithm {algorithm!r} needs {', '.join(missing)}")
+    for name, value in budget.items():
+        low = 0 if name == "K_l" else 1
+        if value < low:
+            raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+    if algorithm == "ss" and K_l > K_u:
+        raise ConfigurationError(f"K_l={K_l} exceeds K_u={K_u}")
+    return budget
+
+
+def detect(algorithm: str, data, config: AmocConfig, h: float | None = None, **budget):
+    """Run `algorithm` with its budget (keywords K, K_l, K_u; see BUDGETS).
+    Detectors are called by their module names, never through a table built
+    at import, so a wrapper installed on one (a tracer, say) sees every call."""
+    budget = check_budget(algorithm, **budget)
+    if algorithm == "u":
+        return detect_u(data, config, h)
+    if algorithm == "s":  # detect_s takes only config.delta
+        return detect_s(data, budget["K"], config.delta, h)
+    if algorithm == "ss":
+        return detect_ss(data, budget["K_l"], budget["K_u"], config, h)
+    return detect_forward(data, budget["K_l"], config, h)
 
 
 def detect_u(data, config: AmocConfig, h: float | None = None) -> DetectionResult:
@@ -217,8 +260,7 @@ def detect_u(data, config: AmocConfig, h: float | None = None) -> DetectionResul
 
 def detect_s(data, K: int, delta: float = 0.05, h: float | None = None) -> DetectionResult:
     """Supervised detection returning exactly K boundaries (no testing step)."""
-    if K < 1:
-        raise ConfigurationError(f"K must be >= 1, got {K}")
+    check_budget("s", K=K)
     return _detect("s", data, AmocConfig(delta=delta), h, K)
 
 
@@ -231,12 +273,7 @@ def detect_ss(
 ) -> DetectionResult:
     """Bounded detection: supervised at K_u, then Bonferroni-gated merging
     down towards K_l (see _merge_insignificant)."""
-    if K_l < 0:
-        raise ConfigurationError(f"K_l must be >= 0, got {K_l}")
-    if K_u < 1:
-        raise ConfigurationError(f"K_u must be >= 1, got {K_u}")
-    if K_l > K_u:
-        raise ConfigurationError(f"K_l={K_l} exceeds K_u={K_u}")
+    check_budget("ss", K_l=K_l, K_u=K_u)
     return _detect("ss", data, config, h, K_u, K_l)
 
 
@@ -248,6 +285,5 @@ def detect_forward(
 ) -> DetectionResult:
     """Supervised pass at K_l, then unsupervised recursion inside each block;
     at K_l = 0 this is detect_u."""
-    if K_l < 0:
-        raise ConfigurationError(f"K_l must be >= 0, got {K_l}")
+    check_budget("forward", K_l=K_l)
     return _detect("forward" if K_l else "u", data, config, h, K_l)

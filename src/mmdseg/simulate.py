@@ -27,18 +27,16 @@ from .segment import Segmentation
 
 DEFAULT_GRID_SIZE = 128
 
-MODEL_IDS = (
-    "N1", "N2", "N3", "N4",
-    "1", "2", "3", "4", "5", "6", "7",
-    "8", "9", "10", "11", "12",
-    "M1", "M2",
-)
-
-# Models parameterized by a strength c, and the segment count of each model.
+# The segment count of each model, in catalog order, and the models
+# parameterized by a strength c.
+_SEGMENT_COUNTS = {
+    **dict.fromkeys(("N1", "N2", "N3", "N4"), 1),
+    **dict.fromkeys(("1", "2", "3", "4", "5", "6", "7"), 2),
+    **dict.fromkeys(("8", "9", "10", "11", "12"), 3),
+    **dict.fromkeys(("M1", "M2"), 2),
+}
+MODEL_IDS = tuple(_SEGMENT_COUNTS)
 PARAMETRIC_MODELS = {"M1", "M2"}
-_SEGMENT_COUNTS = {mid: 1 for mid in ("N1", "N2", "N3", "N4")}
-_SEGMENT_COUNTS.update({mid: 2 for mid in ("1", "2", "3", "4", "5", "6", "7", "M1", "M2")})
-_SEGMENT_COUNTS.update({mid: 3 for mid in ("8", "9", "10", "11", "12")})
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,16 @@ def test_detect_ss_rejects_crossed_bounds(model8_csv, capsys):
 
 
 def test_detect_s_requires_budget(model8_csv, capsys):
-    code, _, err = run(capsys, "detect-s", str(model8_csv))
-    assert code == 2
+    for argv, missing in (
+        (["detect-s"], "K"),
+        (["detect-ss", "--lower", "1"], "K_u"),
+        (["detect-forward"], "K_l"),
+    ):
+        code, out, err = run(capsys, *argv, str(model8_csv))
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["kind"] == "configuration"
+        assert doc["error"].endswith(f"needs {missing}"), doc["error"]
 
 
 def test_detect_missing_file_is_data_error(capsys):

@@ -1,15 +1,19 @@
-"""Golden stdout of every detector, compared byte for byte.
+"""Golden outputs of the CLI, compared byte for byte.
 
 Each case runs `mmdseg.cli.main` on a small generated input and compares
-its stdout with a file under tests/golden/.  Like perfbench/fixture.json,
-these files pin the detectors' results: a change that keeps results must
-leave them untouched, and they are re-recorded only by a change that moves
-results on purpose (a stream re-baseline, say), which says so.  To
-re-record, run `PYTHONPATH=src python tests/test_golden.py`.
+what it writes with a file under tests/golden/: the stdout of every
+detector, of `benchmark` (less its wall-clock fields), of `oracle-curve`
+on both input routes, and the CSV and truth sidecar `simulate` writes.
+Like perfbench/fixture.json, these files pin the program's results: a
+change that keeps results must leave them untouched, and they are
+re-recorded only by a change that moves results on purpose (a stream
+re-baseline, say), which says so.  To re-record, run
+`PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
 
@@ -39,20 +43,68 @@ RUNS = {
 
 CASES = [(i, r) for i in INPUTS for r in RUNS]
 
+BENCHMARKS = {
+    "u": ["--algorithm", "u"],
+    "s": ["--algorithm", "s", "-K", "2"],
+    "ss": ["--algorithm", "ss", "--upper", "3"],
+    "forward": ["--algorithm", "forward", "--lower", "1"],
+}
+WALL_CLOCK = ("mean_seconds", "total_seconds")
 
-def detect_stdout(csv_path, run: str) -> str:
+ORACLE_ROUTES = {
+    "model": ["--model", "8", "--lengths", "30,30,30", "--grid-size", "16", "--seed", "11"],
+    "input": ["--input", "{csv_dir}/m8.csv", "--segment-lengths", "30,30,30"],
+}
+
+SIMULATE = ["--model", "M1", "--lengths", "12,12", "--grid-size", "8",
+            "--param", "c=0.5", "--seed", "3"]
+
+
+def cli_stdout(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([*RUNS[run][:1], str(csv_path), *RUNS[run][1:], "-R", "99", "--seed", "7"])
+        code = main(argv)
     assert code == 0
     return out.getvalue()
+
+
+def detect_stdout(csv_path, run: str) -> str:
+    return cli_stdout([*RUNS[run][:1], str(csv_path), *RUNS[run][1:], "-R", "99", "--seed", "7"])
+
+
+def benchmark_stdout(run: str) -> str:
+    doc = json.loads(cli_stdout([
+        "benchmark", "--model", "8", "--lengths", "20,20,20", "--grid-size", "16",
+        *BENCHMARKS[run], "--replications", "3", "-R", "19", "--seed", "5",
+    ]))
+    for row in doc["cells"]:
+        for key in WALL_CLOCK:
+            del row[key]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def oracle_stdout(csv_dir, route: str) -> str:
+    argv = [arg.format(csv_dir=csv_dir) for arg in ORACLE_ROUTES[route]]
+    return cli_stdout(["oracle-curve", *argv])
+
+
+def simulate_files(out_dir) -> dict[str, str]:
+    """File name under tests/golden/ -> text, for the CSV and its sidecar."""
+    path = pathlib.Path(out_dir) / "simulate-M1.csv"
+    assert cli_stdout(["simulate", str(path), *SIMULATE]) == ""
+    sidecar = path.with_suffix(".truth.json")
+    return {path.name: path.read_text(), sidecar.name: sidecar.read_text()}
+
+
+def write_inputs(csv_dir):
+    for name, spec in INPUTS.items():
+        save_csv(generate(spec).data, pathlib.Path(csv_dir) / f"{name}.csv")
 
 
 @pytest.fixture(scope="module")
 def csv_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden")
-    for name, spec in INPUTS.items():
-        save_csv(generate(spec).data, path / f"{name}.csv")
+    write_inputs(path)
     return path
 
 
@@ -62,14 +114,35 @@ def test_detector_stdout_matches_golden(csv_dir, data, run):
     assert detect_stdout(csv_dir / f"{data}.csv", run) == expected
 
 
+@pytest.mark.parametrize("run", BENCHMARKS)
+def test_benchmark_stdout_matches_golden(run):
+    expected = (GOLDEN / f"benchmark-{run}.json").read_text()
+    assert benchmark_stdout(run) == expected
+
+
+@pytest.mark.parametrize("route", ORACLE_ROUTES)
+def test_oracle_curve_matches_golden(csv_dir, route):
+    expected = (GOLDEN / f"oracle-{route}.csv").read_text()
+    assert oracle_stdout(csv_dir, route) == expected
+
+
+def test_simulate_files_match_golden(tmp_path):
+    for name, text in simulate_files(tmp_path).items():
+        assert text == (GOLDEN / name).read_text(), name
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, spec in INPUTS.items():
-            save_csv(generate(spec).data, pathlib.Path(tmp) / f"{name}.csv")
-        for data, run in CASES:
-            text = detect_stdout(pathlib.Path(tmp) / f"{data}.csv", run)
-            (GOLDEN / f"{data}-{run}.json").write_text(text)
-            print(f"{data}-{run}: {len(text)} bytes", file=sys.stderr)
+        write_inputs(tmp)
+        outputs = {
+            **{f"{d}-{r}.json": detect_stdout(pathlib.Path(tmp) / f"{d}.csv", r) for d, r in CASES},
+            **{f"benchmark-{r}.json": benchmark_stdout(r) for r in BENCHMARKS},
+            **{f"oracle-{r}.csv": oracle_stdout(tmp, r) for r in ORACLE_ROUTES},
+            **simulate_files(tmp),
+        }
+    for name, text in outputs.items():
+        (GOLDEN / name).write_text(text)
+        print(f"{name}: {len(text)} bytes", file=sys.stderr)

@@ -111,3 +111,18 @@ def test_run_benchmark_is_deterministic_and_validates():
 def test_benchmark_cell_rejects_budget_its_algorithm_ignores(algorithm, budget):
     with pytest.raises(ConfigurationError, match="takes no"):
         BenchmarkCell(model=ModelSpec("N4", (24,)), algorithm=algorithm, **budget)
+
+
+@pytest.mark.parametrize(
+    "algorithm, budget, message",
+    [
+        ("s", {"K": 0}, "K must be >= 1, got 0"),
+        ("ss", {"K_u": 0}, "K_u must be >= 1, got 0"),
+        ("ss", {"K_l": -1, "K_u": 2}, "K_l must be >= 0, got -1"),
+        ("forward", {"K_l": -1}, "K_l must be >= 0, got -1"),
+        ("ss", {"K_l": 3, "K_u": 1}, "K_l=3 exceeds K_u=1"),
+    ],
+)
+def test_benchmark_cell_rejects_out_of_range_budget_when_built(algorithm, budget, message):
+    with pytest.raises(ConfigurationError, match=message):
+        BenchmarkCell(model=ModelSpec("N4", (24,)), algorithm=algorithm, **budget)
