@@ -208,12 +208,12 @@ def _cmd_detect(args) -> int:
 def _model_spec(args) -> ModelSpec:
     if args.model is None or args.lengths is None:
         raise ConfigurationError("a model id and --lengths are required")
+    given = {"seed": args.seed, "grid_size": args.grid_size}  # None: ModelSpec's default
     return ModelSpec(
         model_id=args.model,
         segment_lengths=args.lengths,
-        seed=args.seed,
-        grid_size=args.grid_size,
         params=dict(args.param or ()),
+        **{key: value for key, value in given.items() if value is not None},
     )
 
 
@@ -237,7 +237,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle_curve(args) -> int:
+    # Each route takes only its own flags: one of the other route's is an error.
+    model_flags = {"--model": args.model, "--lengths": args.lengths, "--param": args.param,
+                   "--seed": args.seed, "--grid-size": args.grid_size}
     if args.input is not None:
+        given = [flag for flag, value in model_flags.items() if value is not None]
+        if given:
+            raise ConfigurationError(f"oracle-curve --input does not take {', '.join(given)}")
         if args.segment_lengths is None:
             raise ConfigurationError("--input requires --segment-lengths")
         data = load_csv(args.input)
@@ -247,6 +253,8 @@ def _cmd_oracle_curve(args) -> int:
                 f"segment lengths {lengths} do not sum to n={data.shape[0]}"
             )
     else:
+        if args.segment_lengths is not None:
+            raise ConfigurationError("oracle-curve --segment-lengths needs --input")
         spec = _model_spec(args)
         data = generate(spec).data
         lengths = spec.segment_lengths
@@ -396,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bandwidth(sub)
     sub.add_argument("--config", help="key=value file supplying any flag")
     sub.add_argument("--output", "-o", help="output path (default: stdout)")
-    sub.set_defaults(func=_cmd_oracle_curve)
+    sub.set_defaults(func=_cmd_oracle_curve, seed=None, grid_size=None)
 
     sub = subs.add_parser("benchmark", help="Monte Carlo success rates for one cell")
     _add_model(sub, required=True)

@@ -1,13 +1,14 @@
 """Deterministic generators for the benchmark model catalog.
 
-Sixteen generative models of functional observations on a common grid of
+Eighteen generative models of functional observations on a common grid of
 128 equi-spaced points t_j = j/128 (right endpoint on-grid so bridge
 pinning at t = 1 is exact): four no-change populations (N1-N4), seven
 single-change populations (1-7), five two-change populations (8-12) and
 two parameterized families (M1 location, M2 scale, both with strength c).
 Curves are either Brownian bridges or truncated basis expansions
 X(t) = mu(t) + sum_k sqrt(theta_k) W_k phi_k(t) with Gaussian or scaled-t3
-coefficients (t3/sqrt(3) has unit variance).
+coefficients (t3/sqrt(3) has unit variance).  `_CATALOG` is the one place a
+model is defined: its populations, one row per segment, in catalog order.
 
 All randomness flows through counter-based streams (see rng module), so a
 ModelSpec including its seed pins the sample bit-for-bit.
@@ -15,9 +16,10 @@ ModelSpec including its seed pins the sample bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -26,17 +28,6 @@ from .rng import TAG_SIMULATE, check_seed, stream
 from .segment import Segmentation
 
 DEFAULT_GRID_SIZE = 128
-
-# The segment count of each model, in catalog order, and the models
-# parameterized by a strength c.
-_SEGMENT_COUNTS = {
-    **dict.fromkeys(("N1", "N2", "N3", "N4"), 1),
-    **dict.fromkeys(("1", "2", "3", "4", "5", "6", "7"), 2),
-    **dict.fromkeys(("8", "9", "10", "11", "12"), 3),
-    **dict.fromkeys(("M1", "M2"), 2),
-}
-MODEL_IDS = tuple(_SEGMENT_COUNTS)
-PARAMETRIC_MODELS = {"M1", "M2"}
 
 
 @dataclass(frozen=True)
@@ -54,9 +45,9 @@ class ModelSpec:
             self, "segment_lengths", tuple(int(m) for m in self.segment_lengths)
         )
         object.__setattr__(self, "params", dict(self.params))
-        if self.model_id not in _SEGMENT_COUNTS:
+        if self.model_id not in _CATALOG:
             raise ConfigurationError(f"unknown model id {self.model_id!r}")
-        want = _SEGMENT_COUNTS[self.model_id]
+        want = len(_CATALOG[self.model_id])
         if len(self.segment_lengths) != want:
             raise ConfigurationError(
                 f"model {self.model_id} has {want} population(s), "
@@ -74,6 +65,8 @@ class ModelSpec:
             if "c" not in self.params:
                 raise ConfigurationError(f"model {self.model_id} requires param c")
             c = float(self.params["c"])
+            if not math.isfinite(c):
+                raise ConfigurationError(f"model {self.model_id} needs a finite c, got {c}")
             if self.model_id == "M1" and c < 0:
                 raise ConfigurationError(f"model M1 needs c >= 0, got {c}")
             if self.model_id == "M2" and c <= 0:
@@ -97,7 +90,8 @@ def grid(p: int = DEFAULT_GRID_SIZE) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bases and coefficient decays
+# bases, eigenvalue decays, and mean functions mean(t, c) of the grid t and
+# the model strength c
 # ---------------------------------------------------------------------------
 
 
@@ -115,66 +109,61 @@ def _basis(kind: str, q: int, p: int) -> np.ndarray:
             rows.append(np.sqrt(2.0) * np.sin(2.0 * np.pi * l * t - np.pi))
             rows.append(np.sqrt(2.0) * np.cos(2.0 * np.pi * l * t - np.pi))
         return np.vstack(rows[:q])
-    if kind == "fourier":
-        # classical Fourier system: 1, then sin/cos pairs at frequency l
-        rows = [np.ones(p)]
-        l = 1
-        while len(rows) < q:
-            rows.append(np.sqrt(2.0) * np.sin(2.0 * np.pi * l * t))
-            if len(rows) < q:
-                rows.append(np.sqrt(2.0) * np.cos(2.0 * np.pi * l * t))
-            l += 1
-        return np.vstack(rows)
-    raise ConfigurationError(f"unknown basis kind {kind!r}")
+    # "fourier", the classical Fourier system: 1, then sin/cos pairs at frequency l
+    rows = [np.ones(p)]
+    l = 1
+    while len(rows) < q:
+        rows.append(np.sqrt(2.0) * np.sin(2.0 * np.pi * l * t))
+        if len(rows) < q:
+            rows.append(np.sqrt(2.0) * np.cos(2.0 * np.pi * l * t))
+        l += 1
+    return np.vstack(rows)
+
+
+# Eigenvalue theta_j of each decay, as a function of the index j.
+_DECAYS = {
+    "geometric": lambda j: 0.7 * 2.0 ** (-j),  # j from 0
+    "exp3": lambda j: np.exp(-j / 3.0),
+    "exp": lambda j: np.exp(-j),
+    "invsq": lambda j: j ** (-2.0),
+    "inv105": lambda j: j ** (-1.05),
+}
 
 
 def _theta(kind: str, q: int, start: int = 1) -> np.ndarray:
-    j = np.arange(start, start + q, dtype=np.float64)
-    if kind == "geometric":  # 0.7 * 2^-j, j from 0
-        return 0.7 * 2.0 ** (-j)
-    if kind == "exp3":
-        return np.exp(-j / 3.0)
-    if kind == "exp":
-        return np.exp(-j)
-    if kind == "invsq":
-        return j ** (-2.0)
-    if kind == "inv105":
-        return j ** (-1.05)
-    raise ConfigurationError(f"unknown eigenvalue decay {kind!r}")
+    return _DECAYS[kind](np.arange(start, start + q, dtype=np.float64))
 
 
-# ---------------------------------------------------------------------------
-# mean functions
-# ---------------------------------------------------------------------------
-
-
-def _mu_bumpy(t):
+def _mu_bumpy(t, c=None):
     return 0.5 - 100.0 * (t - 0.1) * (t - 0.3) * (t - 0.5) * (t - 0.9)
 
 
-def _mu_bumpy_wiggle(t):
-    return _mu_bumpy(t) + 0.8 * np.sin(1.0 + 10.0 * np.pi * t)
-
-
-def _mu_cubic(t):
+def _mu_cubic(t, c=None):
     return 1.0 + 3.0 * t**2 - 5.0 * t**3
 
 
-# ---------------------------------------------------------------------------
-# sampling primitives
-# ---------------------------------------------------------------------------
+def _wiggly(mu, amplitude):
+    """mu plus amplitude * sin(1 + 10 pi t)."""
+    return lambda t, c: mu(t) + amplitude * np.sin(1.0 + 10.0 * np.pi * t)
 
 
-def _draw_coeffs(rng: np.random.Generator, n: int, q: int, noise: str) -> np.ndarray:
-    if noise == "gaussian":
-        return rng.standard_normal((n, q))
-    if noise == "t3_scaled":
-        return rng.standard_t(3, size=(n, q)) / np.sqrt(3.0)
-    raise ConfigurationError(f"unknown noise tag {noise!r}")
+def _mu_sine_shift(t, c):
+    coef = np.zeros(40)
+    coef[:3] = 0.75 * np.array([1.0, -1.0, 1.0])  # 0.75 (-1)^(j+1), j <= 3
+    return coef @ _basis("sine", 40, t.size)
+
+
+# ---------------------------------------------------------------------------
+# sampling primitives and the model catalog
+# ---------------------------------------------------------------------------
 
 
 def _kl_sample(rng, n, basis, theta, noise, mean):
-    W = _draw_coeffs(rng, n, theta.size, noise)
+    shape = (n, theta.size)
+    if noise == "gaussian":
+        W = rng.standard_normal(shape)
+    else:  # "t3_scaled"
+        W = rng.standard_t(3, size=shape) / np.sqrt(3.0)
     return (W * np.sqrt(theta)) @ basis + mean
 
 
@@ -185,131 +174,86 @@ def _bb_sample(rng, n, p, mean):
     return bridge + mean
 
 
-# ---------------------------------------------------------------------------
-# model catalog
-# ---------------------------------------------------------------------------
+class _Bridge(NamedTuple):
+    """A Brownian bridge around mean(t, c)."""
+
+    mean: Callable = lambda t, c: 0.0
 
 
-def _kl(basis_kind, q, theta_kind, noise, mean_values, p, theta_start=1):
-    basis = _basis(basis_kind, q, p)
-    theta = _theta(theta_kind, q, start=theta_start)
-    mean = np.asarray(mean_values, dtype=np.float64)
+class _KL(NamedTuple):
+    """mean(t, c) plus a truncated basis expansion: q functions of the
+    basis, eigenvalues scale(c) * theta_j of the decay for j from start,
+    and coefficients of the noise."""
 
-    def sampler(rng, n):
-        return _kl_sample(rng, n, basis, theta, noise, mean)
-
-    return sampler
-
-
-def _bb(mean_values, p):
-    mean = np.asarray(mean_values, dtype=np.float64)
-
-    def sampler(rng, n):
-        return _bb_sample(rng, n, p, mean)
-
-    return sampler
+    basis: str
+    q: int
+    decay: str
+    start: int
+    mean: Callable = lambda t, c: 0.0
+    noise: str = "gaussian"
+    scale: Callable = lambda c: 1.0
 
 
-def _populations(model_id: str, params: Mapping[str, float], p: int) -> list[Callable]:
-    t = grid(p)
-    zero = np.zeros(p)
-    if model_id == "N1":
-        return [_kl("paired_trig", 151, "geometric", "gaussian", _mu_bumpy_wiggle(t), p, theta_start=0)]
-    if model_id == "N2":
-        return [_bb(zero, p)]
-    if model_id == "N3":
-        return [_kl("sine", 50, "exp3", "gaussian", 2.0 * t, p)]
-    if model_id == "N4":
-        return [_kl("sine", 40, "invsq", "gaussian", zero, p)]
-    if model_id == "1":
-        return [
-            _kl("sine", 50, "exp3", "gaussian", 2.0 * t, p),
-            _kl("sine", 50, "exp3", "gaussian", 6.0 * t * (1.0 - t), p),
-        ]
-    if model_id == "2":
-        coef = np.zeros(40)
-        coef[:3] = 0.75 * np.array([1.0, -1.0, 1.0])  # 0.75 (-1)^(j+1), j <= 3
-        shift = coef @ _basis("sine", 40, p)
-        return [
-            _kl("sine", 40, "invsq", "t3_scaled", zero, p),
-            _kl("sine", 40, "invsq", "t3_scaled", shift, p),
-        ]
-    if model_id == "3":
-        post = _mu_cubic(t) + 0.6 * np.sin(1.0 + 10.0 * np.pi * t)
-        return [
-            _kl("paired_trig", 151, "geometric", "gaussian", _mu_bumpy_wiggle(t), p, theta_start=0),
-            _kl("paired_trig", 151, "geometric", "gaussian", post, p, theta_start=0),
-        ]
-    if model_id == "4":
-        return [_bb(zero, p), _bb(np.sin(t), p)]
-    if model_id == "5":
-        basis = _basis("sine", 40, p)
-        theta = _theta("invsq", 40)
-        return [
-            lambda rng, n: _kl_sample(rng, n, basis, theta, "gaussian", 0.0),
-            lambda rng, n: _kl_sample(rng, n, basis, 3.0 * theta, "gaussian", 0.0),
-        ]
-    if model_id == "6":
-        return [
-            _kl("sine", 50, "invsq", "gaussian", zero, p),
-            _kl("sine", 50, "exp", "gaussian", zero, p),
-        ]
-    if model_id == "7":
-        return [
-            _kl("sine", 40, "invsq", "gaussian", zero, p),
-            _kl("fourier", 40, "invsq", "gaussian", zero, p),
-        ]
-    if model_id == "8":
-        return [
-            _kl("paired_trig", 151, "geometric", "gaussian", _mu_bumpy(t), p, theta_start=0),
-            _kl("paired_trig", 151, "geometric", "gaussian",
-                _mu_cubic(t) + 1.5 * np.sin(1.0 + 10.0 * np.pi * t), p, theta_start=0),
-            _kl("paired_trig", 151, "geometric", "gaussian", _mu_cubic(t), p, theta_start=0),
-        ]
-    if model_id == "9":
-        return [_bb(zero, p), _bb(t, p), _bb(zero, p)]
-    if model_id == "10":
-        return [
-            _kl("sine", 50, "invsq", "gaussian", zero, p),
-            _kl("sine", 50, "inv105", "gaussian", zero, p),
-            _kl("sine", 50, "exp", "gaussian", zero, p),
-        ]
-    if model_id == "11":
-        basis = _basis("sine", 40, p)
-        theta = _theta("invsq", 40)
-        return [
-            lambda rng, n: _kl_sample(rng, n, basis, theta, "t3_scaled", 0.0),
-            lambda rng, n: _kl_sample(rng, n, basis, 3.0 * theta, "t3_scaled", 0.0),
-            lambda rng, n: _kl_sample(rng, n, basis, theta, "t3_scaled", 0.0),
-        ]
-    if model_id == "12":
-        return [
-            _kl("sine", 40, "exp3", "gaussian", zero, p),
-            _kl("fourier", 40, "exp3", "gaussian", zero, p),
-            _kl("sine", 40, "exp3", "gaussian", zero, p),
-        ]
-    if model_id == "M1":
-        c = float(params["c"])
-        return [_bb(zero, p), _bb(c * np.sin(t), p)]
-    if model_id == "M2":
-        c = float(params["c"])
-        basis = _basis("sine", 40, p)
-        theta = _theta("invsq", 40)
-        return [
-            lambda rng, n: _kl_sample(rng, n, basis, theta, "gaussian", 0.0),
-            lambda rng, n: _kl_sample(rng, n, basis, c * theta, "gaussian", 0.0),
-        ]
-    raise ConfigurationError(f"unknown model id {model_id!r}")
+_TRIG = ("paired_trig", 151, "geometric", 0)
+_SINE40_INVSQ = ("sine", 40, "invsq", 1)
+_SINE50_EXP3 = ("sine", 50, "exp3", 1)
+_TIMES3 = lambda c: 3.0
+
+# Every model, in catalog order, with one population row per segment.
+_CATALOG = {
+    "N1": (_KL(*_TRIG, _wiggly(_mu_bumpy, 0.8)),),
+    "N2": (_Bridge(),),
+    "N3": (_KL(*_SINE50_EXP3, lambda t, c: 2.0 * t),),
+    "N4": (_KL(*_SINE40_INVSQ),),
+    "1": (
+        _KL(*_SINE50_EXP3, lambda t, c: 2.0 * t),
+        _KL(*_SINE50_EXP3, lambda t, c: 6.0 * t * (1.0 - t)),
+    ),
+    "2": (
+        _KL(*_SINE40_INVSQ, noise="t3_scaled"),
+        _KL(*_SINE40_INVSQ, _mu_sine_shift, "t3_scaled"),
+    ),
+    "3": (_KL(*_TRIG, _wiggly(_mu_bumpy, 0.8)), _KL(*_TRIG, _wiggly(_mu_cubic, 0.6))),
+    "4": (_Bridge(), _Bridge(lambda t, c: np.sin(t))),
+    "5": (_KL(*_SINE40_INVSQ), _KL(*_SINE40_INVSQ, scale=_TIMES3)),
+    "6": (_KL("sine", 50, "invsq", 1), _KL("sine", 50, "exp", 1)),
+    "7": (_KL(*_SINE40_INVSQ), _KL("fourier", 40, "invsq", 1)),
+    "8": (
+        _KL(*_TRIG, _mu_bumpy),
+        _KL(*_TRIG, _wiggly(_mu_cubic, 1.5)),
+        _KL(*_TRIG, _mu_cubic),
+    ),
+    "9": (_Bridge(), _Bridge(lambda t, c: t), _Bridge()),
+    "10": (_KL("sine", 50, "invsq", 1), _KL("sine", 50, "inv105", 1), _KL("sine", 50, "exp", 1)),
+    "11": (
+        _KL(*_SINE40_INVSQ, noise="t3_scaled"),
+        _KL(*_SINE40_INVSQ, noise="t3_scaled", scale=_TIMES3),
+        _KL(*_SINE40_INVSQ, noise="t3_scaled"),
+    ),
+    "12": (_KL("sine", 40, "exp3", 1), _KL("fourier", 40, "exp3", 1), _KL("sine", 40, "exp3", 1)),
+    "M1": (_Bridge(), _Bridge(lambda t, c: c * np.sin(t))),
+    "M2": (_KL(*_SINE40_INVSQ), _KL(*_SINE40_INVSQ, scale=lambda c: c)),
+}
+MODEL_IDS = tuple(_CATALOG)
+PARAMETRIC_MODELS = {"M1", "M2"}
+
+
+def _sample(row, rng, n: int, t: np.ndarray, c) -> np.ndarray:
+    """n curves of one population row on the grid t."""
+    mean = np.asarray(row.mean(t, c), dtype=np.float64)
+    if isinstance(row, _Bridge):
+        return _bb_sample(rng, n, t.size, mean)
+    theta = row.scale(c) * _theta(row.decay, row.q, start=row.start)
+    return _kl_sample(rng, n, _basis(row.basis, row.q, t.size), theta, row.noise, mean)
 
 
 def generate(spec: ModelSpec) -> GeneratedSample:
     """Draw one sample: per-segment populations concatenated in time order."""
-    populations = _populations(spec.model_id, spec.params, spec.grid_size)
+    t = grid(spec.grid_size)
+    c = float(spec.params.get("c", 0.0))  # the strength of M1 and M2
     rng = stream(spec.seed, TAG_SIMULATE)
-    parts = [
-        sampler(rng, m) for sampler, m in zip(populations, spec.segment_lengths)
-    ]
-    data = np.vstack(parts)
+    rows = _CATALOG[spec.model_id]
+    data = np.vstack([_sample(row, rng, m, t, c) for row, m in zip(rows, spec.segment_lengths)])
     cuts = np.cumsum(spec.segment_lengths)[:-1]
-    truth = Segmentation(spec.n, tuple(int(c) for c in cuts))
+    truth = Segmentation(spec.n, tuple(int(b) for b in cuts))
     return GeneratedSample(data=data, truth=truth, model=spec)

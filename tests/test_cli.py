@@ -247,6 +247,13 @@ def test_fixed_bandwidth_flag(model8_csv, capsys):
                       "--seed", "-1"], None, 2, id="negative-seed"),
         pytest.param(["detect-u", "{csv}", "-R", "9", "--seed", str(2**64)],
                      None, 2, id="seed-out-of-range"),
+        pytest.param(["oracle-curve", "--input", "{csv}", "--segment-lengths", "60,60,60",
+                      "--model", "8", "--lengths", "1,2,3", "--seed", "9", "--param", "c=4"],
+                     None, 2, id="oracle-input-with-model-flags"),
+        pytest.param(["oracle-curve", "--input", "{csv}", "--segment-lengths", "60,60,60"],
+                     "grid_size=16\n", 2, id="oracle-input-with-grid-size"),
+        pytest.param(["oracle-curve", "--model", "8", "--lengths", "20,20,20",
+                      "--segment-lengths", "20,20,20"], None, 2, id="oracle-model-with-input-flag"),
     ],
 )
 def test_error_contract(model8_csv, tmp_path, capsys, argv, config, expected):
@@ -259,6 +266,16 @@ def test_error_contract(model8_csv, tmp_path, capsys, argv, config, expected):
     assert code == expected
     assert json.loads(err)["kind"] == ("configuration" if expected == 2 else "data")
     assert "Traceback" not in err
+
+
+def test_simulate_non_finite_strength_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    code, _, err = run(capsys, "simulate", str(path), "--model", "M2", "--lengths", "5,5",
+                       "--param", "c=inf")
+    assert code == 2
+    assert "finite" in json.loads(err)["error"]
+    assert not path.exists()
+    assert not path.with_suffix(".truth.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +409,15 @@ def test_oracle_curve_from_csv_requires_lengths(model8_csv, capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "r,rho_star,rho"
+
+
+def test_oracle_curve_names_the_other_routes_flag(model8_csv, capsys):
+    code, _, err = run(capsys, "oracle-curve", "--input", str(model8_csv),
+                       "--segment-lengths", "60,60,60", "--seed", "0")
+    assert code == 2 and "--seed" in json.loads(err)["error"]
+    code, _, err = run(capsys, "oracle-curve", "--model", "1", "--lengths", "9,9",
+                       "--segment-lengths", "9,9")
+    assert code == 2 and "--segment-lengths" in json.loads(err)["error"]
 
 
 # benchmark ------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each case runs `mmdseg.cli.main` on a small generated input and compares
 what it writes with a file under tests/golden/: the stdout of every
 detector, of `benchmark` (less its wall-clock fields), of `oracle-curve`
-on both input routes, and the CSV and truth sidecar `simulate` writes.
+on both input routes, the CSV and truth sidecar `simulate` writes, and
+(through `generate`) every model of the catalog.
 Like perfbench/fixture.json, these files pin the program's results: a
 change that keeps results must leave them untouched, and they are
 re-recorded only by a change that moves results on purpose (a stream
@@ -22,6 +23,7 @@ import pytest
 from mmdseg import ModelSpec, generate
 from mmdseg.cli import main
 from mmdseg.dataio import save_csv
+from mmdseg.simulate import MODEL_IDS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -58,6 +60,14 @@ ORACLE_ROUTES = {
 
 SIMULATE = ["--model", "M1", "--lengths", "12,12", "--grid-size", "8",
             "--param", "c=0.5", "--seed", "3"]
+
+# Segment lengths of each catalog model, in catalog order.
+CATALOG = {
+    **dict.fromkeys(("N1", "N2", "N3", "N4"), (4,)),
+    **dict.fromkeys(("1", "2", "3", "4", "5", "6", "7"), (3, 4)),
+    **dict.fromkeys(("8", "9", "10", "11", "12"), (3, 2, 4)),
+    **dict.fromkeys(("M1", "M2"), (3, 4)),
+}
 
 
 def cli_stdout(argv) -> str:
@@ -96,6 +106,16 @@ def simulate_files(out_dir) -> dict[str, str]:
     return {path.name: path.read_text(), sidecar.name: sidecar.read_text()}
 
 
+def catalog_json() -> str:
+    """The `.17g` rows `generate` draws for every model id, at grid size 8."""
+    doc = {}
+    for model, lengths in CATALOG.items():
+        params = {"c": 0.5} if model in ("M1", "M2") else {}
+        data = generate(ModelSpec(model, lengths, seed=17, grid_size=8, params=params)).data
+        doc[model] = [",".join(format(v, ".17g") for v in row) for row in data]
+    return json.dumps(doc, indent=1) + "\n"
+
+
 def write_inputs(csv_dir):
     for name, spec in INPUTS.items():
         save_csv(generate(spec).data, pathlib.Path(csv_dir) / f"{name}.csv")
@@ -131,6 +151,11 @@ def test_simulate_files_match_golden(tmp_path):
         assert text == (GOLDEN / name).read_text(), name
 
 
+def test_catalog_samples_match_golden():
+    assert tuple(CATALOG) == MODEL_IDS
+    assert catalog_json() == (GOLDEN / "simulate-catalog.json").read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -142,6 +167,7 @@ if __name__ == "__main__":
             **{f"benchmark-{r}.json": benchmark_stdout(r) for r in BENCHMARKS},
             **{f"oracle-{r}.csv": oracle_stdout(tmp, r) for r in ORACLE_ROUTES},
             **simulate_files(tmp),
+            "simulate-catalog.json": catalog_json(),
         }
     for name, text in outputs.items():
         (GOLDEN / name).write_text(text)

@@ -1,0 +1,42 @@
+"""Smoke tests of the experiment scripts behind the paper's tables, at tiny sizes."""
+
+import importlib.util
+import json
+import pathlib
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+TINY = ["--replications", "1", "--permutations", "9", "--workers", "1"]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def written_cells(path):
+    return {row["label"]: row for row in json.loads(path.read_text())["cells"]}
+
+
+def test_run_null_size_writes_one_cell_per_null_model(tmp_path, capsys):
+    out = tmp_path / "null.json"
+    assert load_script("run_null_size").main([*TINY, "--sizes", "40", "--output", str(out)]) == 0
+    cells = written_cells(out)
+    assert list(cells) == ["N1-n40", "N2-n40", "N3-n40", "N4-n40"]
+    for row in cells.values():
+        assert 0.0 <= row["rate_k_correct"] <= 1.0
+        assert row["se_k_correct"] >= 0.0
+    assert "rejection rate" in capsys.readouterr().out
+
+
+def test_run_detection_tables_writes_the_bounds_cells(tmp_path, capsys):
+    out = tmp_path / "bounds.json"
+    script = load_script("run_detection_tables")
+    assert script.main(["bounds", "--models", "1", *TINY, "--output", str(out)]) == 0
+    cells = written_cells(out)
+    assert list(cells) == ["1-Kl0-Ku2", "1-Kl0-Ku3", "1-Kl1-Ku3"]
+    for row in cells.values():
+        for key in ("rate_k_correct", "rate_match", "rate_superset", "rate_subset"):
+            assert 0.0 <= row[key] <= 1.0
+    assert "K-correct" in capsys.readouterr().out

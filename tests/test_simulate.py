@@ -27,6 +27,9 @@ def test_model_spec_validation():
         ModelSpec("M2", (50, 50), params={"c": 0.0})
     with pytest.raises(ConfigurationError):
         ModelSpec("1", (50, 50), params={"c": 1.0})  # unknown param
+    for model, c in [("M1", np.inf), ("M1", np.nan), ("M2", np.inf), ("M2", np.nan)]:
+        with pytest.raises(ConfigurationError, match="finite"):
+            ModelSpec(model, (50, 50), params={"c": c})
 
 
 def test_generate_is_deterministic():
