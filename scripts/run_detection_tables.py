@@ -15,7 +15,8 @@ import argparse
 import sys
 
 from mmdseg import AmocConfig, BenchmarkCell, ModelSpec, run_benchmark
-from mmdseg.dataio import write_json
+from mmdseg.dataio import dumps_json, write_json
+from mmdseg.errors import ConfigurationError
 
 SINGLE_LENGTHS = {300: [(45, 255), (150, 150), (240, 60)]}
 MULTI_LENGTHS = {300: [(45, 75, 180), (100, 100, 100), (180, 45, 75)]}
@@ -67,7 +68,14 @@ def main(argv=None):
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--output", default=None)
     args = ap.parse_args(argv)
+    try:
+        return run(args)
+    except ConfigurationError as exc:
+        sys.stderr.write(dumps_json({"error": str(exc), "kind": "configuration"}))
+        return 2
 
+
+def run(args):
     config = AmocConfig(R=args.permutations)
     models = tuple(args.models.split(",")) if args.models else None
     cells = build_cells(args.table, models, config)

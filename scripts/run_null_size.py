@@ -9,7 +9,8 @@ import argparse
 import sys
 
 from mmdseg import AmocConfig, BenchmarkCell, ModelSpec, run_benchmark
-from mmdseg.dataio import write_json
+from mmdseg.dataio import dumps_json, write_json
+from mmdseg.errors import ConfigurationError
 
 
 def main(argv=None):
@@ -21,7 +22,14 @@ def main(argv=None):
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--output", default="null_size.json")
     args = ap.parse_args(argv)
+    try:
+        return run(args)
+    except ConfigurationError as exc:
+        sys.stderr.write(dumps_json({"error": str(exc), "kind": "configuration"}))
+        return 2
 
+
+def run(args):
     config = AmocConfig(R=args.permutations)
     cells = [
         BenchmarkCell(

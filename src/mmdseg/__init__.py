@@ -5,7 +5,7 @@ from .benchmark import BenchmarkCell, BenchmarkReport, run_benchmark
 from .errors import ConfigurationError, DataError, DegenerateBandwidthError
 from .kernel import gram_matrix, median_heuristic
 from .metrics import hausdorff, match, subset_match, superset_match
-from .mmd import RhoCurve, mmd_squared_groups, rho_curve, rho_values
+from .mmd import RhoCurve, rho_curve, rho_values
 from .oracle import oracle_curve
 from .segment import (
     DetectionResult,
@@ -42,7 +42,6 @@ __all__ = [
     "hausdorff",
     "match",
     "median_heuristic",
-    "mmd_squared_groups",
     "oracle_curve",
     "permutation_test",
     "rho_curve",

@@ -248,10 +248,6 @@ def _cmd_oracle_curve(args) -> int:
             raise ConfigurationError("--input requires --segment-lengths")
         data = load_csv(args.input)
         lengths = args.segment_lengths
-        if sum(lengths) != data.shape[0]:
-            raise ConfigurationError(
-                f"segment lengths {lengths} do not sum to n={data.shape[0]}"
-            )
     else:
         if args.segment_lengths is not None:
             raise ConfigurationError("oracle-curve --segment-lengths needs --input")

@@ -90,25 +90,6 @@ def _sums_from_rows(wl_rows: np.ndarray, rows: np.ndarray):
     return within_left, within_right, cross
 
 
-def mmd_squared_groups(gram: np.ndarray, idx_a, idx_b) -> float:
-    """V-statistic between two disjoint, non-empty index sets."""
-    a = np.asarray(idx_a, dtype=np.intp)
-    b = np.asarray(idx_b, dtype=np.intp)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("index sets must be non-empty")
-    n = gram.shape[0]
-    for idx in (a, b):
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise IndexError(f"index set out of range [0, {n - 1}]")
-    if np.intersect1d(a, b).size:
-        raise ValueError("index sets must be disjoint")
-    kaa = float(gram[np.ix_(a, a)].sum())
-    kbb = float(gram[np.ix_(b, b)].sum())
-    kab = float(gram[np.ix_(a, b)].sum())
-    v = kaa / (a.size * a.size) + kbb / (b.size * b.size) - 2.0 * kab / (a.size * b.size)
-    return float(_clamp_nonnegative(v))
-
-
 def _split_bounds(n: int, delta: float) -> tuple[int, int]:
     if not 0.0 < delta < 0.5:
         raise ConfigurationError(f"delta must lie in (0, 1/2), got {delta}")

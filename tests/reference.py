@@ -98,6 +98,24 @@ def mixture_mmd(gram, pool_a, pool_b, alpha, beta):
     return float(w @ gram @ w + v @ gram @ v - 2.0 * (w @ gram @ v))
 
 
+def labeled_curve(gram, sizes):
+    """Labeled split curve r (n - r) / n^2 * w' G w for r = 1..n-1 of the
+    contiguous pools `sizes`, one split at a time.  w gives each observation
+    its pool's share of the left side minus its share of the right side,
+    divided by the pool size, so w' G w is the squared MMD between the two
+    sides' pool mixtures by the explicit double sum over the Gram matrix."""
+    n = gram.shape[0]
+    sizes = np.asarray(sizes)
+    label = np.repeat(np.arange(sizes.size), sizes)
+    out = np.empty(n - 1)
+    for r in range(1, n):
+        left = np.bincount(label[:r], minlength=sizes.size) / r
+        right = np.bincount(label[r:], minlength=sizes.size) / (n - r)
+        w = ((left - right) / sizes)[label]
+        out[r - 1] = r * (n - r) / n**2 * float(w @ gram @ w)
+    return out
+
+
 def quadrature_l2(f, g, points=10**6):
     """Right-endpoint Riemann quadrature of the L2[0,1] distance of f - g."""
     t = np.arange(1, points + 1) / points

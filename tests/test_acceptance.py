@@ -23,7 +23,6 @@ from mmdseg import (
     generate,
     gram_matrix,
     median_heuristic,
-    mmd_squared_groups,
     oracle_curve,
     rho_curve,
     run_benchmark,
@@ -36,6 +35,7 @@ from mmdseg.rng import derive_seed, stream
 
 from reference import (
     cusum_oracle_match,
+    labeled_curve,
     mixture_mmd,
     model1_shift_projection,
     naive_mmd_groups,
@@ -97,7 +97,7 @@ def test_c01_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
     max_rho_err = 0.0
-    max_group_err = 0.0
+    max_oracle_err = 0.0
     for _ in range(100):
         n = int(rng.integers(8, 61))
         X = rng.normal(size=(n, 6))
@@ -105,20 +105,19 @@ def test_c01_oracle_equivalence():
         curve = rho_curve(G, 0.05)
         naive = naive_rho_values_blockwise(G)[curve.t_min - 1 : curve.t_max]
         max_rho_err = max(max_rho_err, float(np.max(np.abs(curve.values - naive))))
-        sizes = rng.integers(2, 9, size=2)
-        idx = rng.permutation(n)[: sizes.sum()]
-        a, b = idx[: sizes[0]], idx[sizes[0] :]
-        max_group_err = max(
-            max_group_err,
-            abs(mmd_squared_groups(G, a, b) - naive_mmd_groups(G, a, b)),
+        cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, 5)), replace=False))
+        sizes = np.diff([0, *cuts, n])  # 1-5 contiguous pools
+        max_oracle_err = max(
+            max_oracle_err,
+            float(np.max(np.abs(oracle_curve(G, sizes) - labeled_curve(G, sizes)))),
         )
     elapsed = time.perf_counter() - t0
-    ok = max_rho_err < 1e-9 and max_group_err < 1e-10 and elapsed < 10.0
+    ok = max_rho_err < 1e-9 and max_oracle_err < 1e-10 and elapsed < 10.0
     assert report(
         1,
         "oracle equivalence",
         ok,
-        f"rho err {max_rho_err:.2e} < 1e-9, groups err {max_group_err:.2e} < 1e-10, "
+        f"rho err {max_rho_err:.2e} < 1e-9, oracle err {max_oracle_err:.2e} < 1e-10, "
         f"{elapsed:.1f}s < 10s",
     )
 
@@ -167,7 +166,7 @@ def test_c04_mixture_identity():
     X = separated_pools(rng, (12, 17), p=6, gap=2.0)
     G = gram_matrix(X, median_heuristic(X))
     pool_a, pool_b = range(12), range(12, 29)
-    d = mmd_squared_groups(G, pool_a, pool_b)
+    d = naive_mmd_groups(G, pool_a, pool_b)
     worst = 0.0
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         for beta in (0.0, 0.25, 0.5, 0.75, 1.0):

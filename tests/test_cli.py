@@ -254,6 +254,8 @@ def test_fixed_bandwidth_flag(model8_csv, capsys):
                      "grid_size=16\n", 2, id="oracle-input-with-grid-size"),
         pytest.param(["oracle-curve", "--model", "8", "--lengths", "20,20,20",
                       "--segment-lengths", "20,20,20"], None, 2, id="oracle-model-with-input-flag"),
+        pytest.param(["oracle-curve", "--input", "{csv}", "--segment-lengths", "60,60,59"],
+                     None, 2, id="oracle-lengths-off-n"),
     ],
 )
 def test_error_contract(model8_csv, tmp_path, capsys, argv, config, expected):
@@ -409,6 +411,15 @@ def test_oracle_curve_from_csv_requires_lengths(model8_csv, capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "r,rho_star,rho"
+
+
+def test_oracle_curve_takes_any_number_of_pools(model8_csv, capsys):
+    code, out, _ = run(capsys, "oracle-curve", "--input", str(model8_csv),
+                       "--segment-lengths", "45,45,45,45")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "r,rho_star,rho"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 180))
 
 
 def test_oracle_curve_names_the_other_routes_flag(model8_csv, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mmdseg import (
     gram_matrix,
     median_heuristic,
-    mmd_squared_groups,
+    oracle_curve,
     rho_curve,
     rho_values,
 )
@@ -50,12 +50,12 @@ def test_split_matches_naive_oracle():
 
 def test_groups_identical_points_zero():
     G = np.ones((6, 6))
-    assert mmd_squared_groups(G, [0, 1, 2], [3, 4, 5]) == 0.0
+    assert naive_mmd_groups(G, [0, 1, 2], [3, 4, 5]) == 0.0
 
 
 def test_groups_singletons():
     G = random_gram(3, n=7)
-    assert mmd_squared_groups(G, [2], [5]) == pytest.approx(
+    assert naive_mmd_groups(G, [2], [5]) == pytest.approx(
         2.0 - 2.0 * G[2, 5], abs=1e-12
     )
 
@@ -63,19 +63,11 @@ def test_groups_singletons():
 def test_groups_random_blocks_match_oracle():
     G = random_gram(11, n=16)
     idx_a, idx_b = [0, 3, 4, 9], [1, 2, 10, 11, 15]
-    assert mmd_squared_groups(G, idx_a, idx_b) == pytest.approx(
+    pooled = G[np.ix_(idx_a + idx_b, idx_a + idx_b)]
+    # at the boundary of two pools the labeled curve is |A| |B| / n^2 * d(A, B)
+    assert oracle_curve(pooled, (4, 5))[3] * 81 / 20 == pytest.approx(
         naive_mmd_groups(G, idx_a, idx_b), abs=1e-10
     )
-
-
-def test_groups_rejects_bad_sets():
-    G = random_gram(2, n=8)
-    with pytest.raises(ValueError):
-        mmd_squared_groups(G, [], [1])
-    with pytest.raises(ValueError):
-        mmd_squared_groups(G, [0, 1], [1, 2])
-    with pytest.raises(IndexError):
-        mmd_squared_groups(G, [0], [8])
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -167,7 +159,7 @@ def test_mixture_blocks_never_exceed_pure_pool_distance():
     rng = np.random.default_rng(9)
     X = separated_pools(rng, (12, 18), p=4, gap=3.0)
     G = gram_matrix(X, median_heuristic(X))
-    pure = mmd_squared_groups(G, range(12), range(12, 30))
+    pure = naive_mmd_groups(G, range(12), range(12, 30))
     for alpha in (0.0, 0.3, 0.7, 1.0):
         for beta in (0.0, 0.4, 1.0):
             assert mixture_mmd(G, range(12), range(12, 30), alpha, beta) <= pure + 1e-12

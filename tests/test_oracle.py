@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 from mmdseg import (
     gram_matrix,
     median_heuristic,
-    mmd_squared_groups,
     oracle_curve,
     rho_curve,
 )
 from mmdseg.errors import ConfigurationError
+from mmdseg.segment import _supervised_boundaries
 
 from reference import (
+    labeled_curve,
     mixture_mmd,
     naive_mmd_groups,
     separated_pools,
@@ -30,7 +31,7 @@ def test_single_peak_value_at_boundary():
     n1, n2 = 6, 9
     G = labeled_gram(0, (n1, n2))
     n = n1 + n2
-    d = mmd_squared_groups(G, range(n1), range(n1, n))
+    d = naive_mmd_groups(G, range(n1), range(n1, n))
     assert oracle_curve(G, (n1, n2))[n1 - 1] == pytest.approx(n1 * n2 * d / n**2, abs=1e-12)
 
 
@@ -86,9 +87,9 @@ def test_two_branches_agree_at_first_boundary(seed):
     n1, n2, n3 = (int(rng.integers(3, 9)) for _ in range(3))
     n = n1 + n2 + n3
     G = labeled_gram(seed, (n1, n2, n3))
-    d12 = mmd_squared_groups(G, range(n1), range(n1, n1 + n2))
-    d13 = mmd_squared_groups(G, range(n1), range(n1 + n2, n))
-    d23 = mmd_squared_groups(G, range(n1, n1 + n2), range(n1 + n2, n))
+    d12 = naive_mmd_groups(G, range(n1), range(n1, n1 + n2))
+    d13 = naive_mmd_groups(G, range(n1), range(n1 + n2, n))
+    d23 = naive_mmd_groups(G, range(n1, n1 + n2), range(n1 + n2, n))
     b1, b2, _ = two_boundary_branches(d12, d13, d23, n, n1, n2)
     assert b1(n1) == pytest.approx(b2(n1), abs=1e-9)
 
@@ -123,10 +124,63 @@ def test_oracle_curve_dispatch_and_limits():
     assert np.max(np.abs(curve - single_boundary_curve(d, 12, 5))) < 1e-12
     G3 = labeled_gram(6, (4, 3, 5))
     assert oracle_curve(G3, (4, 3, 5)).shape == (11,)
+    G4 = labeled_gram(6, (3, 3, 3, 3))
+    assert np.max(np.abs(oracle_curve(G4, (3, 3, 3, 3)) - labeled_curve(G4, (3, 3, 3, 3)))) < 1e-12
+    assert np.array_equal(oracle_curve(G, (12,)), np.zeros(11))  # one pool: no change
     with pytest.raises(ConfigurationError):
         oracle_curve(G, (5, 6))  # wrong total
     with pytest.raises(ConfigurationError):
-        oracle_curve(G, (3, 3, 3, 3))  # no closed form for 3 boundaries
+        oracle_curve(G, (5, 0, 7))  # empty pool
+
+
+@pytest.mark.parametrize("pools", range(1, 7))
+def test_matches_brute_force_mixture_curve(pools):
+    for seed in range(5):
+        rng = np.random.default_rng([pools, seed])
+        sizes = tuple(int(s) for s in rng.integers(1, 12, size=pools))
+        G = labeled_gram(seed, sizes)
+        assert np.max(np.abs(oracle_curve(G, sizes) - labeled_curve(G, sizes))) < 1e-12
+
+
+def test_local_maxima_sit_on_true_boundaries():
+    # The paper's oracle analysis: every interior local maximum of the labeled
+    # curve is a true changepoint.
+    rng = np.random.default_rng(20260808)
+    off = []
+    for _ in range(200):
+        sizes = tuple(int(s) for s in rng.integers(2, 30, size=rng.integers(2, 7)))
+        X = separated_pools(rng, sizes, p=5, gap=float(rng.uniform(0.5, 3.0)))
+        v = oracle_curve(gram_matrix(X, median_heuristic(X)), sizes)
+        peaks = 2 + np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:]))  # r values
+        off += sorted(set(peaks.tolist()) - set(np.cumsum(sizes[:-1]).tolist()))
+    assert off == []
+
+
+def pool_mean_gram(G, sizes):
+    """G with every entry replaced by the mean of its pool-pair block."""
+    onehot = np.repeat(np.eye(len(sizes)), sizes, axis=0)
+    return onehot @ (onehot.T @ G @ onehot / np.outer(sizes, sizes)) @ onehot.T
+
+
+def test_supervised_rounds_preserve_order_on_pool_means():
+    # The paper's order-preserving claim: on the pool-mean Gram, a budget
+    # below the true count finds only true changepoints, and one at or above
+    # it finds all of them.  delta = 0.01 leaves every boundary admissible.
+    rng = np.random.default_rng(20260809)
+    cases = violations = 0
+    for _ in range(160):
+        sizes = tuple(int(s) for s in rng.integers(3, 40, size=rng.integers(2, 6)))
+        X = separated_pools(rng, sizes, p=5, gap=float(rng.uniform(0.5, 3.0)))
+        M = pool_mean_gram(gram_matrix(X, median_heuristic(X)), sizes)
+        truth = set(np.cumsum(sizes[:-1]).tolist())
+        for K in range(1, len(sizes) + 2):
+            try:
+                found = set(_supervised_boundaries(M, K, 0.01, []))
+            except ConfigurationError:  # infeasible budget
+                continue
+            cases += 1
+            violations += not (found <= truth if K < len(truth) else found >= truth)
+    assert cases >= 500 and violations == 0
 
 
 def test_empirical_argmax_tracks_boundary_on_separated_pools():
@@ -150,7 +204,7 @@ def test_mixture_equal_weights_is_zero():
 
 def test_mixture_extreme_weights_recover_pool_distance():
     G = labeled_gram(2, (6, 9))
-    d = mmd_squared_groups(G, range(6), range(6, 15))
+    d = naive_mmd_groups(G, range(6), range(6, 15))
     assert mixture_mmd(G, range(6), range(6, 15), 1.0, 0.0) == pytest.approx(
         d, abs=1e-12
     )
@@ -158,7 +212,7 @@ def test_mixture_extreme_weights_recover_pool_distance():
 
 def test_mixture_half_weight_quarters_distance():
     G = labeled_gram(7, (8, 8))
-    d = mmd_squared_groups(G, range(8), range(8, 16))
+    d = naive_mmd_groups(G, range(8), range(8, 16))
     assert mixture_mmd(G, range(8), range(8, 16), 0.5, 0.0) == pytest.approx(
         d / 4.0, abs=1e-12
     )

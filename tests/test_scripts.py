@@ -4,6 +4,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 TINY = ["--replications", "1", "--permutations", "9", "--workers", "1"]
 
@@ -40,3 +42,21 @@ def test_run_detection_tables_writes_the_bounds_cells(tmp_path, capsys):
         for key in ("rate_k_correct", "rate_match", "rate_superset", "rate_subset"):
             assert 0.0 <= row[key] <= 1.0
     assert "K-correct" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("models", ["99", "8"])  # unknown id; 3 populations in 2 segments
+def test_run_detection_tables_rejects_a_bad_model_with_exit_2(models, tmp_path, capsys):
+    out = tmp_path / "bounds.json"
+    script = load_script("run_detection_tables")
+    assert script.main(["bounds", "--models", models, *TINY, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err)["kind"] == "configuration"
+
+
+def test_run_null_size_rejects_an_empty_sample_with_exit_2(tmp_path, capsys):
+    out = tmp_path / "null.json"
+    assert load_script("run_null_size").main([*TINY, "--sizes", "0", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err)["kind"] == "configuration"
