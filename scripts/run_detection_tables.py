@@ -11,12 +11,11 @@ The full grids at 100 replications run for hours; use --models /
 --replications to carve out a slice.
 """
 
-import argparse
 import sys
 
 from mmdseg import AmocConfig, BenchmarkCell, ModelSpec, run_benchmark
-from mmdseg.dataio import dumps_json, write_json
-from mmdseg.errors import ConfigurationError
+from mmdseg.cli import Parser, run_command
+from mmdseg.dataio import write_json
 
 SINGLE_LENGTHS = {300: [(45, 255), (150, 150), (240, 60)]}
 MULTI_LENGTHS = {300: [(45, 75, 180), (100, 100, 100), (180, 45, 75)]}
@@ -59,7 +58,7 @@ def build_cells(table, models, config):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("table", choices=("single", "multi", "budget", "bounds"))
     ap.add_argument("--models", help="comma-separated model ids (default: table's set)")
     ap.add_argument("--replications", type=int, default=100)
@@ -67,12 +66,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--output", default=None)
-    args = ap.parse_args(argv)
-    try:
-        return run(args)
-    except ConfigurationError as exc:
-        sys.stderr.write(dumps_json({"error": str(exc), "kind": "configuration"}))
-        return 2
+    ap.set_defaults(func=run)
+    return run_command(ap, argv)
 
 
 def run(args):

@@ -5,28 +5,24 @@ for models N1-N4 at n in {100, 500}.  The full grid at 100 replications
 takes tens of minutes; trim --replications or --sizes for a quick look.
 """
 
-import argparse
 import sys
 
 from mmdseg import AmocConfig, BenchmarkCell, ModelSpec, run_benchmark
-from mmdseg.dataio import dumps_json, write_json
-from mmdseg.errors import ConfigurationError
+from mmdseg.cli import Parser, int_list, run_command
+from mmdseg.dataio import write_json
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--replications", type=int, default=100)
-    ap.add_argument("--sizes", default="100,500", help="comma-separated sample sizes")
+    ap.add_argument("--sizes", type=int_list, default=(100, 500),
+                    help="comma-separated sample sizes")
     ap.add_argument("--permutations", type=int, default=199)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--output", default="null_size.json")
-    args = ap.parse_args(argv)
-    try:
-        return run(args)
-    except ConfigurationError as exc:
-        sys.stderr.write(dumps_json({"error": str(exc), "kind": "configuration"}))
-        return 2
+    ap.set_defaults(func=run)
+    return run_command(ap, argv)
 
 
 def run(args):
@@ -38,7 +34,7 @@ def run(args):
             config=config,
             label=f"{mid}-n{n}",
         )
-        for n in (int(s) for s in args.sizes.split(","))
+        for n in args.sizes
         for mid in ("N1", "N2", "N3", "N4")
     ]
     report = run_benchmark(cells, args.replications, seed=args.seed, workers=args.workers)

@@ -3,9 +3,8 @@
 from .amoc import AmocConfig, AmocResult, permutation_test
 from .benchmark import BenchmarkCell, BenchmarkReport, run_benchmark
 from .errors import ConfigurationError, DataError, DegenerateBandwidthError
-from .kernel import gram_matrix, median_heuristic
 from .metrics import hausdorff, match, subset_match, superset_match
-from .mmd import RhoCurve, rho_curve, rho_values
+from .mmd import rho_curve, rho_values
 from .oracle import oracle_curve
 from .segment import (
     DetectionResult,
@@ -14,6 +13,7 @@ from .segment import (
     detect_s,
     detect_ss,
     detect_u,
+    prepare,
 )
 from .simulate import GeneratedSample, ModelSpec, generate, grid
 
@@ -30,20 +30,18 @@ __all__ = [
     "DetectionResult",
     "GeneratedSample",
     "ModelSpec",
-    "RhoCurve",
     "Segmentation",
     "detect_forward",
     "detect_s",
     "detect_ss",
     "detect_u",
     "generate",
-    "gram_matrix",
     "grid",
     "hausdorff",
     "match",
-    "median_heuristic",
     "oracle_curve",
     "permutation_test",
+    "prepare",
     "rho_curve",
     "rho_values",
     "run_benchmark",

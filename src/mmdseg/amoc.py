@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .mmd import permuted_maxima, rho_curve, splittable
-from .rng import check_seed, derive_seed, permutations, TAG_SEGMENT
+from .rng import check_seed, permutations
 
 # permuted_maxima agrees with rho_curve on a reordered copy of the block to
 # well within this (1.3e-14 at most over m = 4..3000).  A draw closer than
@@ -47,17 +47,14 @@ class AmocConfig:
 
 @dataclass(frozen=True)
 class AmocResult:
-    """Outcome of one permutation test on a block of m observations.
+    """Outcome of one permutation test on the block [start, stop).
 
-    tau_hat is the split index local to the block; offset + tau_hat is the
+    tau_hat is the split index local to the block; start + tau_hat is the
     boundary in full-sequence coordinates.
     """
 
-    n: int
-    offset: int
     T_n: float
     tau_hat: int
-    gamma_hat: float
     p_value: float
     reject: bool
     permutation_stats: np.ndarray = field(repr=False)
@@ -89,36 +86,26 @@ def permutation_test(
     seed = config.seed if stream_seed is None else stream_seed
 
     block = gram[start:stop, start:stop]
-    observed = rho_curve(block, config.delta)
+    tau_hat, T_n = rho_curve(block, config.delta)
 
     perms = permutations(seed, config.R, m)
     stats = permuted_maxima(block, perms, config.delta)
-    for i in np.flatnonzero(np.abs(stats - observed.max_value) <= TIE_BAND):
+    for i in np.flatnonzero(np.abs(stats - T_n) <= TIE_BAND):
         p = perms[i]
-        stats[i] = rho_curve(block[np.ix_(p, p)], config.delta).max_value
+        stats[i] = rho_curve(block[np.ix_(p, p)], config.delta)[1]
 
     if config.add_one:
-        p_value = (1 + int(np.count_nonzero(stats >= observed.max_value))) / (config.R + 1)
+        p_value = (1 + int(np.count_nonzero(stats >= T_n))) / (config.R + 1)
     else:
-        p_value = int(np.count_nonzero(stats > observed.max_value)) / config.R
+        p_value = int(np.count_nonzero(stats > T_n)) / config.R
     # T = 0 is the statistic's minimum (all splits indistinguishable); the
     # strict-exceedance count would report p = 0 there, so rejection also
     # requires positive evidence.  Matters only for degenerate blocks.
     return AmocResult(
-        n=m,
-        offset=start,
-        T_n=observed.max_value,
-        tau_hat=observed.argmax_t,
-        gamma_hat=observed.argmax_t / m,
+        T_n=T_n,
+        tau_hat=tau_hat,
         p_value=p_value,
-        reject=p_value < config.alpha and observed.max_value > 0.0,
+        reject=p_value < config.alpha and T_n > 0.0,
         permutation_stats=stats,
     )
 
-
-def segment_seed(config: AmocConfig, start: int, stop: int, n: int) -> int:
-    """Permutation-stream seed for a block: config.seed at the root, a
-    coordinate-derived seed below it (independent of recursion order)."""
-    if start == 0 and stop == n:
-        return config.seed
-    return derive_seed(config.seed, TAG_SEGMENT, start, stop)

@@ -9,20 +9,19 @@ wall-clock timing goes to stderr so reports stay byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 
 from .amoc import AmocConfig
 from .benchmark import BenchmarkCell, run_benchmark
 from .dataio import (
+    csv_text,
     dumps_json,
-    format_float,
     load_csv,
-    open_output,
     save_csv,
     truth_sidecar_path,
     write_json,
+    write_text,
 )
 from .errors import ConfigurationError, DataError
 from .mmd import rho_values
@@ -58,15 +57,15 @@ def read_config_file(path) -> list[tuple[str, str]]:
     return pairs
 
 
-class _Parser(argparse.ArgumentParser):
-    """Parser whose usage errors raise ConfigurationError (exit code 2, JSON
-    on stderr) instead of printing usage text and exiting."""
+class Parser(argparse.ArgumentParser):
+    """Parser whose usage errors raise ConfigurationError (exit 2 in run_command)
+    instead of printing usage text and exiting; the experiment scripts use it too."""
 
     def error(self, message):
         raise ConfigurationError(message)
 
 
-class _CommandParser(_Parser):
+class _CommandParser(Parser):
     """Subcommand parser that reads --config FILE ahead of the command line.
 
     Each key=value line becomes the token --key=value (underscores in the
@@ -116,16 +115,8 @@ def _bandwidth(raw: str) -> float | None:
         raise argparse.ArgumentTypeError(f"must be 'median' or a number, got {raw!r}")
 
 
-def _emit(text: str, output):
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open_output(output) as fh:
-            fh.write(text)
-
-
-def _lengths(raw: str) -> tuple[int, ...]:
-    """Comma-separated segment lengths."""
+def int_list(raw: str) -> tuple[int, ...]:
+    """Comma-separated integers (segment lengths, sample sizes)."""
     try:
         lengths = tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
@@ -191,11 +182,10 @@ def _cmd_detect(args) -> int:
         "trace": result.trace,
     }
     if args.format == "json":
-        _emit(dumps_json(doc), args.output)
+        write_text(dumps_json(doc), args.output)
     else:
-        rows = ["boundary,breakfraction"]
-        rows += [f"{b},{format_float(f)}" for b, f in zip(seg.boundaries, seg.breakfractions)]
-        _emit("\n".join(rows) + "\n", args.output)
+        rows = [("boundary", "breakfraction"), *zip(seg.boundaries, seg.breakfractions)]
+        write_text(csv_text(rows), args.output)
     print(f"elapsed_seconds={elapsed:.3f}", file=sys.stderr)
     return 0
 
@@ -257,12 +247,8 @@ def _cmd_oracle_curve(args) -> int:
     _, gram = prepare(data, args.bandwidth)
     star = oracle_curve(gram, lengths)
     empirical = rho_values(gram)
-    lines = ["r,rho_star,rho"]
-    lines += [
-        f"{r},{format_float(s)},{format_float(e)}"
-        for r, (s, e) in enumerate(zip(star, empirical), start=1)
-    ]
-    _emit("\n".join(lines) + "\n", args.output)
+    rows = [("r", "rho_star", "rho"), *zip(range(1, gram.shape[0]), star, empirical)]
+    write_text(csv_text(rows), args.output)
     return 0
 
 
@@ -290,22 +276,12 @@ def _cmd_benchmark(args) -> int:
     rows = report.to_rows()
     doc = {"seed": report.seed, "replications": report.replications, "cells": rows}
     if args.output is None:
-        sys.stdout.write(dumps_json(doc))
+        write_text(dumps_json(doc))
     else:
         write_json(doc, f"{args.output}.json")
-        with open_output(f"{args.output}.csv") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            keys = list(rows[0].keys())
-            writer.writerow(keys)
-            for row in rows:
-                writer.writerow(
-                    [
-                        ""
-                        if row[k] is None
-                        else (format_float(row[k]) if isinstance(row[k], float) else row[k])
-                        for k in keys
-                    ]
-                )
+        keys = list(rows[0])
+        write_text(csv_text([keys, *([row[k] for k in keys] for row in rows)]),
+                   f"{args.output}.csv")
     print(f"elapsed_seconds={elapsed:.3f}", file=sys.stderr)
     return 0
 
@@ -352,7 +328,7 @@ def _add_budget(sub, names):
 
 def _add_model(sub, required=False):
     sub.add_argument("--model", choices=MODEL_IDS, required=required, help="model id")
-    sub.add_argument("--lengths", type=_lengths, required=required,
+    sub.add_argument("--lengths", type=int_list, required=required,
                      help="comma-separated segment lengths")
     sub.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
                      help=f"grid points (default {DEFAULT_GRID_SIZE})")
@@ -361,7 +337,7 @@ def _add_model(sub, required=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="mmdseg",
         description="MMD-based offline changepoint detection for functional data",
     )
@@ -393,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--input", help="CSV dataset (requires --segment-lengths)")
     sub.add_argument(
-        "--segment-lengths", type=_lengths, help="true segment lengths of --input"
+        "--segment-lengths", type=int_list, help="true segment lengths of --input"
     )
     _add_model(sub)
     sub.add_argument("--seed", type=int, default=_DEFAULT.seed, help="random seed")
@@ -414,9 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def run_command(parser: argparse.ArgumentParser, argv=None) -> int:
+    """Parse argv and return args.func(args).  A configuration error exits 2
+    and a data error (an input too large for memory included) exits 3, each
+    with one JSON object on stderr."""
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigurationError as exc:
         sys.stderr.write(dumps_json({"error": str(exc), "kind": "configuration"}))
@@ -427,6 +406,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # input too large; numpy's message gives the size
         sys.stderr.write(dumps_json({"error": f"out of memory: {exc}", "kind": "data"}))
         return 3
+
+
+def main(argv=None) -> int:
+    return run_command(build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,10 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -75,12 +77,27 @@ def open_output(path):
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
+def write_text(text: str, path=None):
+    """Write text to path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open_output(path) as fh:
+            fh.write(text)
+
+
+def csv_text(rows) -> str:
+    """CSV lines of rows: floats as .17g, None as an empty cell, the rest as str."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        ["" if v is None else format_float(v) if isinstance(v, float) else v for v in row]
+        for row in rows
+    )
+    return out.getvalue()
+
+
 def save_csv(data, path):
-    arr = np.asarray(data, dtype=np.float64)
-    with open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in arr:
-            writer.writerow([format_float(v) for v in row])
+    write_text(csv_text(np.asarray(data, dtype=np.float64)), path)
 
 
 def dumps_json(obj) -> str:
@@ -92,9 +109,7 @@ def dumps_json(obj) -> str:
 
 
 def write_json(obj, path):
-    text = dumps_json(obj)
-    with open_output(path) as fh:
-        fh.write(text)
+    write_text(dumps_json(obj), path)
 
 
 def truth_sidecar_path(data_path: str) -> str:

@@ -4,6 +4,10 @@ Observations are curves sampled on a common grid of p points in [0, 1],
 stored row-wise in an (n, p) array.  Distances use the scaled L2 norm
 sqrt((1/p) * sum (a_j - b_j)^2), the Riemann approximation of the L2[0, 1]
 norm, so the bandwidth and kernel values are grid-resolution independent.
+
+as_dataset validates the data, squared_distances makes the one distance
+pass, and median_heuristic and gram_matrix both read that pass.
+`segment.prepare` chains them: it is the one public route to a Gram matrix.
 """
 
 from __future__ import annotations
@@ -26,13 +30,13 @@ def as_dataset(data) -> np.ndarray:
     return X
 
 
-def squared_distances(data) -> np.ndarray:
-    """Condensed vector of the n(n-1)/2 squared scaled L2 distances.
+def squared_distances(X: np.ndarray) -> np.ndarray:
+    """Condensed vector of the n(n-1)/2 squared scaled L2 distances of the
+    rows of X, an array as_dataset has already validated.
 
     This is the run's single O(n^2 p) distance pass: the median bandwidth
     and the Gram matrix are both derived from it.
     """
-    X = as_dataset(data)
     if X.shape[0] < 2:
         raise DataError(f"need at least 2 observations, got {X.shape[0]}")
     sq = pdist(X, "sqeuclidean")
@@ -40,16 +44,14 @@ def squared_distances(data) -> np.ndarray:
     return sq
 
 
-def median_heuristic(data, sq: np.ndarray | None = None) -> float:
+def median_heuristic(sq: np.ndarray) -> float:
     """Bandwidth h = median of all pairwise distances over distinct pairs.
 
-    Even pair counts take the mean of the two central order statistics.
-    `sq` is squared_distances(data) when the caller already has it.
+    `sq` is the condensed squared distances from squared_distances.  Even
+    pair counts take the mean of the two central order statistics.
     Raises DegenerateBandwidthError when the median is zero (h must be > 0
     for the Gaussian kernel to be defined).
     """
-    if sq is None:
-        sq = squared_distances(data)
     h = float(np.median(np.sqrt(sq)))
     if h <= 0.0:
         raise DegenerateBandwidthError(
@@ -58,15 +60,13 @@ def median_heuristic(data, sq: np.ndarray | None = None) -> float:
     return h
 
 
-def gram_matrix(data, h: float, sq: np.ndarray | None = None) -> np.ndarray:
+def gram_matrix(sq: np.ndarray, h: float) -> np.ndarray:
     """Symmetric (n, n) matrix of kernel evaluations with exact unit diagonal.
 
+    `sq` is the condensed squared distances from squared_distances.
     Computed once per run and shared read-only by every split statistic and
     permutation sweep; permutations reorder it rather than recompute it.
-    `sq` is squared_distances(data) when the caller already has it.
     """
-    if sq is None:
-        sq = squared_distances(data)
     scale = 2.0 * h * h
     if h <= 0.0 or not 0.0 < scale < np.inf:
         raise ConfigurationError(f"bandwidth must be positive with 2h^2 finite, got {h}")

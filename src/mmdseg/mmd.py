@@ -16,7 +16,6 @@ the unpermuted matrix (`permuted_maxima`).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import ceil, floor
 
 import numpy as np
@@ -35,23 +34,8 @@ CLAMP_WARN_THRESHOLD = -1e-9
 _MASK_CELLS = 1 << 20
 
 
-@dataclass(frozen=True)
-class RhoCurve:
-    """Split-statistic values over the admissible split range.
-
-    values[i] is the statistic at split t = t_min + i; argmax_t is the
-    smallest maximizing split.
-    """
-
-    t_min: int
-    t_max: int
-    values: np.ndarray
-    argmax_t: int
-    max_value: float
-
-
-def _clamp_nonnegative(values: np.ndarray | float):
-    low = np.min(values) if np.ndim(values) else values
+def _clamp_nonnegative(values: np.ndarray) -> np.ndarray:
+    low = np.min(values)
     if low < CLAMP_WARN_THRESHOLD:
         warnings.warn(
             f"split statistic clamped from {low!r} to 0; cancellation beyond "
@@ -62,32 +46,22 @@ def _clamp_nonnegative(values: np.ndarray | float):
     return np.maximum(values, 0.0)
 
 
-def split_sums(gram: np.ndarray):
-    """Block sums (within_left, within_right, cross) for every split t.
-
-    Returns three arrays of length n - 1; entry t - 1 holds the sums for the
-    split putting the first t observations on the left.  The conservation
-    identity within_left + within_right + 2 cross == total holds at every t
-    up to roundoff.
-    """
-    cs = np.cumsum(gram, axis=1)
-    row_prefix_diag = np.diagonal(cs)  # sum of row i through column i
-    return _sums_from_rows(2.0 * row_prefix_diag - np.diagonal(gram), cs[:, -1])
-
-
-def _sums_from_rows(wl_rows: np.ndarray, rows: np.ndarray):
-    """split_sums along the last axis from per-row terms in split order.
-
-    wl_rows[i] = 2 sum_{j<i} P[i, j] + P[i, i] and rows[i] = sum_j P[i, j]
-    for the reordered block P.
-    """
+def _rho_from_rows(wl_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Split statistic for t = 1..m-1 along the last axis, from per-row terms
+    of a block P in split order: wl_rows[i] = 2 sum_{j<i} P[i, j] + P[i, i]
+    and rows[i] = sum_j P[i, j].  Their prefix sums give every split's
+    within-left, within-right and cross block sums."""
+    m = wl_rows.shape[-1]
     wl = np.cumsum(wl_rows, axis=-1)  # wl[t-1] = sum of P[:t, :t]
     left_rows = np.cumsum(rows, axis=-1)  # = within_left + cross
     total = left_rows[..., -1:]
     within_left = wl[..., :-1]
     cross = left_rows[..., :-1] - within_left
     within_right = total - 2.0 * left_rows[..., :-1] + within_left
-    return within_left, within_right, cross
+    t = np.arange(1, m, dtype=np.float64)
+    mm = float(m) * float(m)
+    values = (within_left * (m - t) / t + within_right * t / (m - t) - 2.0 * cross) / mm
+    return _clamp_nonnegative(values)
 
 
 def _split_bounds(n: int, delta: float) -> tuple[int, int]:
@@ -112,32 +86,22 @@ def admissible_range(n: int, delta: float) -> tuple[int, int]:
 
 def rho_values(gram: np.ndarray) -> np.ndarray:
     """Split statistic t(n-t)/n^2 * d(first t, rest) for every t = 1..n-1."""
-    return _rho_from_sums(*split_sums(gram), gram.shape[0])
+    cs = np.cumsum(gram, axis=1)
+    row_prefix_diag = np.diagonal(cs)  # sum of row i through column i
+    return _rho_from_rows(2.0 * row_prefix_diag - np.diagonal(gram), cs[:, -1])
 
 
-def _rho_from_sums(within_left, within_right, cross, n: int) -> np.ndarray:
-    t = np.arange(1, n, dtype=np.float64)
-    nn = float(n) * float(n)
-    values = (within_left * (n - t) / t + within_right * t / (n - t) - 2.0 * cross) / nn
-    return _clamp_nonnegative(values)
-
-
-def rho_curve(gram: np.ndarray, delta: float) -> RhoCurve:
-    """Split curve over the admissible range, with its (max, smallest argmax)."""
+def rho_curve(gram: np.ndarray, delta: float) -> tuple[int, float]:
+    """(argmax_t, max_value) of the split curve over the admissible range;
+    argmax_t is the smallest maximizing split."""
     t_min, t_max = admissible_range(gram.shape[0], delta)
     values = rho_values(gram)[t_min - 1 : t_max]
-    argmax = t_min + int(np.argmax(values))  # first occurrence = smallest t
-    return RhoCurve(
-        t_min=t_min,
-        t_max=t_max,
-        values=values,
-        argmax_t=argmax,
-        max_value=float(values[argmax - t_min]),
-    )
+    i = int(np.argmax(values))  # first occurrence = smallest t
+    return t_min + i, float(values[i])
 
 
 def permuted_maxima(gram: np.ndarray, perms, delta: float) -> np.ndarray:
-    """rho_curve(gram[np.ix_(p, p)], delta).max_value for each row p of perms.
+    """rho_curve(gram[np.ix_(p, p)], delta)[1] for each row p of perms.
 
     No reordered copy of the Gram matrix is built.  With r the inverse of a
     permutation p, the strict-lower row sums of the reordered matrix are
@@ -160,6 +124,6 @@ def permuted_maxima(gram: np.ndarray, perms, delta: float) -> np.ndarray:
         p, r = perms[lo : lo + step], ranks[lo : lo + step]
         lower = np.einsum("cab,ab->ca", r[:, None, :] < r[:, :, None], gram)
         wl_rows = 2.0 * np.take_along_axis(lower, p, axis=1) + diag[p]
-        values = _rho_from_sums(*_sums_from_rows(wl_rows, rows[p]), m)
+        values = _rho_from_rows(wl_rows, rows[p])
         out[lo : lo + step] = values[:, t_min - 1 : t_max].max(axis=1)
     return out

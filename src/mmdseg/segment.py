@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amoc import AmocConfig, permutation_test, segment_seed
+from .amoc import AmocConfig, permutation_test
 from .errors import ConfigurationError
 from .kernel import as_dataset, gram_matrix, median_heuristic, squared_distances
 from .mmd import rho_curve, splittable
-from .rng import TAG_PAIRTEST, derive_seed
+from .rng import TAG_PAIRTEST, TAG_SEGMENT, derive_seed
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,9 @@ class DetectionResult:
 
 
 def prepare(data, h: float | None = None, k: int = 0):
-    """Bandwidth and Gram matrix from one pairwise-distance pass, made only
-    once k supervised rounds are known to fit the data."""
+    """(bandwidth, Gram matrix) from one pairwise-distance pass; the
+    bandwidth is h, or the median heuristic when h is None.  With k > 0 the
+    pass is made only once k supervised rounds are known to fit the data."""
     X = as_dataset(data)
     n = X.shape[0]
     if k and n < 2 * (k + 1):
@@ -83,8 +84,8 @@ def prepare(data, h: float | None = None, k: int = 0):
             f"a budget of {k} changepoints needs at least {2 * (k + 1)} observations, got {n}"
         )
     sq = squared_distances(X)
-    bw = median_heuristic(X, sq) if h is None else float(h)
-    return bw, gram_matrix(X, bw, sq)
+    bw = median_heuristic(sq) if h is None else float(h)
+    return bw, gram_matrix(sq, bw)
 
 
 def _detect(algorithm: str, data, config: AmocConfig, h, k: int, K_l: int = 0):
@@ -96,8 +97,7 @@ def _detect(algorithm: str, data, config: AmocConfig, h, k: int, K_l: int = 0):
     if algorithm == "ss":
         _merge_insignificant(gram, config, boundaries, K_l, trace)
     elif algorithm != "s":
-        edges = [0, *boundaries, n]
-        for a, b in zip(edges[:-1], edges[1:]):
+        for a, b in Segmentation(n, boundaries).blocks:
             _recurse_u(gram, config, a, b, boundaries, trace)
     return DetectionResult(algorithm, Segmentation(n, tuple(sorted(boundaries))), trace, bw)
 
@@ -106,21 +106,19 @@ def _supervised_boundaries(gram, K: int, delta: float, trace: list[dict]) -> lis
     n = gram.shape[0]
     boundaries: list[int] = []
     for i in range(K):
-        edges = [0, *boundaries, n]
         candidates = []  # (rho, block index, boundary)
-        for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        for j, (a, b) in enumerate(Segmentation(n, boundaries).blocks):
             if not splittable(b - a, delta):
                 trace.append(
                     {"op": "sweep", "round": i, "block": [a, b], "rho": None,
                      "reason": "too_short"}
                 )
                 continue
-            curve = rho_curve(gram[a:b, a:b], delta)
+            t, rho = rho_curve(gram[a:b, a:b], delta)
             trace.append(
-                {"op": "sweep", "round": i, "block": [a, b],
-                 "candidate": a + curve.argmax_t, "rho": curve.max_value}
+                {"op": "sweep", "round": i, "block": [a, b], "candidate": a + t, "rho": rho}
             )
-            candidates.append((curve.max_value, j, a + curve.argmax_t))
+            candidates.append((rho, j, a + t))
         if not candidates:
             raise ConfigurationError(
                 f"budget infeasible: no block is splittable at round {i} "
@@ -138,6 +136,19 @@ def _supervised_boundaries(gram, K: int, delta: float, trace: list[dict]) -> lis
     return boundaries
 
 
+def segment_seed(config: AmocConfig, start: int, stop: int, n: int) -> int:
+    """Permutation-stream seed for a detect-u block: config.seed at the root,
+    a coordinate-derived seed below it (independent of recursion order)."""
+    if start == 0 and stop == n:
+        return config.seed
+    return derive_seed(config.seed, TAG_SEGMENT, start, stop)
+
+
+def pair_seed(config: AmocConfig, stage: int, pair: int) -> int:
+    """Permutation-stream seed for detect-ss's test of pair `pair` at merge `stage`."""
+    return derive_seed(config.seed, TAG_PAIRTEST, stage, pair)
+
+
 def _merge_insignificant(gram, config, boundaries, K_l, trace):
     """Bonferroni-gated backward merging of the K_u supervised boundaries.
 
@@ -149,15 +160,11 @@ def _merge_insignificant(gram, config, boundaries, K_l, trace):
     """
     K_u = len(boundaries)
     for m in range(1, K_u - K_l + 1):
-        edges = [0, *boundaries, gram.shape[0]]
+        blocks = Segmentation(gram.shape[0], boundaries).blocks
         level = config.alpha / (K_u - m + 1)
         p_values = []
-        for i in range(len(boundaries)):
-            a, c = edges[i], edges[i + 2]
-            res = permutation_test(
-                gram, config, a, c,
-                stream_seed=derive_seed(config.seed, TAG_PAIRTEST, m, i),
-            )
+        for i, ((a, _), (_, c)) in enumerate(zip(blocks, blocks[1:])):
+            res = permutation_test(gram, config, a, c, stream_seed=pair_seed(config, m, i))
             p_values.append(res.p_value)
             trace.append(
                 {"op": "pair_test", "stage": m, "pair": i, "block": [a, c],
@@ -179,10 +186,8 @@ def _recurse_u(gram, config, start, stop, boundaries, trace):
     if not splittable(stop - start, config.delta):
         trace.append({"op": "skip", "block": [start, stop], "reason": "too_short"})
         return
-    res = permutation_test(
-        gram, config, start, stop,
-        stream_seed=segment_seed(config, start, stop, gram.shape[0]),
-    )
+    seed = segment_seed(config, start, stop, gram.shape[0])
+    res = permutation_test(gram, config, start, stop, stream_seed=seed)
     b = start + res.tau_hat
     trace.append(
         {

@@ -53,14 +53,14 @@ def naive_rho_values_blockwise(gram):
 
 def gathered_permutation_maxima(gram, perms, delta):
     """Per-draw maximum of the split curve of gram[np.ix_(p, p)] for each p."""
-    return np.array([rho_curve(gram[np.ix_(p, p)], delta).max_value for p in perms])
+    return np.array([rho_curve(gram[np.ix_(p, p)], delta)[1] for p in perms])
 
 
 def gathered_p_value(gram, config):
     """permutation_test(gram, config).p_value from the gathered per-draw loop,
     with the same streams, statistic and exceedance rules."""
     m = gram.shape[0]
-    T = rho_curve(gram, config.delta).max_value
+    T = rho_curve(gram, config.delta)[1]
     perms = [permutation_stream(config.seed, r).permutation(m) for r in range(1, config.R + 1)]
     stats = gathered_permutation_maxima(gram, perms, config.delta)
     if config.add_one:

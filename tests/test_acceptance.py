@@ -21,15 +21,15 @@ from mmdseg import (
     BenchmarkCell,
     ModelSpec,
     generate,
-    gram_matrix,
-    median_heuristic,
     oracle_curve,
+    prepare,
     rho_curve,
+    rho_values,
     run_benchmark,
 )
 from mmdseg.benchmark import run_replication
 from mmdseg.cli import main
-from mmdseg.mmd import permuted_maxima
+from mmdseg.mmd import admissible_range, permuted_maxima
 from mmdseg.simulate import _bb_sample
 from mmdseg.rng import derive_seed, stream
 
@@ -101,10 +101,11 @@ def test_c01_oracle_equivalence():
     for _ in range(100):
         n = int(rng.integers(8, 61))
         X = rng.normal(size=(n, 6))
-        G = gram_matrix(X, median_heuristic(X))
-        curve = rho_curve(G, 0.05)
-        naive = naive_rho_values_blockwise(G)[curve.t_min - 1 : curve.t_max]
-        max_rho_err = max(max_rho_err, float(np.max(np.abs(curve.values - naive))))
+        G = prepare(X)[1]
+        t_min, t_max = admissible_range(n, 0.05)
+        window = rho_values(G)[t_min - 1 : t_max]
+        naive = naive_rho_values_blockwise(G)[t_min - 1 : t_max]
+        max_rho_err = max(max_rho_err, float(np.max(np.abs(window - naive))))
         cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, 5)), replace=False))
         sizes = np.diff([0, *cuts, n])  # 1-5 contiguous pools
         max_oracle_err = max(
@@ -129,7 +130,7 @@ def test_c02_single_boundary_curve_shape():
         n1 = int(rng.integers(2, 30))
         n2 = int(rng.integers(2, 30))
         X = separated_pools(rng, (n1, n2), p=5, gap=float(rng.uniform(0.5, 4.0)))
-        G = gram_matrix(X, median_heuristic(X))
+        G = prepare(X)[1]
         vals = oracle_curve(G, (n1, n2))
         rising = np.all(np.diff(vals[:n1]) >= -1e-12)
         falling = np.all(np.diff(vals[n1 - 1 :]) <= 1e-12)
@@ -149,7 +150,7 @@ def test_c03_two_boundary_convexity():
     for _ in range(50):
         n1, n2, n3 = (int(rng.integers(4, 20)) for _ in range(3))
         X = separated_pools(rng, (n1, n2, n3), p=5, gap=float(rng.uniform(0.5, 3.0)))
-        G = gram_matrix(X, median_heuristic(X))
+        G = prepare(X)[1]
         vals = oracle_curve(G, (n1, n2, n3))[n1 : n1 + n2]  # r = n1 + 1 .. n1 + n2
         if len(vals) >= 3:
             worst = min(worst, float(np.min(np.diff(vals, 2))))
@@ -164,7 +165,7 @@ def test_c03_two_boundary_convexity():
 def test_c04_mixture_identity():
     rng = np.random.default_rng(SEED + 4)
     X = separated_pools(rng, (12, 17), p=6, gap=2.0)
-    G = gram_matrix(X, median_heuristic(X))
+    G = prepare(X)[1]
     pool_a, pool_b = range(12), range(12, 29)
     d = naive_mmd_groups(G, pool_a, pool_b)
     worst = 0.0
@@ -288,12 +289,11 @@ def test_c10_determinism_and_permutation_reuse(tmp_path):
     for _ in range(20):
         n = int(rng.integers(10, 40))
         X = rng.normal(size=(n, 5))
-        h = median_heuristic(X)
-        G = gram_matrix(X, h)
+        h, G = prepare(X)
         perm = rng.permutation(n)
         reused = permuted_maxima(G, [perm], 0.05)[0]
-        physical = rho_curve(gram_matrix(X[perm], h), 0.05)
-        worst = max(worst, abs(reused - physical.max_value))
+        physical = rho_curve(prepare(X[perm], h)[1], 0.05)[1]
+        worst = max(worst, abs(reused - physical))
     ok = identical and worst < 1e-12
     assert report(
         10,

@@ -5,10 +5,9 @@ from mmdseg import (
     AmocConfig,
     detect_u,
     generate,
-    gram_matrix,
-    median_heuristic,
     permutation_test,
     ModelSpec,
+    prepare,
     rho_curve,
 )
 from mmdseg.mmd import splittable
@@ -21,7 +20,7 @@ from reference import gathered_p_value, naive_rho_values_blockwise, separated_po
 def random_gram(seed, n, p=6):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
-    return gram_matrix(X, median_heuristic(X))
+    return prepare(X)[1]
 
 
 def test_config_validation():
@@ -38,19 +37,17 @@ def test_config_validation():
 
 
 def test_statistic_zero_on_constant_data():
-    c = rho_curve(np.ones((30, 30)), 0.05)
-    assert c.max_value == 0.0
-    assert c.argmax_t == 2  # smallest admissible split
+    assert rho_curve(np.ones((30, 30)), 0.05) == (2, 0.0)  # smallest admissible split
 
 
 def test_statistic_matches_exhaustive_evaluation():
     G = random_gram(3, n=20)
-    c = rho_curve(G, 0.05)
+    argmax_t, max_value = rho_curve(G, 0.05)
     naive = naive_rho_values_blockwise(G)
     lo, hi = 2, 18  # ceil(1) floored to 2, min(floor(19), 18)
     window = naive[lo - 1 : hi]
-    assert c.max_value == pytest.approx(window.max(), abs=1e-10)
-    assert c.argmax_t == lo + int(np.argmax(window))
+    assert max_value == pytest.approx(window.max(), abs=1e-10)
+    assert argmax_t == lo + int(np.argmax(window))
 
 
 def test_estimator_locates_boundary_on_separated_data():
@@ -58,8 +55,8 @@ def test_estimator_locates_boundary_on_separated_data():
     for seed in range(40):
         rng = np.random.default_rng(seed)
         X = separated_pools(rng, (150, 150), p=8, gap=2.0)
-        G = gram_matrix(X, median_heuristic(X))
-        tau = rho_curve(G, 0.05).argmax_t
+        G = prepare(X)[1]
+        tau = rho_curve(G, 0.05)[0]
         hits += abs(tau - 150) <= 1
     assert hits >= 34  # 85% of seeds
 
@@ -93,7 +90,6 @@ def test_pvalue_counts_exceedances_exactly():
     res = permutation_test(G, cfg)
     assert res.p_value == np.count_nonzero(res.permutation_stats > res.T_n) / 99
     assert res.reject == (res.p_value < cfg.alpha)
-    assert res.gamma_hat == res.tau_hat / res.n
 
 
 def test_deterministic_given_config():
@@ -108,13 +104,12 @@ def test_deterministic_given_config():
 def test_permutation_reuse_equals_physical_permutation():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(28, 5))
-    h = median_heuristic(X)
-    G = gram_matrix(X, h)
+    h, G = prepare(X)
     for seed in range(20):
         perm = permutation_stream(seed, 1).permutation(28)
         reused = permutation_test(G, AmocConfig(R=1, seed=seed))
-        physical = rho_curve(gram_matrix(X[perm], h), 0.05)
-        assert reused.permutation_stats[0] == pytest.approx(physical.max_value, abs=1e-12)
+        physical = rho_curve(prepare(X[perm], h)[1], 0.05)[1]
+        assert reused.permutation_stats[0] == pytest.approx(physical, abs=1e-12)
 
 
 def _drawn_seeds():
@@ -182,7 +177,7 @@ def test_size_is_close_to_nominal_for_exchangeable_data():
     for rep in range(reps):
         rng = np.random.default_rng(1000 + rep)
         X = rng.normal(size=(40, 4))
-        G = gram_matrix(X, median_heuristic(X))
+        G = prepare(X)[1]
         res = permutation_test(G, AmocConfig(R=99, alpha=0.05, seed=rep))
         rejections += res.reject
     rate = rejections / reps
@@ -194,8 +189,8 @@ def _mean_statistic(model_id, lengths, seeds):
     vals = []
     for seed in seeds:
         sample = generate(ModelSpec(model_id, lengths, seed=seed))
-        G = gram_matrix(sample.data, median_heuristic(sample.data))
-        vals.append(rho_curve(G, 0.05).max_value)
+        G = prepare(sample.data)[1]
+        vals.append(rho_curve(G, 0.05)[1])
     return np.array(vals)
 
 
@@ -219,7 +214,7 @@ def test_detect_constant_segment_accepts():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 4))
     cfg = AmocConfig(R=99, seed=5)
-    assert not permutation_test(gram_matrix(X, median_heuristic(X)), cfg).reject
+    assert not permutation_test(prepare(X)[1], cfg).reject
     det = detect_u(X, cfg)
     assert det.segmentation.boundaries == ()
     assert [rec["op"] for rec in det.trace] == ["test"]
@@ -243,10 +238,10 @@ def test_detect_reports_absolute_coordinates():
             separated_pools(np.random.default_rng(9), (20, 20), p=6, gap=6.0),
         ]
     )
-    G = gram_matrix(X, median_heuristic(X))
+    G = prepare(X)[1]
     res = permutation_test(G, AmocConfig(R=99, seed=2), start=30, stop=70)
-    assert res.reject and res.offset == 30
-    assert abs(res.offset + res.tau_hat - 50) <= 2
+    assert res.reject
+    assert abs(30 + res.tau_hat - 50) <= 2
     # detect_u: the root splits at 30; the block [30, 70) then reports its
     # boundary in full-sequence coordinates
     Y = np.vstack([rng.normal(size=(30, 6)), rng.normal(12.0, size=(20, 6)),

@@ -2,9 +2,10 @@
 
 Each case runs `mmdseg.cli.main` on a small generated input and compares
 what it writes with a file under tests/golden/: the stdout of every
-detector, of `benchmark` (less its wall-clock fields), of `oracle-curve`
-on both input routes, the CSV and truth sidecar `simulate` writes, and
-(through `generate`) every model of the catalog.
+detector, in JSON and (for one run of each detector) in CSV, of
+`benchmark` and the CSV its `--output` writes (both less their wall-clock
+fields), of `oracle-curve` on both input routes, the CSV and truth sidecar
+`simulate` writes, and (through `generate`) every model of the catalog.
 Like perfbench/fixture.json, these files pin the program's results: a
 change that keeps results must leave them untouched, and they are
 re-recorded only by a change that moves results on purpose (a stream
@@ -13,6 +14,7 @@ re-baseline, say), which says so.  To re-record, run
 """
 
 import contextlib
+import csv
 import io
 import json
 import pathlib
@@ -44,6 +46,9 @@ RUNS = {
 }
 
 CASES = [(i, r) for i in INPUTS for r in RUNS]
+
+# `--format csv` runs: every detector on m8, and one run finding nothing.
+CSV_CASES = [("m8", "u"), ("m8", "s"), ("m8", "ss"), ("m8", "forward-1"), ("n1", "u")]
 
 BENCHMARKS = {
     "u": ["--algorithm", "u"],
@@ -78,19 +83,33 @@ def cli_stdout(argv) -> str:
     return out.getvalue()
 
 
-def detect_stdout(csv_path, run: str) -> str:
-    return cli_stdout([*RUNS[run][:1], str(csv_path), *RUNS[run][1:], "-R", "99", "--seed", "7"])
+def detect_stdout(csv_path, run: str, *extra: str) -> str:
+    return cli_stdout([*RUNS[run][:1], str(csv_path), *RUNS[run][1:], "-R", "99", "--seed", "7",
+                       *extra])
+
+
+def benchmark_argv(run: str) -> list[str]:
+    return ["benchmark", "--model", "8", "--lengths", "20,20,20", "--grid-size", "16",
+            *BENCHMARKS[run], "--replications", "3", "-R", "19", "--seed", "5"]
 
 
 def benchmark_stdout(run: str) -> str:
-    doc = json.loads(cli_stdout([
-        "benchmark", "--model", "8", "--lengths", "20,20,20", "--grid-size", "16",
-        *BENCHMARKS[run], "--replications", "3", "-R", "19", "--seed", "5",
-    ]))
+    doc = json.loads(cli_stdout(benchmark_argv(run)))
     for row in doc["cells"]:
         for key in WALL_CLOCK:
             del row[key]
     return json.dumps(doc, indent=2) + "\n"
+
+
+def benchmark_csv(out_dir, run: str) -> str:
+    """The CSV `benchmark --output` writes, less its wall-clock columns."""
+    prefix = pathlib.Path(out_dir) / f"benchmark-{run}"
+    assert cli_stdout([*benchmark_argv(run), "--output", str(prefix)]) == ""
+    rows = list(csv.reader(prefix.with_suffix(".csv").read_text().splitlines()))
+    keep = [i for i, key in enumerate(rows[0]) if key not in WALL_CLOCK]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([row[i] for i in keep] for row in rows)
+    return out.getvalue()
 
 
 def oracle_stdout(csv_dir, route: str) -> str:
@@ -134,10 +153,22 @@ def test_detector_stdout_matches_golden(csv_dir, data, run):
     assert detect_stdout(csv_dir / f"{data}.csv", run) == expected
 
 
+@pytest.mark.parametrize("data, run", CSV_CASES, ids=[f"{i}-{r}" for i, r in CSV_CASES])
+def test_detector_csv_matches_golden(csv_dir, data, run):
+    expected = (GOLDEN / f"{data}-{run}.csv").read_text()
+    assert detect_stdout(csv_dir / f"{data}.csv", run, "--format", "csv") == expected
+
+
 @pytest.mark.parametrize("run", BENCHMARKS)
 def test_benchmark_stdout_matches_golden(run):
     expected = (GOLDEN / f"benchmark-{run}.json").read_text()
     assert benchmark_stdout(run) == expected
+
+
+@pytest.mark.parametrize("run", BENCHMARKS)
+def test_benchmark_csv_matches_golden(tmp_path, run):
+    expected = (GOLDEN / f"benchmark-{run}.csv").read_text()
+    assert benchmark_csv(tmp_path, run) == expected
 
 
 @pytest.mark.parametrize("route", ORACLE_ROUTES)
@@ -164,7 +195,10 @@ if __name__ == "__main__":
         write_inputs(tmp)
         outputs = {
             **{f"{d}-{r}.json": detect_stdout(pathlib.Path(tmp) / f"{d}.csv", r) for d, r in CASES},
+            **{f"{d}-{r}.csv": detect_stdout(pathlib.Path(tmp) / f"{d}.csv", r, "--format", "csv")
+               for d, r in CSV_CASES},
             **{f"benchmark-{r}.json": benchmark_stdout(r) for r in BENCHMARKS},
+            **{f"benchmark-{r}.csv": benchmark_csv(tmp, r) for r in BENCHMARKS},
             **{f"oracle-{r}.csv": oracle_stdout(tmp, r) for r in ORACLE_ROUTES},
             **simulate_files(tmp),
             "simulate-catalog.json": catalog_json(),

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmdseg import gram_matrix, median_heuristic
+from mmdseg import prepare
 from mmdseg.errors import ConfigurationError, DataError, DegenerateBandwidthError
-from mmdseg.kernel import squared_distances
+from mmdseg.kernel import as_dataset, squared_distances
 
 from reference import gaussian_kernel, quadrature_l2
 
 
 def scaled_l2(a, b):
     """The package's scaled L2 distance between two curves."""
-    return float(np.sqrt(squared_distances(np.vstack([a, b]))[0]))
+    return float(np.sqrt(squared_distances(as_dataset(np.vstack([a, b])))[0]))
 
 
 def test_l2_identical_curves_is_zero():
@@ -48,26 +48,26 @@ def test_l2_triangle_inequality(seed):
 
 def test_median_heuristic_single_pair():
     data = np.vstack([np.zeros(6), np.full(6, 3.0)])
-    assert median_heuristic(data) == pytest.approx(3.0)
+    assert prepare(data)[0] == pytest.approx(3.0)
 
 
 def test_median_heuristic_odd_count():
     # constants 0, 1, 3 give pairwise distances {1, 2, 3}
     data = np.vstack([np.zeros(4), np.ones(4), np.full(4, 3.0)])
-    assert median_heuristic(data) == pytest.approx(2.0)
+    assert prepare(data)[0] == pytest.approx(2.0)
 
 
 def test_median_heuristic_even_count_midpoint():
     # perfect ruler 0, 1, 4, 6: pairwise distances {1, 2, 3, 4, 5, 6}
     data = np.vstack([np.full(4, v) for v in (0.0, 1.0, 4.0, 6.0)])
-    assert sorted(np.sqrt(squared_distances(data)).round(12)) == [1, 2, 3, 4, 5, 6]
-    assert median_heuristic(data) == pytest.approx(3.5)
+    assert sorted(np.sqrt(squared_distances(as_dataset(data))).round(12)) == [1, 2, 3, 4, 5, 6]
+    assert prepare(data)[0] == pytest.approx(3.5)
 
 
 def test_median_heuristic_degenerate():
     data = np.zeros((5, 3))
     with pytest.raises(DegenerateBandwidthError):
-        median_heuristic(data)
+        prepare(data)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -76,36 +76,35 @@ def test_median_heuristic_permutation_invariant(seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(9, 5))
     perm = rng.permutation(9)
-    assert median_heuristic(X) == median_heuristic(X[perm])
+    assert prepare(X)[0] == prepare(X[perm])[0]
 
 
 def test_gaussian_kernel_values():
     a, b = np.zeros(3), np.full(3, 2.0)  # distance 2
-    assert gram_matrix(np.vstack([a, a]), 1.0)[0, 1] == 1.0
-    assert gram_matrix(np.vstack([a, b]), 2.0)[0, 1] == pytest.approx(np.exp(-0.5))
-    assert gram_matrix(np.vstack([a, b]), 1.0)[0, 1] == pytest.approx(np.exp(-2.0))
+    assert prepare(np.vstack([a, a]), 1.0)[1][0, 1] == 1.0
+    assert prepare(np.vstack([a, b]), 2.0)[1][0, 1] == pytest.approx(np.exp(-0.5))
+    assert prepare(np.vstack([a, b]), 1.0)[1][0, 1] == pytest.approx(np.exp(-2.0))
 
 
 def test_gaussian_kernel_needs_positive_bandwidth():
     with pytest.raises(ConfigurationError):
-        gram_matrix(np.vstack([np.zeros(3), np.ones(3)]), 0.0)
+        prepare(np.vstack([np.zeros(3), np.ones(3)]), 0.0)
 
 
 def test_gram_matrix_rejects_single_observation():
     with pytest.raises(DataError):
-        gram_matrix(np.ones((1, 4)), 1.0)
+        prepare(np.ones((1, 4)), 1.0)
 
 
 def test_gram_matrix_identical_curves_all_ones():
     data = np.vstack([np.ones(7), np.ones(7)])
-    assert np.array_equal(gram_matrix(data, 2.0), np.ones((2, 2)))
+    assert np.array_equal(prepare(data, 2.0)[1], np.ones((2, 2)))
 
 
 def test_gram_matrix_matches_elementwise_kernel():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(5, 11))
-    h = median_heuristic(X)
-    G = gram_matrix(X, h)
+    h, G = prepare(X)
     for i in range(5):
         for j in range(5):
             assert G[i, j] == pytest.approx(gaussian_kernel(X[i], X[j], h), abs=1e-12)
@@ -117,8 +116,7 @@ def test_gram_matrix_properties(seed, scale):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 12))
     X = rng.normal(size=(n, 6))
-    h = scale * median_heuristic(X)
-    G = gram_matrix(X, h)
+    G = prepare(X, scale * prepare(X)[0])[1]
     assert np.array_equal(G, G.T)
     assert np.array_equal(np.diag(G), np.ones(n))
     assert (G > 0).all() and (G <= 1).all()

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmdseg import (
-    gram_matrix,
-    median_heuristic,
     oracle_curve,
+    prepare,
     rho_curve,
     rho_values,
 )
 from mmdseg.errors import ConfigurationError
-from mmdseg.mmd import permuted_maxima, split_sums
+from mmdseg.mmd import admissible_range, permuted_maxima
 from mmdseg.rng import permutation_stream
 
 from reference import (
@@ -27,7 +26,7 @@ def random_gram(seed, n=None, p=6):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 24)) if n is None else n
     X = rng.normal(size=(n, p))
-    return gram_matrix(X, median_heuristic(X))
+    return prepare(X)[1]
 
 
 def test_split_all_identical_observations_is_zero():
@@ -38,7 +37,7 @@ def test_split_n2_expansion():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(2, 5))
     h = 1.3
-    G = gram_matrix(X, h)
+    G = prepare(X, h)[1]
     # the one split t = 1: t(n - t)/n^2 * d = (2 - 2 k(x1, x2)) / 4
     assert rho_values(G) == pytest.approx([(2.0 - 2.0 * G[0, 1]) / 4], abs=1e-12)
 
@@ -73,31 +72,21 @@ def test_groups_random_blocks_match_oracle():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_split_nonnegative_and_conserved(seed):
-    G = random_gram(seed)
-    n = G.shape[0]
-    wl, wr, cross = split_sums(G)
-    total = G.sum()
-    for t in range(1, n):
-        assert wl[t - 1] >= 0 and wr[t - 1] >= 0 and cross[t - 1] >= 0
-        assert wl[t - 1] + wr[t - 1] + 2 * cross[t - 1] == pytest.approx(
-            total, rel=1e-8
-        )
-    assert (rho_values(G) >= 0.0).all()
+    assert (rho_values(random_gram(seed)) >= 0.0).all()
 
 
 def test_rho_curve_constant_data():
     G = np.ones((20, 20))
-    c = rho_curve(G, 0.05)
-    assert np.all(c.values == 0.0)
-    assert c.argmax_t == c.t_min
+    assert np.all(rho_values(G) == 0.0)
+    assert rho_curve(G, 0.05) == (admissible_range(20, 0.05)[0], 0.0)
 
 
 def test_rho_curve_bounds_and_argmax_tie():
     G = np.ones((40, 40))
-    c = rho_curve(G, 0.1)
-    assert (c.t_min, c.t_max) == (4, 36)
-    assert c.argmax_t == 4  # ties resolve to the smallest split
-    assert c.max_value == c.values[c.argmax_t - c.t_min]
+    assert admissible_range(40, 0.1) == (4, 36)
+    argmax_t, max_value = rho_curve(G, 0.1)
+    assert argmax_t == 4  # ties resolve to the smallest split
+    assert max_value == rho_values(G)[argmax_t - 1]
 
 
 def test_rho_curve_rejects_bad_delta():
@@ -121,10 +110,12 @@ def test_rho_curve_matches_naive_recomputation(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 100))
     X = rng.normal(size=(n, 5))
-    G = gram_matrix(X, median_heuristic(X))
-    c = rho_curve(G, 0.05)
-    naive = naive_rho_values_blockwise(G)[c.t_min - 1 : c.t_max]
-    assert np.max(np.abs(c.values - naive)) < 1e-9
+    G = prepare(X)[1]
+    t_min, t_max = admissible_range(n, 0.05)
+    window = rho_values(G)[t_min - 1 : t_max]
+    naive = naive_rho_values_blockwise(G)[t_min - 1 : t_max]
+    assert np.max(np.abs(window - naive)) < 1e-9
+    assert rho_curve(G, 0.05) == (t_min + int(np.argmax(window)), window.max())
 
 
 def test_rho_curve_reindexing_equals_physical_permutation():
@@ -133,24 +124,22 @@ def test_rho_curve_reindexing_equals_physical_permutation():
     # match the curve of the physically permuted data.
     rng = np.random.default_rng(21)
     X = rng.normal(size=(25, 6))
-    h = median_heuristic(X)
-    G = gram_matrix(X, h)
+    h, G = prepare(X)
     perm = rng.permutation(25)
-    physical = rho_curve(gram_matrix(X[perm], h), 0.05)
-    gathered = rho_curve(G[np.ix_(perm, perm)], 0.05)
-    assert np.max(np.abs(gathered.values - physical.values)) < 1e-12
-    assert gathered.argmax_t == physical.argmax_t
-    assert abs(permuted_maxima(G, [perm], 0.05)[0] - physical.max_value) < 1e-12
+    G_physical = prepare(X[perm], h)[1]
+    gathered = G[np.ix_(perm, perm)]
+    assert np.max(np.abs(rho_values(gathered) - rho_values(G_physical))) < 1e-12
+    assert rho_curve(gathered, 0.05)[0] == rho_curve(G_physical, 0.05)[0]
+    assert abs(permuted_maxima(G, [perm], 0.05)[0] - rho_curve(G_physical, 0.05)[1]) < 1e-12
 
 
 def test_rho_curve_two_population_shape():
     # strongly separated pools: rises to the boundary at 100, falls after
     rng = np.random.default_rng(5)
     X = separated_pools(rng, (100, 200), p=8, gap=6.0)
-    G = gram_matrix(X, median_heuristic(X))
-    c = rho_curve(G, 0.05)
+    G = prepare(X)[1]
     vals = rho_values(G)
-    assert abs(c.argmax_t - 100) <= 3
+    assert abs(rho_curve(G, 0.05)[0] - 100) <= 3
     assert vals[19] < vals[59] < vals[99]  # t = 20, 60, 100
     assert vals[99] > vals[159] > vals[259]  # t = 100, 160, 260
 
@@ -158,7 +147,7 @@ def test_rho_curve_two_population_shape():
 def test_mixture_blocks_never_exceed_pure_pool_distance():
     rng = np.random.default_rng(9)
     X = separated_pools(rng, (12, 18), p=4, gap=3.0)
-    G = gram_matrix(X, median_heuristic(X))
+    G = prepare(X)[1]
     pure = naive_mmd_groups(G, range(12), range(12, 30))
     for alpha in (0.0, 0.3, 0.7, 1.0):
         for beta in (0.0, 0.4, 1.0):

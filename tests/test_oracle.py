@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmdseg import (
-    gram_matrix,
-    median_heuristic,
     oracle_curve,
+    prepare,
     rho_curve,
 )
 from mmdseg.errors import ConfigurationError
@@ -24,7 +23,7 @@ from reference import (
 def labeled_gram(seed, sizes, gap=3.0, p=6):
     rng = np.random.default_rng(seed)
     X = separated_pools(rng, sizes, p=p, gap=gap)
-    return gram_matrix(X, median_heuristic(X))
+    return prepare(X)[1]
 
 
 def test_single_peak_value_at_boundary():
@@ -111,7 +110,7 @@ def test_two_boundary_data_peaks_at_second_boundary():
     from mmdseg import ModelSpec, generate
 
     sample = generate(ModelSpec("10", (100, 100, 100), seed=4))
-    G = gram_matrix(sample.data, median_heuristic(sample.data))
+    G = prepare(sample.data)[1]
     vals = oracle_curve(G, (100, 100, 100))
     assert int(np.argmax(vals)) + 1 == 200
 
@@ -150,7 +149,7 @@ def test_local_maxima_sit_on_true_boundaries():
     for _ in range(200):
         sizes = tuple(int(s) for s in rng.integers(2, 30, size=rng.integers(2, 7)))
         X = separated_pools(rng, sizes, p=5, gap=float(rng.uniform(0.5, 3.0)))
-        v = oracle_curve(gram_matrix(X, median_heuristic(X)), sizes)
+        v = oracle_curve(prepare(X)[1], sizes)
         peaks = 2 + np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:]))  # r values
         off += sorted(set(peaks.tolist()) - set(np.cumsum(sizes[:-1]).tolist()))
     assert off == []
@@ -171,7 +170,7 @@ def test_supervised_rounds_preserve_order_on_pool_means():
     for _ in range(160):
         sizes = tuple(int(s) for s in rng.integers(3, 40, size=rng.integers(2, 6)))
         X = separated_pools(rng, sizes, p=5, gap=float(rng.uniform(0.5, 3.0)))
-        M = pool_mean_gram(gram_matrix(X, median_heuristic(X)), sizes)
+        M = pool_mean_gram(prepare(X)[1], sizes)
         truth = set(np.cumsum(sizes[:-1]).tolist())
         for K in range(1, len(sizes) + 2):
             try:
@@ -187,8 +186,7 @@ def test_empirical_argmax_tracks_boundary_on_separated_pools():
     hits = 0
     for seed in range(20):
         G = labeled_gram(seed, (100, 200), gap=5.0)
-        c = rho_curve(G, 0.05)
-        hits += abs(c.argmax_t - 100) <= 3
+        hits += abs(rho_curve(G, 0.05)[0] - 100) <= 3
     assert hits >= 18  # 90% of seeds
 
 

@@ -60,3 +60,22 @@ def test_run_null_size_rejects_an_empty_sample_with_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert json.loads(captured.err)["kind"] == "configuration"
+
+
+@pytest.mark.parametrize(
+    "sizes, code, kind",
+    [("1", 3, "data"), ("abc", 2, "configuration")],  # one observation; not an integer
+)
+def test_run_null_size_bad_sizes_end_in_json(sizes, code, kind, tmp_path, capsys):
+    out = tmp_path / "null.json"
+    assert load_script("run_null_size").main([*TINY, "--sizes", sizes, "--output", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err)["kind"] == kind
+
+
+def test_run_detection_tables_usage_error_is_json_with_exit_2(capsys):
+    assert load_script("run_detection_tables").main(["nope", *TINY]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "configuration"

@@ -10,10 +10,9 @@ from mmdseg import (
     detect_ss,
     detect_u,
     generate,
-    gram_matrix,
     hausdorff,
     match,
-    median_heuristic,
+    prepare,
     rho_curve,
 )
 from mmdseg.errors import ConfigurationError
@@ -82,7 +81,7 @@ def test_detection_makes_one_distance_pass(monkeypatch):
     data = two_change_data(2)
     det = detect_s(data, 2)
     assert len(passes) == 1
-    assert det.bandwidth == median_heuristic(data)  # bit-exact against the standalone pass
+    assert det.bandwidth == prepare(data)[0]  # bit-exact against the standalone pass
 
 
 # supervised -----------------------------------------------------------------
@@ -91,9 +90,8 @@ def test_detection_makes_one_distance_pass(monkeypatch):
 def test_s_budget_of_one_is_global_argmax():
     data = two_change_data(3)
     det = detect_s(data, 1)
-    G = gram_matrix(data, det.bandwidth)
-    curve = rho_curve(G, 0.05)
-    assert det.segmentation.boundaries == (curve.argmax_t,)
+    G = prepare(data, det.bandwidth)[1]
+    assert det.segmentation.boundaries == (rho_curve(G, 0.05)[0],)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 5])
@@ -104,7 +102,7 @@ def test_s_returns_exactly_k_boundaries(K):
 
 def test_s_boundaries_nest_across_budgets():
     data = two_change_data(5)
-    h = median_heuristic(data)
+    h = prepare(data)[0]
     previous: set[int] = set()
     for K in (1, 2, 3, 4):
         det = detect_s(data, K, h=h)
@@ -187,7 +185,7 @@ def test_ss_equal_bounds_equals_supervised():
 
 def test_ss_output_within_bounds_and_nested_in_supervised():
     data = two_change_data(10)
-    h = median_heuristic(data)
+    h = prepare(data)[0]
     ss = detect_ss(data, 0, 4, CFG, h=h)
     s = detect_s(data, 4, h=h)
     assert 0 <= ss.segmentation.k <= 4
