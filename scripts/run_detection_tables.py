@@ -15,7 +15,7 @@ import sys
 
 from mmdseg import AmocConfig, BenchmarkCell, ModelSpec, run_benchmark
 from mmdseg.cli import Parser, run_command
-from mmdseg.dataio import write_json
+from mmdseg.dataio import check_writable, write_json
 
 SINGLE_LENGTHS = {300: [(45, 255), (150, 150), (240, 60)]}
 MULTI_LENGTHS = {300: [(45, 75, 180), (100, 100, 100), (180, 45, 75)]}
@@ -71,6 +71,8 @@ def main(argv=None):
 
 
 def run(args):
+    out = args.output or f"table_{args.table}.json"
+    check_writable(out)
     config = AmocConfig(R=args.permutations)
     models = tuple(args.models.split(",")) if args.models else None
     cells = build_cells(args.table, models, config)
@@ -82,7 +84,6 @@ def run(args):
             f"match {row['rate_match']:.2f}  superset {row['rate_superset']:.2f}  "
             f"subset {row['rate_subset']:.2f}"
         )
-    out = args.output or f"table_{args.table}.json"
     write_json({"cells": rows}, out)
     print(f"wrote {out}")
     return 0

@@ -9,7 +9,7 @@ import sys
 
 from mmdseg import AmocConfig, BenchmarkCell, ModelSpec, run_benchmark
 from mmdseg.cli import Parser, int_list, run_command
-from mmdseg.dataio import write_json
+from mmdseg.dataio import check_writable, write_json
 
 
 def main(argv=None):
@@ -26,6 +26,7 @@ def main(argv=None):
 
 
 def run(args):
+    check_writable(args.output)
     config = AmocConfig(R=args.permutations)
     cells = [
         BenchmarkCell(

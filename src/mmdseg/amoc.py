@@ -5,6 +5,13 @@ range; significance comes from R random reorderings of the same Gram matrix
 (kernel values are permutation-invariant, so nothing is recomputed).  The
 p-value is the strict exceedance fraction #{r : T^(r) > T} / R, which gives
 an exact level-alpha test for exchangeable data.
+
+A caller that needs only the decision (the recursive detectors) may ask the
+test to stop once it accepts: when the exceedance count reaches h, the
+smallest count whose full-run p-value is >= alpha, no later draw can bring
+p below alpha.  Such a test reports the Besag-Clifford (1991) sequential
+p-value h / L after L draws, itself a valid p-value and never below alpha,
+and its decision is the full run's on every input.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .mmd import permuted_maxima, rho_curve, splittable
-from .rng import check_seed, permutations
+from .rng import check_seed, permutation_chunks
 
 # permuted_maxima agrees with rho_curve on a reordered copy of the block to
 # well within this (1.3e-14 at most over m = 4..3000).  A draw closer than
@@ -50,7 +57,9 @@ class AmocResult:
     """Outcome of one permutation test on the block [start, stop).
 
     tau_hat is the split index local to the block; start + tau_hat is the
-    boundary in full-sequence coordinates.
+    boundary in full-sequence coordinates.  permutation_stats holds the
+    statistics of the draws made, in draw order: all R of them, or the first
+    L when the test stopped on an accept.
     """
 
     T_n: float
@@ -60,21 +69,52 @@ class AmocResult:
     permutation_stats: np.ndarray = field(repr=False)
 
 
+def _p_value(exceedances: int, draws: int, add_one: bool) -> float:
+    return (1 + exceedances) / (draws + 1) if add_one else exceedances / draws
+
+
+def _accept_count(config: AmocConfig) -> int:
+    """h: the smallest exceedance count whose p-value over all R draws is >= alpha."""
+    h = 0
+    while _p_value(h, config.R, config.add_one) < config.alpha:
+        h += 1
+    return h
+
+
+def _chunk_ends(R: int, h: int) -> list[int]:
+    """Draw counts after each chunk: 2h draws, then chunks doubling, up to R.
+    Small first chunks matter: a test that accepts early stops after few."""
+    ends, drawn, chunk = [], 0, max(2 * h, 1)
+    while drawn < R:
+        drawn = min(drawn + chunk, R)
+        ends.append(drawn)
+        chunk *= 2
+    return ends
+
+
 def permutation_test(
     gram: np.ndarray,
     config: AmocConfig,
     start: int = 0,
     stop: int | None = None,
     stream_seed: int | None = None,
+    stop_on_accept: bool = False,
 ) -> AmocResult:
     """Exact permutation test on the block [start, stop) of the Gram matrix.
 
     Permutation r is drawn from the deterministic stream keyed by
-    (stream_seed, r), so results do not depend on evaluation order.  All R
-    draws are made by one call to `rng.permutations`, on one generator
-    re-keyed per draw with the same keys `permutation_stream` uses.  Every
-    draw's statistic comes from rank-masked sums over the shared block
-    (`permuted_maxima`), never from recomputed kernel values.
+    (stream_seed, r), so results do not depend on evaluation order.  Draws
+    come from `rng.permutation_chunks`, on one generator re-keyed per draw
+    with the same keys `permutation_stream` uses.  Every draw's statistic
+    comes from rank-masked sums over the shared block (`permuted_maxima`),
+    never from recomputed kernel values.
+
+    By default all R draws are made.  With stop_on_accept the draws come in
+    chunks of 2h, 4h, 8h, ... (h = _accept_count(config)), and the test stops
+    at the draw L that brings the exceedance count to h.  It then reports
+    p = h / L, or (1 + h) / (L + 1) under add_one, and permutation_stats
+    holds those L draws.  A test that never reaches h makes all R draws and
+    reports what the full run reports; every decision equals the full run's.
     """
     n = gram.shape[0]
     stop = n if stop is None else stop
@@ -88,16 +128,22 @@ def permutation_test(
     block = gram[start:stop, start:stop]
     tau_hat, T_n = rho_curve(block, config.delta)
 
-    perms = permutations(seed, config.R, m)
-    stats = permuted_maxima(block, perms, config.delta)
-    for i in np.flatnonzero(np.abs(stats - T_n) <= TIE_BAND):
-        p = perms[i]
-        stats[i] = rho_curve(block[np.ix_(p, p)], config.delta)[1]
+    h = _accept_count(config) if stop_on_accept else None
+    ends = [config.R] if h is None else _chunk_ends(config.R, h)
+    stats = np.empty(0)
+    for perms in permutation_chunks(seed, m, ends):
+        chunk = permuted_maxima(block, perms, config.delta)
+        for i in np.flatnonzero(np.abs(chunk - T_n) <= TIE_BAND):
+            p = perms[i]
+            chunk[i] = rho_curve(block[np.ix_(p, p)], config.delta)[1]
+        stats = np.concatenate((stats, chunk))
+        hits = np.flatnonzero(stats >= T_n if config.add_one else stats > T_n)
+        if h is not None and hits.size >= h:
+            stats = stats[: hits[h - 1] + 1 if h else 0]
+            hits = hits[:h]
+            break
 
-    if config.add_one:
-        p_value = (1 + int(np.count_nonzero(stats >= T_n))) / (config.R + 1)
-    else:
-        p_value = int(np.count_nonzero(stats > T_n)) / config.R
+    p_value = _p_value(hits.size, stats.size, config.add_one)
     # T = 0 is the statistic's minimum (all splits indistinguishable); the
     # strict-exceedance count would report p = 0 there, so rejection also
     # requires positive evidence.  Matters only for degenerate blocks.
@@ -108,4 +154,3 @@ def permutation_test(
         reject=p_value < config.alpha and T_n > 0.0,
         permutation_stats=stats,
     )
-

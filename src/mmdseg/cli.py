@@ -15,6 +15,7 @@ import time
 from .amoc import AmocConfig
 from .benchmark import BenchmarkCell, run_benchmark
 from .dataio import (
+    check_writable,
     csv_text,
     dumps_json,
     load_csv,
@@ -265,6 +266,9 @@ def _cmd_benchmark(args) -> int:
         bandwidth=args.bandwidth,
         label=f"{spec.model_id}-{args.algorithm}",
     )
+    if args.output is not None:
+        check_writable(f"{args.output}.json")
+        check_writable(f"{args.output}.csv")
     t0 = time.perf_counter()
     report = run_benchmark(
         [cell],

@@ -77,6 +77,21 @@ def open_output(path):
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
+def check_writable(path):
+    """Raise ConfigurationError when `path` cannot be written, without creating
+    it; a long run calls this before the work whose result goes there."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ConfigurationError(f"cannot write {path}: {reason}")
+
+
 def write_text(text: str, path=None):
     """Write text to path, or to stdout when path is None."""
     if path is None:

@@ -52,7 +52,12 @@ def median_heuristic(sq: np.ndarray) -> float:
     Raises DegenerateBandwidthError when the median is zero (h must be > 0
     for the Gaussian kernel to be defined).
     """
-    h = float(np.median(np.sqrt(sq)))
+    # sqrt is monotone, so the square roots of sq's central order statistics
+    # are those of sqrt(sq): this is np.median(np.sqrt(sq)) bit for bit,
+    # without the square root of every pair.
+    half = sq.size // 2
+    kth = [half] if sq.size % 2 else [half - 1, half]
+    h = float(np.mean(np.sqrt(np.partition(sq, kth)[kth])))
     if h <= 0.0:
         raise DegenerateBandwidthError(
             "median pairwise distance is zero; bandwidth would be degenerate"

@@ -30,7 +30,8 @@ MIN_SIDE = 2
 # floating-point cancellation gone wrong rather than roundoff.
 CLAMP_WARN_THRESHOLD = -1e-9
 
-# Rank-mask entries per chunk of permuted_maxima; bounds its temporaries.
+# Entries per chunk of rho_values' prefix sums and of permuted_maxima's rank
+# masks; bounds their temporaries.
 _MASK_CELLS = 1 << 20
 
 
@@ -85,10 +86,20 @@ def admissible_range(n: int, delta: float) -> tuple[int, int]:
 
 
 def rho_values(gram: np.ndarray) -> np.ndarray:
-    """Split statistic t(n-t)/n^2 * d(first t, rest) for every t = 1..n-1."""
-    cs = np.cumsum(gram, axis=1)
-    row_prefix_diag = np.diagonal(cs)  # sum of row i through column i
-    return _rho_from_rows(2.0 * row_prefix_diag - np.diagonal(gram), cs[:, -1])
+    """Split statistic t(n-t)/n^2 * d(first t, rest) for every t = 1..n-1.
+
+    Row prefix sums are taken a block of about _MASK_CELLS cells at a time,
+    so no n x n temporary is made; each row's sum runs in the same order.
+    """
+    n = gram.shape[0]
+    row_prefix_diag = np.empty(n)  # sum of row i through column i
+    rows = np.empty(n)
+    step = max(1, _MASK_CELLS // n)
+    for lo in range(0, n, step):
+        cs = np.cumsum(gram[lo : lo + step], axis=1)
+        row_prefix_diag[lo : lo + step] = np.diagonal(cs, offset=lo)
+        rows[lo : lo + step] = cs[:, -1]
+    return _rho_from_rows(2.0 * row_prefix_diag - np.diagonal(gram), rows)
 
 
 def rho_curve(gram: np.ndarray, delta: float) -> tuple[int, float]:

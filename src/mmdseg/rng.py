@@ -16,13 +16,17 @@ all keys are rounded this way, and distinct seeds can share a stream (seeds
 [2**64 - 1024, 2**64) round to 2**64 itself, which does not fit the key, so
 numpy warns on the cast.
 
-A permutation test's R draws are all made in `permutations`, on one Philox
-whose key is reset for each draw to the rounded key `permutation_stream`
-would build; every draw is the one `permutation_stream(seed, r)` gives.
+A permutation test's draws are all made in `permutation_chunks`, on one
+Philox whose key is reset for each draw to the rounded key
+`permutation_stream` would build; every draw is the one
+`permutation_stream(seed, r)` gives.  Each draw has its own key, so draw r
+does not depend on how many draws are made or in which chunk it falls: a
+test that stops after L draws has made the first L draws of the full run.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -75,33 +79,43 @@ def _permutation_ids(R: int) -> tuple[int, ...]:
     return tuple(mix64(TAG_PERMUTATION, r) for r in range(1, R + 1))
 
 
-def permutations(seed: int, R: int, m: int) -> np.ndarray:
-    """(R, m) array whose row r - 1 is permutation_stream(seed, r).permutation(m).
+def permutation_chunks(seed: int, m: int, ends) -> Iterator[np.ndarray]:
+    """Yield rows [0, ends[0]), [ends[0], ends[1]), ... of permutations(seed,
+    ends[-1], m), one chunk at a time and all from one Philox; a caller that
+    stops iterating makes no further draws.
 
-    One Philox serves all R draws: before each draw its state is reset to
-    what Philox(key=) would set up (counter 0, empty buffer), with the key
-    converted as Philox(key=) converts it, rounding included.  Each row is
-    then shuffled in place, which is all Generator.permutation(m) does to
-    arange(m).
+    Before each draw the Philox state is reset to what Philox(key=) would
+    set up (counter 0, empty buffer), with the key converted as Philox(key=)
+    converts it, rounding included.  Each row is then shuffled in place,
+    which is all Generator.permutation(m) does to arange(m).
     """
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
     seed = int(seed) & _MASK64
-    perms = np.tile(np.arange(m), (R, 1))
-    for row, index in zip(perms, _permutation_ids(R)):
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.asarray((seed, index)).astype(np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.shuffle(row)
-    return perms
+    ids = _permutation_ids(ends[-1])
+    lo = 0
+    for hi in ends:
+        perms = np.tile(np.arange(m), (hi - lo, 1))
+        for row, index in zip(perms, ids[lo:hi]):
+            bitgen.state = {
+                "bit_generator": "Philox",
+                "state": {
+                    "counter": np.zeros(4, dtype=np.uint64),
+                    "key": np.asarray((seed, index)).astype(np.uint64),
+                },
+                "buffer": np.zeros(4, dtype=np.uint64),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            gen.shuffle(row)
+        yield perms
+        lo = hi
+
+
+def permutations(seed: int, R: int, m: int) -> np.ndarray:
+    """(R, m) array whose row r - 1 is permutation_stream(seed, r).permutation(m)."""
+    return next(permutation_chunks(seed, m, (R,)))
 
 
 def derive_seed(seed: int, *ids: int) -> int:

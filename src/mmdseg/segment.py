@@ -187,7 +187,9 @@ def _recurse_u(gram, config, start, stop, boundaries, trace):
         trace.append({"op": "skip", "block": [start, stop], "reason": "too_short"})
         return
     seed = segment_seed(config, start, stop, gram.shape[0])
-    res = permutation_test(gram, config, start, stop, stream_seed=seed)
+    # Only the decision steers the recursion, so an accepting test may stop
+    # early; its reported p-value is then the sequential one (see amoc).
+    res = permutation_test(gram, config, start, stop, stream_seed=seed, stop_on_accept=True)
     b = start + res.tau_hat
     trace.append(
         {
@@ -197,6 +199,7 @@ def _recurse_u(gram, config, start, stop, boundaries, trace):
             "candidate": b,
             "p_value": res.p_value,
             "reject": res.reject,
+            "permutations_used": res.permutation_stats.size,
         }
     )
     if res.reject:

@@ -143,8 +143,51 @@ def test_permutation_test_builds_one_generator(monkeypatch):
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
-    permutation_test(random_gram(2, n=40), AmocConfig(R=199, seed=3))
+    G, cfg = random_gram(2, n=40), AmocConfig(R=199, seed=3)
+    permutation_test(G, cfg)
     assert len(built) == 1
+    built.clear()
+    early = permutation_test(G, cfg, stop_on_accept=True)
+    assert 20 < early.permutation_stats.size < cfg.R  # past the first chunk of 2h = 20
+    assert len(built) == 1
+
+
+def stop_count(cfg):
+    """Smallest exceedance count h whose p-value over all R draws is >= alpha."""
+    h = 0
+    while (((1 + h) / (cfg.R + 1)) if cfg.add_one else h / cfg.R) < cfg.alpha:
+        h += 1
+    return h
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 8, 11, 16, 40, 100, 300])
+def test_early_accept_keeps_every_decision(m):
+    # Null blocks accept (most stop early), shifted ones reject; short blocks
+    # are tie-heavy.  The early run must be the full run cut at the h-th
+    # exceedance, or the full run itself.
+    stopped = 0
+    for seed in range(4):
+        X = np.random.default_rng(seed).normal(size=(m, 3))
+        X[m // 2 :] += 0.4 * seed
+        G = prepare(X)[1]
+        for add_one in (False, True):
+            cfg = AmocConfig(R=199, seed=seed, add_one=add_one)
+            full = permutation_test(G, cfg)
+            early = permutation_test(G, cfg, stop_on_accept=True)
+            assert early.reject == full.reject and early.tau_hat == full.tau_hat
+            L = early.permutation_stats.size
+            if L == cfg.R:
+                assert early.p_value == full.p_value
+                assert np.array_equal(early.permutation_stats, full.permutation_stats)
+                continue
+            stopped += 1
+            h = stop_count(cfg)
+            exceed = full.permutation_stats >= full.T_n if add_one else full.permutation_stats > full.T_n
+            assert np.array_equal(early.permutation_stats, full.permutation_stats[:L])
+            assert L == np.flatnonzero(exceed)[h - 1] + 1
+            assert early.p_value == ((1 + h) / (L + 1) if add_one else h / L)
+            assert early.p_value >= cfg.alpha and not early.reject
+    assert stopped > 0
 
 
 @pytest.mark.xfail(

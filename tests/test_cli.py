@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mmdseg.cli
 from mmdseg.cli import main
 from mmdseg.dataio import load_csv, save_csv, truth_sidecar_path
 from mmdseg.errors import DataError
@@ -446,6 +447,21 @@ def test_benchmark_writes_reports(tmp_path, capsys):
     assert doc["cells"][0]["replications"] == 2
     header = (tmp_path / "bench.csv").read_text().splitlines()[0]
     assert "rate_match" in header
+
+
+def test_benchmark_checks_the_output_path_before_running(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the benchmark ran")
+
+    monkeypatch.setattr(mmdseg.cli, "run_benchmark", no_run)
+    prefix = tmp_path / "missing" / "bench"
+    code, out, err = run(
+        capsys,
+        "benchmark", "--model", "N4", "--lengths", "24", "--algorithm", "u",
+        "--replications", "2", "-R", "9", "--output", str(prefix),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"cannot write {prefix}.json: no directory {prefix.parent}"
 
 
 def test_benchmark_reports_lower_bound_zero_for_ss_without_lower(capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mmdseg import prepare
 from mmdseg.errors import ConfigurationError, DataError, DegenerateBandwidthError
-from mmdseg.kernel import as_dataset, squared_distances
+from mmdseg.kernel import as_dataset, median_heuristic, squared_distances
 
 from reference import gaussian_kernel, quadrature_l2
 
@@ -62,6 +62,16 @@ def test_median_heuristic_even_count_midpoint():
     data = np.vstack([np.full(4, v) for v in (0.0, 1.0, 4.0, 6.0)])
     assert sorted(np.sqrt(squared_distances(as_dataset(data))).round(12)) == [1, 2, 3, 4, 5, 6]
     assert prepare(data)[0] == pytest.approx(3.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 45, 1000, 1001])  # odd and even pair counts
+def test_median_heuristic_is_numpy_median_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for sq in (rng.random(n) * 3.0, rng.integers(1, 4, size=n).astype(float)):  # 2nd: ties
+        assert median_heuristic(sq) == float(np.median(np.sqrt(sq)))
+    X = rng.normal(size=(n % 40 + 2, 5))
+    sq = squared_distances(X)
+    assert median_heuristic(sq) == float(np.median(np.sqrt(sq)))
 
 
 def test_median_heuristic_degenerate():

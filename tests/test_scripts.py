@@ -79,3 +79,17 @@ def test_run_detection_tables_usage_error_is_json_with_exit_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["kind"] == "configuration"
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [("run_null_size", ["--sizes", "40"]), ("run_detection_tables", ["bounds", "--models", "1"])],
+)
+def test_scripts_check_the_output_path_before_the_grid_runs(name, args, tmp_path, capsys):
+    out = tmp_path / "nonexistent" / "x.json"
+    assert load_script(name).main([*args, *TINY, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no rate line: nothing ran
+    assert json.loads(captured.err) == {
+        "error": f"cannot write {out}: no directory {out.parent}", "kind": "configuration",
+    }
