@@ -2,64 +2,90 @@
 
 Builds the benchmark grids behind the published-style tables:
 
-  single   detect-u on models 1-7, one boundary, n = 300 or 600
-  multi    detect-u on models 8-12, two boundaries
-  budget   detect-s at K in {K0-1, K0, K0+1} (subset / match / superset rates)
-  bounds   detect-ss for a few (K_l, K_u) combinations
+  single   detect-u on models 1-7 (two populations), every layout
+  multi    detect-u on models 8-12 (three populations), every layout
+  budget   detect-s at K in {K0-1, K0, K0+1}, K >= 1, where K0 is the true
+           count (subset / match / superset rates), balanced layout
+  bounds   detect-ss for (K_l, K_u) in (0, 2), (0, 3), (1, 3), balanced layout
+
+Every table takes any model: its layouts of n = 300 follow from its
+population count.
 
 The full grids at 100 replications run for hours; use --models /
 --replications to carve out a slice.
 """
 
+import os
 import sys
 
-from mmdseg import AmocConfig, BenchmarkCell, ModelSpec, run_benchmark
-from mmdseg.cli import Parser, run_command
-from mmdseg.dataio import check_writable, write_json
+# One BLAS thread per process, unless set already: with --workers above 1,
+# each worker's spare OpenBLAS thread spins on the CPUs the others need.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-SINGLE_LENGTHS = {300: [(45, 255), (150, 150), (240, 60)]}
-MULTI_LENGTHS = {300: [(45, 75, 180), (100, 100, 100), (180, 45, 75)]}
+from mmdseg import AmocConfig, BenchmarkCell, ModelSpec, run_benchmark  # noqa: E402
+from mmdseg.cli import Parser, run_command  # noqa: E402
+from mmdseg.dataio import check_writable, write_json  # noqa: E402
+from mmdseg.errors import ConfigurationError  # noqa: E402
+from mmdseg.simulate import POPULATIONS  # noqa: E402
+
+# Segment layouts of n = 300, by a model's population count.  The detect-u
+# tables run every layout; budget and bounds run the balanced one.
+LAYOUTS = {
+    1: [(300,)],
+    2: [(45, 255), (150, 150), (240, 60)],
+    3: [(45, 75, 180), (100, 100, 100), (180, 45, 75)],
+}
+
+# Each table's algorithm and default models.
+TABLES = {
+    "single": ("u", ("1", "2", "3", "4", "5", "6", "7")),
+    "multi": ("u", ("8", "9", "10", "11", "12")),
+    "budget": ("s", ("8", "9", "10", "11", "12")),
+    "bounds": ("ss", ("1", "2", "5")),
+}
+
+
+def budgets(algorithm, populations):
+    """The budgets a table runs on a model: none for detect-u, K around the
+    true count K0 = populations - 1 for detect-s, three bounds for detect-ss."""
+    if algorithm == "s":
+        K0 = populations - 1
+        return [{"K": K} for K in (K0 - 1, K0, K0 + 1) if K >= 1]
+    if algorithm == "ss":
+        return [{"K_l": K_l, "K_u": K_u} for K_l, K_u in ((0, 2), (0, 3), (1, 3))]
+    return [{}]
+
+
+def label(model_id, lengths, budget):
+    """The model id, then the budget (K2, Kl0-Ku3), or with no budget the
+    segment lengths but the last."""
+    parts = [f"{name.replace('_', '')}{value}" for name, value in budget.items()]
+    if not parts:
+        parts = [",".join(map(str, lengths[:-1] or lengths))]
+    return "-".join([model_id, *parts])
 
 
 def build_cells(table, models, config):
+    algorithm, defaults = TABLES[table]
     cells = []
-    if table == "single":
-        for mid in models or ("1", "2", "3", "4", "5", "6", "7"):
-            for lengths in SINGLE_LENGTHS[300]:
+    for mid in models or defaults:
+        if mid not in POPULATIONS:
+            raise ConfigurationError(f"unknown model id {mid!r}")
+        populations = POPULATIONS[mid]
+        balanced = (300 // populations,) * populations
+        for lengths in LAYOUTS[populations] if algorithm == "u" else [balanced]:
+            for budget in budgets(algorithm, populations):
                 cells.append(BenchmarkCell(
-                    model=ModelSpec(mid, lengths), algorithm="u", config=config,
-                    label=f"{mid}-{lengths[0]}",
+                    model=ModelSpec(mid, lengths), algorithm=algorithm, config=config,
+                    label=label(mid, lengths, budget), **budget,
                 ))
-    elif table == "multi":
-        for mid in models or ("8", "9", "10", "11", "12"):
-            for lengths in MULTI_LENGTHS[300]:
-                cells.append(BenchmarkCell(
-                    model=ModelSpec(mid, lengths), algorithm="u", config=config,
-                    label=f"{mid}-{lengths[0]},{lengths[1]}",
-                ))
-    elif table == "budget":
-        for mid in models or ("8", "9", "10", "11", "12"):
-            for K in (1, 2, 3):
-                cells.append(BenchmarkCell(
-                    model=ModelSpec(mid, (100, 100, 100)), algorithm="s", K=K,
-                    config=config, label=f"{mid}-K{K}",
-                ))
-    elif table == "bounds":
-        for mid in models or ("1", "2", "5"):
-            for K_l, K_u in ((0, 2), (0, 3), (1, 3)):
-                cells.append(BenchmarkCell(
-                    model=ModelSpec(mid, (150, 150)), algorithm="ss",
-                    K_l=K_l, K_u=K_u, config=config,
-                    label=f"{mid}-Kl{K_l}-Ku{K_u}",
-                ))
-    else:
-        raise SystemExit(f"unknown table {table!r}")
     return cells
 
 
 def main(argv=None):
     ap = Parser(description=__doc__)
-    ap.add_argument("table", choices=("single", "multi", "budget", "bounds"))
+    ap.add_argument("table", choices=tuple(TABLES))
     ap.add_argument("--models", help="comma-separated model ids (default: table's set)")
     ap.add_argument("--replications", type=int, default=100)
     ap.add_argument("--permutations", type=int, default=199)

@@ -5,11 +5,17 @@ for models N1-N4 at n in {100, 500}.  The full grid at 100 replications
 takes tens of minutes; trim --replications or --sizes for a quick look.
 """
 
+import os
 import sys
 
-from mmdseg import AmocConfig, BenchmarkCell, ModelSpec, run_benchmark
-from mmdseg.cli import Parser, int_list, run_command
-from mmdseg.dataio import check_writable, write_json
+# One BLAS thread per process, unless set already: with --workers above 1,
+# each worker's spare OpenBLAS thread spins on the CPUs the others need.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from mmdseg import AmocConfig, BenchmarkCell, ModelSpec, run_benchmark  # noqa: E402
+from mmdseg.cli import Parser, int_list, run_command  # noqa: E402
+from mmdseg.dataio import check_writable, write_json  # noqa: E402
 
 
 def main(argv=None):

@@ -3,11 +3,13 @@
 A cell is (model spec, algorithm, parameters); each replication draws a
 fresh sample and runs the detector with seeds derived from (benchmark seed,
 cell index, replication index), so results are reproducible and replication
-order (or parallel execution) is irrelevant to the aggregate.
+order (or parallel execution) is irrelevant to the aggregate.  A grid's
+replications of every cell form one job list, run on one pool of processes.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -20,6 +22,9 @@ from .metrics import hausdorff, match, subset_match, superset_match
 from .rng import TAG_ALGO, TAG_DATA, check_seed, derive_seed
 from .segment import check_budget, detect
 from .simulate import ModelSpec, generate
+
+# The success rates of a row, each with a binomial standard error.
+RATES = ("k_correct", "match", "superset", "subset")
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,7 @@ def run_replication(cell: BenchmarkCell, base_seed: int) -> dict:
     )
     seconds = time.perf_counter() - t0
     est, truth = det.segmentation, sample.truth
-    record = {
-        "k_hat": est.k,
-        "k_true": truth.k,
+    return {
         "k_correct": est.k == truth.k,
         "match": match(est, truth),
         "superset": superset_match(est, truth),
@@ -68,11 +71,13 @@ def run_replication(cell: BenchmarkCell, base_seed: int) -> dict:
         ),
         "seconds": seconds,
     }
-    return record
 
 
-def _binomial_se(rate: float, n: int) -> float:
-    return float(np.sqrt(rate * (1.0 - rate) / n))
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -85,35 +90,30 @@ class BenchmarkReport:
         return [dict(r) for r in self.rows]
 
 
-def run_benchmark(
-    cells,
-    replications: int,
-    seed: int = 0,
-    workers: int = 1,
-) -> BenchmarkReport:
-    """Estimate success rates for every cell over `replications` rounds."""
+def run_benchmark(cells, replications: int, seed: int = 0, workers: int = 1) -> BenchmarkReport:
+    """Estimate success rates for every cell over `replications` rounds, on
+    min(workers, jobs, usable CPUs) processes: in this process when that is 1."""
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     check_seed(seed)
     cells = list(cells)
+    jobs = [(cell, derive_seed(seed, ci, rep))
+            for ci, cell in enumerate(cells) for rep in range(replications)]
+    size = min(workers, len(jobs), _usable_cpus())
+    if size <= 1:
+        records = [run_replication(cell, s) for cell, s in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            records = list(pool.map(run_replication, *zip(*jobs), chunksize=4))
     rows = []
     for ci, cell in enumerate(cells):
-        seeds = [derive_seed(seed, ci, rep) for rep in range(replications)]
-        if workers == 1:
-            records = [run_replication(cell, s) for s in seeds]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(run_replication, [cell] * replications, seeds,
-                                        chunksize=4))
-        rates = {
-            key: float(np.mean([r[key] for r in records]))
-            for key in ("k_correct", "match", "superset", "subset")
-        }
-        h_values = [r["hausdorff"] for r in records if r["hausdorff"] is not None]
-        seconds = [r["seconds"] for r in records]
-        row = {
+        cell_records = records[ci * replications:(ci + 1) * replications]
+        rates = {key: float(np.mean([r[key] for r in cell_records])) for key in RATES}
+        h_values = [r["hausdorff"] for r in cell_records if r["hausdorff"] is not None]
+        seconds = [r["seconds"] for r in cell_records]
+        rows.append({
             "label": cell.label or f"cell{ci}",
             "model": cell.model.model_id,
             "n": cell.model.n,
@@ -126,17 +126,11 @@ def run_benchmark(
             "R": cell.config.R,
             "alpha": cell.config.alpha,
             "replications": replications,
-            "rate_k_correct": rates["k_correct"],
-            "rate_match": rates["match"],
-            "rate_superset": rates["superset"],
-            "rate_subset": rates["subset"],
-            "se_k_correct": _binomial_se(rates["k_correct"], replications),
-            "se_match": _binomial_se(rates["match"], replications),
-            "se_superset": _binomial_se(rates["superset"], replications),
-            "se_subset": _binomial_se(rates["subset"], replications),
+            **{f"rate_{key}": rate for key, rate in rates.items()},
+            **{f"se_{key}": float(np.sqrt(rate * (1.0 - rate) / replications))
+               for key, rate in rates.items()},
             "mean_hausdorff": float(np.mean(h_values)) if h_values else None,
             "mean_seconds": float(np.mean(seconds)),
             "total_seconds": float(np.sum(seconds)),
-        }
-        rows.append(row)
+        })
     return BenchmarkReport(rows=tuple(rows), replications=replications, seed=seed)

@@ -19,10 +19,6 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -69,14 +65,6 @@ def _locate_bad_cell(path, lines, exc) -> DataError:
     return DataError(f"{path}: {exc}")
 
 
-def open_output(path):
-    """Open `path` for writing; a path that cannot be written is a configuration error."""
-    try:
-        return open(path, "w", newline="")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
-
-
 def check_writable(path):
     """Raise ConfigurationError when `path` cannot be written, without creating
     it; a long run calls this before the work whose result goes there."""
@@ -93,19 +81,28 @@ def check_writable(path):
 
 
 def write_text(text: str, path=None):
-    """Write text to path, or to stdout when path is None."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open_output(path) as fh:
-            fh.write(text)
+    """Write text to path, or to stdout (flushed) when path is None; a failed
+    open, write or close is a configuration error."""
+    try:
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        if path is None:  # bytes left in the buffer would fail again in the flush at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ConfigurationError(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
 def csv_text(rows) -> str:
     """CSV lines of rows: floats as .17g, None as an empty cell, the rest as str."""
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(
-        ["" if v is None else format_float(v) if isinstance(v, float) else v for v in row]
+        ["" if v is None else format(float(v), ".17g") if isinstance(v, float) else v for v in row]
         for row in rows
     )
     return out.getvalue()

@@ -6,7 +6,7 @@ sqrt((1/p) * sum (a_j - b_j)^2), the Riemann approximation of the L2[0, 1]
 norm, so the bandwidth and kernel values are grid-resolution independent.
 
 as_dataset validates the data, squared_distances makes the one distance
-pass, and median_heuristic and gram_matrix both read that pass.
+pass, and median_heuristic and gram_matrix (at a checked bandwidth) read it.
 `segment.prepare` chains them: it is the one public route to a Gram matrix.
 """
 
@@ -65,6 +65,14 @@ def median_heuristic(sq: np.ndarray) -> float:
     return h
 
 
+def check_bandwidth(h) -> float:
+    """h as a float; ConfigurationError unless h > 0 and 2h^2 is positive and finite."""
+    h = float(h)
+    if h <= 0.0 or not 0.0 < 2.0 * h * h < np.inf:
+        raise ConfigurationError(f"bandwidth must be positive with 2h^2 finite, got {h}")
+    return h
+
+
 def gram_matrix(sq: np.ndarray, h: float) -> np.ndarray:
     """Symmetric (n, n) matrix of kernel evaluations with exact unit diagonal.
 
@@ -72,11 +80,8 @@ def gram_matrix(sq: np.ndarray, h: float) -> np.ndarray:
     Computed once per run and shared read-only by every split statistic and
     permutation sweep; permutations reorder it rather than recompute it.
     """
-    scale = 2.0 * h * h
-    if h <= 0.0 or not 0.0 < scale < np.inf:
-        raise ConfigurationError(f"bandwidth must be positive with 2h^2 finite, got {h}")
     G = squareform(sq)
     np.negative(G, out=G)
-    G /= scale
+    G /= 2.0 * h * h
     np.exp(G, out=G)
     return G

@@ -80,9 +80,10 @@ def _permutation_ids(R: int) -> tuple[int, ...]:
 
 
 def permutation_chunks(seed: int, m: int, ends) -> Iterator[np.ndarray]:
-    """Yield rows [0, ends[0]), [ends[0], ends[1]), ... of permutations(seed,
-    ends[-1], m), one chunk at a time and all from one Philox; a caller that
-    stops iterating makes no further draws.
+    """Yield rows [0, ends[0]), [ends[0], ends[1]), ... of the (ends[-1], m)
+    array whose row r - 1 is permutation_stream(seed, r).permutation(m), one
+    chunk at a time and all from one Philox; a caller that stops iterating
+    makes no further draws.
 
     Before each draw the Philox state is reset to what Philox(key=) would
     set up (counter 0, empty buffer), with the key converted as Philox(key=)
@@ -111,11 +112,6 @@ def permutation_chunks(seed: int, m: int, ends) -> Iterator[np.ndarray]:
             gen.shuffle(row)
         yield perms
         lo = hi
-
-
-def permutations(seed: int, R: int, m: int) -> np.ndarray:
-    """(R, m) array whose row r - 1 is permutation_stream(seed, r).permutation(m)."""
-    return next(permutation_chunks(seed, m, (R,)))
 
 
 def derive_seed(seed: int, *ids: int) -> int:

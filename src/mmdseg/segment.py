@@ -26,7 +26,7 @@ import numpy as np
 
 from .amoc import AmocConfig, permutation_test
 from .errors import ConfigurationError
-from .kernel import as_dataset, gram_matrix, median_heuristic, squared_distances
+from .kernel import as_dataset, check_bandwidth, gram_matrix, median_heuristic, squared_distances
 from .mmd import rho_curve, splittable
 from .rng import TAG_PAIRTEST, TAG_SEGMENT, derive_seed
 
@@ -83,8 +83,10 @@ def prepare(data, h: float | None = None, k: int = 0):
         raise ConfigurationError(
             f"a budget of {k} changepoints needs at least {2 * (k + 1)} observations, got {n}"
         )
+    if h is not None:
+        h = check_bandwidth(h)  # before the O(n^2 p) pass, not after it
     sq = squared_distances(X)
-    bw = median_heuristic(sq) if h is None else float(h)
+    bw = check_bandwidth(median_heuristic(sq)) if h is None else h
     return bw, gram_matrix(sq, bw)
 
 

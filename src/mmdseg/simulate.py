@@ -45,9 +45,9 @@ class ModelSpec:
             self, "segment_lengths", tuple(int(m) for m in self.segment_lengths)
         )
         object.__setattr__(self, "params", dict(self.params))
-        if self.model_id not in _CATALOG:
+        want = POPULATIONS.get(self.model_id)
+        if want is None:
             raise ConfigurationError(f"unknown model id {self.model_id!r}")
-        want = len(_CATALOG[self.model_id])
         if len(self.segment_lengths) != want:
             raise ConfigurationError(
                 f"model {self.model_id} has {want} population(s), "
@@ -235,6 +235,7 @@ _CATALOG = {
     "M2": (_KL(*_SINE40_INVSQ), _KL(*_SINE40_INVSQ, scale=lambda c: c)),
 }
 MODEL_IDS = tuple(_CATALOG)
+POPULATIONS = {model_id: len(rows) for model_id, rows in _CATALOG.items()}
 PARAMETRIC_MODELS = {"M1", "M2"}
 
 

@@ -27,7 +27,7 @@ from mmdseg import (
     rho_values,
     run_benchmark,
 )
-from mmdseg.benchmark import run_replication
+from mmdseg.benchmark import RATES, run_replication
 from mmdseg.cli import main
 from mmdseg.mmd import admissible_range, permuted_maxima
 from mmdseg.simulate import _bb_sample
@@ -87,10 +87,7 @@ def harness_rates(cell, index, replications, seed):
     seeds = [derive_seed(seed, index, rep) for rep in range(replications)]
     with ProcessPoolExecutor(max_workers=WORKERS) as pool:
         records = list(pool.map(run_replication, [cell] * replications, seeds, chunksize=4))
-    return {
-        key: float(np.mean([r[key] for r in records]))
-        for key in ("k_correct", "match", "superset", "subset")
-    }
+    return {key: float(np.mean([r[key] for r in records])) for key in RATES}
 
 
 def test_c01_oracle_equivalence():

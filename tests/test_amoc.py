@@ -12,7 +12,7 @@ from mmdseg import (
 )
 from mmdseg.mmd import splittable
 from mmdseg.errors import ConfigurationError
-from mmdseg.rng import permutation_stream, permutations
+from mmdseg.rng import permutation_chunks, permutation_stream
 
 from reference import gathered_p_value, naive_rho_values_blockwise, separated_pools
 
@@ -129,7 +129,7 @@ def test_permutations_equal_per_draw_streams(m):
     for seed in seeds + _drawn_seeds():
         per_draw = np.array([permutation_stream(seed, r).permutation(m) for r in range(1, 200)])
         for R in (1, 19, 199):
-            got = permutations(seed, R, m)
+            got = next(permutation_chunks(seed, m, (R,)))
             assert got.dtype == per_draw.dtype
             assert np.array_equal(got, per_draw[:R]), (seed, R)
 

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -269,6 +271,52 @@ def test_error_contract(model8_csv, tmp_path, capsys, argv, config, expected):
     assert code == expected
     assert json.loads(err)["kind"] == ("configuration" if expected == 2 else "data")
     assert "Traceback" not in err
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect-s", "{csv}", "-K", "1", "-o", "/dev/full"],
+        ["simulate", "/dev/full", "--model", "1", "--lengths", "3,3"],
+    ],
+    ids=["detect-output", "simulate"],
+)
+def test_a_failed_file_write_exits_2_with_json(model8_csv, capsys, argv):
+    code, out, err = run(capsys, *(a.format(csv=model8_csv) for a in argv))
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["kind"] == "configuration"
+    assert doc["error"].startswith("cannot write /dev/full: [Errno 28]")
+
+
+@needs_dev_full
+def test_a_failed_stdout_write_exits_2_with_json(model8_csv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmdseg.cli", "detect-s", str(model8_csv), "-K", "1"],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+    assert proc.returncode == 2
+    doc = json.loads(proc.stderr)
+    assert doc["kind"] == "configuration"
+    assert doc["error"].startswith("cannot write stdout: [Errno 28]")
+
+
+def test_a_bad_bandwidth_exits_2_before_the_distance_pass(model8_csv, capsys, monkeypatch):
+    import mmdseg.kernel
+
+    passes = []
+    monkeypatch.setattr(mmdseg.kernel, "pdist", lambda *a, **k: passes.append(1))
+    code, out, err = run(capsys, "detect-u", str(model8_csv), "--bandwidth", "-1")
+    assert (code, out, passes) == (2, "", [])
+    assert json.loads(err) == {
+        "error": "bandwidth must be positive with 2h^2 finite, got -1.0", "kind": "configuration",
+    }
 
 
 def test_simulate_non_finite_strength_writes_nothing(tmp_path, capsys):

@@ -5,7 +5,8 @@ what it writes with a file under tests/golden/: the stdout of every
 detector, in JSON and (for one run of each detector) in CSV, of
 `benchmark` and the CSV its `--output` writes (both less their wall-clock
 fields), of `oracle-curve` on both input routes, the CSV and truth sidecar
-`simulate` writes, and (through `generate`) every model of the catalog.
+`simulate` writes, (through `generate`) every model of the catalog, and
+the cells of each default table of `scripts/run_detection_tables.py`.
 Like perfbench/fixture.json, these files pin the program's results: a
 change that keeps results must leave them untouched, and they are
 re-recorded only by a change that moves results on purpose (a stream
@@ -22,10 +23,12 @@ import sys
 
 import pytest
 
-from mmdseg import ModelSpec, generate
+from mmdseg import AmocConfig, ModelSpec, generate
 from mmdseg.cli import main
 from mmdseg.dataio import save_csv
 from mmdseg.simulate import MODEL_IDS
+
+from test_scripts import load_script
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -73,6 +76,8 @@ CATALOG = {
     **dict.fromkeys(("8", "9", "10", "11", "12"), (3, 2, 4)),
     **dict.fromkeys(("M1", "M2"), (3, 4)),
 }
+
+TABLES = ("single", "multi", "budget", "bounds")
 
 
 def cli_stdout(argv) -> str:
@@ -135,6 +140,21 @@ def catalog_json() -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
+def tables_json() -> str:
+    """The cells each default table of run_detection_tables.py builds."""
+    build_cells = load_script("run_detection_tables").build_cells
+    doc = {
+        table: [
+            {"label": cell.label, "model": cell.model.model_id,
+             "lengths": list(cell.model.segment_lengths), "algorithm": cell.algorithm,
+             "K": cell.K, "K_l": cell.K_l, "K_u": cell.K_u}
+            for cell in build_cells(table, None, AmocConfig())
+        ]
+        for table in TABLES
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
 def write_inputs(csv_dir):
     for name, spec in INPUTS.items():
         save_csv(generate(spec).data, pathlib.Path(csv_dir) / f"{name}.csv")
@@ -187,6 +207,10 @@ def test_catalog_samples_match_golden():
     assert catalog_json() == (GOLDEN / "simulate-catalog.json").read_text()
 
 
+def test_table_cells_match_golden():
+    assert tables_json() == (GOLDEN / "tables.json").read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -202,6 +226,7 @@ if __name__ == "__main__":
             **{f"oracle-{r}.csv": oracle_stdout(tmp, r) for r in ORACLE_ROUTES},
             **simulate_files(tmp),
             "simulate-catalog.json": catalog_json(),
+            "tables.json": tables_json(),
         }
     for name, text in outputs.items():
         (GOLDEN / name).write_text(text)

@@ -97,6 +97,56 @@ def test_run_benchmark_is_deterministic_and_validates():
         BenchmarkCell(model=ModelSpec("N4", (24,)), algorithm="s")  # K missing
 
 
+POOL_CELLS = [
+    BenchmarkCell(model=ModelSpec("N4", (24,)), algorithm="u", config=AmocConfig(R=9)),
+    BenchmarkCell(model=ModelSpec("1", (12, 12)), algorithm="s", K=1),
+]
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, replications, size",
+    [
+        (64, 16, 1, 2),  # capped by the 2 jobs
+        (64, 2, 3, 2),  # capped by the CPUs
+        (3, 16, 3, 3),  # as asked
+        (64, 1, 3, 1),  # one CPU: in this process
+        (1, 16, 3, 1),
+    ],
+)
+def test_run_benchmark_runs_every_job_on_one_bounded_pool(
+    monkeypatch, workers, cpus, replications, size
+):
+    import mmdseg.benchmark
+
+    sizes = []
+
+    class InlinePool:
+        """A ProcessPoolExecutor that records its size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    def rows(**kwargs):
+        report = run_benchmark(POOL_CELLS, replications, seed=3, **kwargs)
+        return [{k: v for k, v in row.items() if not k.endswith("_seconds")}
+                for row in report.to_rows()]
+
+    serial = rows()
+    monkeypatch.setattr(mmdseg.benchmark, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(mmdseg.benchmark, "_usable_cpus", lambda: cpus)
+    assert rows(workers=workers) == serial
+    assert sizes == ([] if size == 1 else [size])
+
+
 @pytest.mark.parametrize(
     "algorithm, budget",
     [

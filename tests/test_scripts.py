@@ -44,7 +44,24 @@ def test_run_detection_tables_writes_the_bounds_cells(tmp_path, capsys):
     assert "K-correct" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("models", ["99", "8"])  # unknown id; 3 populations in 2 segments
+@pytest.mark.parametrize(
+    "table, models, labels",
+    [("bounds", "8", ["8-Kl0-Ku2", "8-Kl0-Ku3", "8-Kl1-Ku3"]),  # 3 populations
+     ("budget", "1", ["1-K1", "1-K2"])],  # 2 populations: K0 = 1, and K >= 1
+    ids=["bounds-8", "budget-1"],
+)
+def test_run_detection_tables_builds_cells_from_the_population_count(table, models, labels,
+                                                                     tmp_path):
+    out = tmp_path / f"{table}.json"
+    script = load_script("run_detection_tables")
+    assert script.main([table, "--models", models, *TINY, "--output", str(out)]) == 0
+    cells = written_cells(out)
+    assert list(cells) == labels
+    balanced = [100, 100, 100] if models == "8" else [150, 150]
+    assert all(row["segment_lengths"] == balanced for row in cells.values())
+
+
+@pytest.mark.parametrize("models", ["99"])  # unknown id
 def test_run_detection_tables_rejects_a_bad_model_with_exit_2(models, tmp_path, capsys):
     out = tmp_path / "bounds.json"
     script = load_script("run_detection_tables")

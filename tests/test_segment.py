@@ -84,6 +84,24 @@ def test_detection_makes_one_distance_pass(monkeypatch):
     assert det.bandwidth == prepare(data)[0]  # bit-exact against the standalone pass
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf, 1e200, 1e-200])
+def test_a_bad_fixed_bandwidth_is_rejected_before_the_distance_pass(monkeypatch, h):
+    import mmdseg.kernel
+
+    passes = []
+    pdist = mmdseg.kernel.pdist
+    monkeypatch.setattr(mmdseg.kernel, "pdist", lambda *a, **k: passes.append(1) or pdist(*a, **k))
+    with pytest.raises(ConfigurationError, match="bandwidth must be positive with 2h\\^2 finite"):
+        prepare(two_change_data(2), h)
+    assert passes == []
+
+
+def test_a_median_bandwidth_out_of_the_kernels_range_is_rejected():
+    # Distances of curves at 1e160 overflow to inf, and so does the median.
+    with pytest.raises(ConfigurationError, match="bandwidth must be positive with 2h\\^2 finite"):
+        prepare(two_change_data(2) * 1e160)
+
+
 # supervised -----------------------------------------------------------------
 
 
