@@ -88,8 +88,8 @@ def main(argv=None):
     ap.add_argument("table", choices=tuple(TABLES))
     ap.add_argument("--models", help="comma-separated model ids (default: table's set)")
     ap.add_argument("--replications", type=int, default=100)
-    ap.add_argument("--permutations", type=int, default=199)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--permutations", type=int, default=AmocConfig.R)
+    ap.add_argument("--seed", type=int, default=AmocConfig.seed)
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--output", default=None)
     ap.set_defaults(func=run)

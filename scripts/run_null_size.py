@@ -23,8 +23,8 @@ def main(argv=None):
     ap.add_argument("--replications", type=int, default=100)
     ap.add_argument("--sizes", type=int_list, default=(100, 500),
                     help="comma-separated sample sizes")
-    ap.add_argument("--permutations", type=int, default=199)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--permutations", type=int, default=AmocConfig.R)
+    ap.add_argument("--seed", type=int, default=AmocConfig.seed)
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--output", default="null_size.json")
     ap.set_defaults(func=run)

@@ -54,9 +54,9 @@ class AmocConfig:
 
 @dataclass(frozen=True)
 class AmocResult:
-    """Outcome of one permutation test on the block [start, stop).
+    """Outcome of one permutation test on the block gram[a:c, a:c].
 
-    tau_hat is the split index local to the block; start + tau_hat is the
+    tau_hat is the split index local to the block; a + tau_hat is the
     boundary in full-sequence coordinates.  permutation_stats holds the
     statistics of the draws made, in draw order: all R of them, or the first
     L when the test stopped on an accept.
@@ -93,21 +93,17 @@ def _chunk_ends(R: int, h: int) -> list[int]:
 
 
 def permutation_test(
-    gram: np.ndarray,
-    config: AmocConfig,
-    start: int = 0,
-    stop: int | None = None,
-    stream_seed: int | None = None,
-    stop_on_accept: bool = False,
+    block: np.ndarray, config: AmocConfig, stop_on_accept: bool = False
 ) -> AmocResult:
-    """Exact permutation test on the block [start, stop) of the Gram matrix.
+    """Exact permutation test on a block of the Gram matrix, e.g. the view
+    gram[a:c, a:c]; tau_hat is local to the block.
 
     Permutation r is drawn from the deterministic stream keyed by
-    (stream_seed, r), so results do not depend on evaluation order.  Draws
+    (config.seed, r), so results do not depend on evaluation order.  Draws
     come from `rng.permutation_chunks`, on one generator re-keyed per draw
     with the same keys `permutation_stream` uses.  Every draw's statistic
-    comes from rank-masked sums over the shared block (`permuted_maxima`),
-    never from recomputed kernel values.
+    comes from rank-masked sums over the block (`permuted_maxima`), never
+    from recomputed kernel values.
 
     By default all R draws are made.  With stop_on_accept the draws come in
     chunks of 2h, 4h, 8h, ... (h = _accept_count(config)), and the test stops
@@ -116,22 +112,15 @@ def permutation_test(
     holds those L draws.  A test that never reaches h makes all R draws and
     reports what the full run reports; every decision equals the full run's.
     """
-    n = gram.shape[0]
-    stop = n if stop is None else stop
-    if not 0 <= start < stop <= n:
-        raise ConfigurationError(f"invalid block [{start}, {stop}) for n={n}")
-    m = stop - start
+    m = block.shape[0]
     if not splittable(m, config.delta):
         raise ConfigurationError(f"block of {m} observations is too short to test")
-    seed = config.seed if stream_seed is None else stream_seed
-
-    block = gram[start:stop, start:stop]
     tau_hat, T_n = rho_curve(block, config.delta)
 
     h = _accept_count(config) if stop_on_accept else None
     ends = [config.R] if h is None else _chunk_ends(config.R, h)
     stats = np.empty(0)
-    for perms in permutation_chunks(seed, m, ends):
+    for perms in permutation_chunks(config.seed, m, ends):
         chunk = permuted_maxima(block, perms, config.delta)
         for i in np.flatnonzero(np.abs(chunk - T_n) <= TIE_BAND):
             p = perms[i]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict, fields
 
 from .amoc import AmocConfig
 from .benchmark import BenchmarkCell, run_benchmark
@@ -29,8 +30,6 @@ from .mmd import rho_values
 from .oracle import oracle_curve
 from .segment import BUDGETS, check_budget, detect, prepare
 from .simulate import DEFAULT_GRID_SIZE, MODEL_IDS, ModelSpec, generate
-
-_DEFAULT = AmocConfig()
 
 _BOOLEAN_WORDS = {
     **dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -97,13 +96,7 @@ class _CommandParser(Parser):
 
 
 def _amoc_config(args) -> AmocConfig:
-    return AmocConfig(
-        delta=args.delta,
-        R=args.permutations,
-        alpha=args.alpha,
-        seed=args.seed,
-        add_one=args.add_one,
-    )
+    return AmocConfig(**{f.name: getattr(args, f.name) for f in fields(AmocConfig)})
 
 
 def _bandwidth(raw: str) -> float | None:
@@ -166,15 +159,7 @@ def _cmd_detect(args) -> int:
         "command": f"detect-{args.algorithm}",
         "n": seg.n,
         "grid_size": int(data.shape[1]),
-        "config": {
-            "delta": config.delta,
-            "R": config.R,
-            "alpha": config.alpha,
-            "seed": config.seed,
-            "add_one": config.add_one,
-            "bandwidth": "median" if h is None else h,
-            **budget,
-        },
+        "config": {**asdict(config), "bandwidth": "median" if h is None else h, **budget},
         "bandwidth": result.bandwidth,
         "k_hat": seg.k,
         "boundaries": list(seg.boundaries),
@@ -210,6 +195,9 @@ def _model_spec(args) -> ModelSpec:
 
 def _cmd_simulate(args) -> int:
     spec = _model_spec(args)
+    sidecar_path = truth_sidecar_path(args.output)
+    check_writable(args.output)
+    check_writable(sidecar_path)  # before the CSV, so a failure leaves no file
     sample = generate(spec)
     save_csv(sample.data, args.output)
     sidecar = {
@@ -222,8 +210,8 @@ def _cmd_simulate(args) -> int:
         "boundaries": list(sample.truth.boundaries),
         "breakfractions": list(sample.truth.breakfractions),
     }
-    write_json(sidecar, truth_sidecar_path(args.output))
-    print(f"wrote {args.output} and {truth_sidecar_path(args.output)}", file=sys.stderr)
+    write_json(sidecar, sidecar_path)
+    print(f"wrote {args.output} and {sidecar_path}", file=sys.stderr)
     return 0
 
 
@@ -296,12 +284,12 @@ def _cmd_benchmark(args) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("--delta", type=float, default=_DEFAULT.delta,
+    sub.add_argument("--delta", type=float, default=AmocConfig.delta,
                      help="boundary fraction excluded at both ends")
-    sub.add_argument("-R", "--permutations", type=int, default=_DEFAULT.R,
-                     help="permutation count")
-    sub.add_argument("--alpha", type=float, default=_DEFAULT.alpha, help="significance level")
-    sub.add_argument("--seed", type=int, default=_DEFAULT.seed, help="random seed")
+    sub.add_argument("-R", "--permutations", dest="R", type=int, default=AmocConfig.R,
+                     metavar="PERMUTATIONS", help="permutation count")
+    sub.add_argument("--alpha", type=float, default=AmocConfig.alpha, help="significance level")
+    sub.add_argument("--seed", type=int, default=AmocConfig.seed, help="random seed")
     sub.add_argument("--add-one", action="store_true",
                      help="use the (1 + #{T >= T_obs}) / (R + 1) p-value variant")
     _add_bandwidth(sub)
@@ -364,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("simulate", help="draw a sample from a benchmark model")
     sub.add_argument("output", help="CSV path; truth labels go to <output>.truth.json")
     _add_model(sub)
-    sub.add_argument("--seed", type=int, default=_DEFAULT.seed, help="random seed")
+    sub.add_argument("--seed", type=int, default=AmocConfig.seed, help="random seed")
     sub.add_argument("--config", help="key=value file supplying any flag")
     sub.set_defaults(func=_cmd_simulate)
 
@@ -376,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--segment-lengths", type=int_list, help="true segment lengths of --input"
     )
     _add_model(sub)
-    sub.add_argument("--seed", type=int, default=_DEFAULT.seed, help="random seed")
+    sub.add_argument("--seed", type=int, default=AmocConfig.seed, help="random seed")
     _add_bandwidth(sub)
     sub.add_argument("--config", help="key=value file supplying any flag")
     sub.add_argument("--output", "-o", help="output path (default: stdout)")

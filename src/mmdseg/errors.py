@@ -10,4 +10,4 @@ class DataError(ValueError):
 
 
 class DegenerateBandwidthError(DataError):
-    """Median pairwise distance is zero, so the kernel bandwidth is undefined."""
+    """Median pairwise distance is zero or overflows the kernel, so the bandwidth is undefined."""

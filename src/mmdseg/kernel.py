@@ -44,13 +44,18 @@ def squared_distances(X: np.ndarray) -> np.ndarray:
     return sq
 
 
+def _in_kernel_range(h: float) -> bool:
+    """exp(-d^2 / (2h^2)) is defined: h > 0 and 2h^2 positive and finite."""
+    return h > 0.0 and 0.0 < 2.0 * h * h < np.inf
+
+
 def median_heuristic(sq: np.ndarray) -> float:
     """Bandwidth h = median of all pairwise distances over distinct pairs.
 
     `sq` is the condensed squared distances from squared_distances.  Even
     pair counts take the mean of the two central order statistics.
-    Raises DegenerateBandwidthError when the median is zero (h must be > 0
-    for the Gaussian kernel to be defined).
+    Raises DegenerateBandwidthError when the median is out of the kernel's
+    range: zero, or so small or large that 2h^2 is 0 or inf.
     """
     # sqrt is monotone, so the square roots of sq's central order statistics
     # are those of sqrt(sq): this is np.median(np.sqrt(sq)) bit for bit,
@@ -58,17 +63,18 @@ def median_heuristic(sq: np.ndarray) -> float:
     half = sq.size // 2
     kth = [half] if sq.size % 2 else [half - 1, half]
     h = float(np.mean(np.sqrt(np.partition(sq, kth)[kth])))
-    if h <= 0.0:
+    if not _in_kernel_range(h):
         raise DegenerateBandwidthError(
-            "median pairwise distance is zero; bandwidth would be degenerate"
+            f"median pairwise distance is {h}; the kernel needs h > 0 with 2h^2 finite"
         )
     return h
 
 
 def check_bandwidth(h) -> float:
-    """h as a float; ConfigurationError unless h > 0 and 2h^2 is positive and finite."""
+    """A fixed bandwidth h as a float; ConfigurationError unless it is in the
+    kernel's range, as median_heuristic requires of the median."""
     h = float(h)
-    if h <= 0.0 or not 0.0 < 2.0 * h * h < np.inf:
+    if not _in_kernel_range(h):
         raise ConfigurationError(f"bandwidth must be positive with 2h^2 finite, got {h}")
     return h
 

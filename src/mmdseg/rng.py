@@ -8,17 +8,17 @@ permutation loops and Monte Carlo replications safe to parallelize.
 Seeds must lie in [0, 2**64); `check_seed` rejects anything else rather
 than let the key's 64-bit mask alias it onto another seed.
 
-The key is not the exact 128-bit pair.  numpy converts the pair to an array
-before keying Philox, and when either half is >= 2**63 that array is
-float64, so both halves are rounded to 53 significant bits.  About half of
-all keys are rounded this way, and distinct seeds can share a stream (seeds
-9807252377232042866 and 9807252377232042867 do).  Seeds in
-[2**64 - 1024, 2**64) round to 2**64 itself, which does not fit the key, so
-numpy warns on the cast.
+The key is not the exact 128-bit pair.  `_key` converts the pair as numpy's
+Philox(key=) does, through an array that is float64 when either half is
+>= 2**63, so both halves are then rounded to 53 significant bits.  About
+half of all keys are rounded this way, and distinct seeds can share a
+stream (seeds 9807252377232042866 and 9807252377232042867 do).  Seeds in
+[2**64 - 1024, 2**64) round to 2**64 itself, which does not fit the key,
+so numpy warns on the cast.
 
 A permutation test's draws are all made in `permutation_chunks`, on one
-Philox whose key is reset for each draw to the rounded key
-`permutation_stream` would build; every draw is the one
+Philox whose key is reset for each draw to the `_key` that
+`permutation_stream` builds; every draw is the one
 `permutation_stream(seed, r)` gives.  Each draw has its own key, so draw r
 does not depend on how many draws are made or in which chunk it falls: a
 test that stops after L draws has made the first L draws of the full run.
@@ -63,10 +63,14 @@ def mix64(*values: int) -> int:
     return acc
 
 
+def _key(seed: int, id: int) -> np.ndarray:
+    """The Philox key of the pair (seed, id), rounded as the module docstring says."""
+    return np.asarray((int(seed) & _MASK64, id)).astype(np.uint64)
+
+
 def stream(seed: int, *ids: int) -> np.random.Generator:
-    """Generator keyed by (seed, ids); see the module docstring on rounding."""
-    key = (int(seed) & _MASK64, mix64(*ids) if ids else 0)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator keyed by _key(seed, mix64(*ids)), or _key(seed, 0) without ids."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, mix64(*ids) if ids else 0)))
 
 
 def permutation_stream(seed: int, index: int) -> np.random.Generator:
@@ -86,29 +90,20 @@ def permutation_chunks(seed: int, m: int, ends) -> Iterator[np.ndarray]:
     makes no further draws.
 
     Before each draw the Philox state is reset to what Philox(key=) would
-    set up (counter 0, empty buffer), with the key converted as Philox(key=)
-    converts it, rounding included.  Each row is then shuffled in place,
-    which is all Generator.permutation(m) does to arange(m).
+    set up (counter 0, empty buffer) under the draw's _key; the setter copies
+    the dict in, so one dict serves every draw.  Each row is then shuffled in
+    place, which is all Generator.permutation(m) does to arange(m).
     """
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
-    seed = int(seed) & _MASK64
+    state = bitgen.state  # a fresh Philox's: counter 0, empty buffer
     ids = _permutation_ids(ends[-1])
     lo = 0
     for hi in ends:
         perms = np.tile(np.arange(m), (hi - lo, 1))
         for row, index in zip(perms, ids[lo:hi]):
-            bitgen.state = {
-                "bit_generator": "Philox",
-                "state": {
-                    "counter": np.zeros(4, dtype=np.uint64),
-                    "key": np.asarray((seed, index)).astype(np.uint64),
-                },
-                "buffer": np.zeros(4, dtype=np.uint64),
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            state["state"]["key"] = _key(seed, index)
+            bitgen.state = state
             gen.shuffle(row)
         yield perms
         lo = hi

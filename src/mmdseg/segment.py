@@ -20,7 +20,7 @@ Every decision is appended to a JSON-serializable trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,7 +86,7 @@ def prepare(data, h: float | None = None, k: int = 0):
     if h is not None:
         h = check_bandwidth(h)  # before the O(n^2 p) pass, not after it
     sq = squared_distances(X)
-    bw = check_bandwidth(median_heuristic(sq)) if h is None else h
+    bw = median_heuristic(sq) if h is None else h
     return bw, gram_matrix(sq, bw)
 
 
@@ -166,7 +166,7 @@ def _merge_insignificant(gram, config, boundaries, K_l, trace):
         level = config.alpha / (K_u - m + 1)
         p_values = []
         for i, ((a, _), (_, c)) in enumerate(zip(blocks, blocks[1:])):
-            res = permutation_test(gram, config, a, c, stream_seed=pair_seed(config, m, i))
+            res = permutation_test(gram[a:c, a:c], replace(config, seed=pair_seed(config, m, i)))
             p_values.append(res.p_value)
             trace.append(
                 {"op": "pair_test", "stage": m, "pair": i, "block": [a, c],
@@ -191,7 +191,8 @@ def _recurse_u(gram, config, start, stop, boundaries, trace):
     seed = segment_seed(config, start, stop, gram.shape[0])
     # Only the decision steers the recursion, so an accepting test may stop
     # early; its reported p-value is then the sequential one (see amoc).
-    res = permutation_test(gram, config, start, stop, stream_seed=seed, stop_on_accept=True)
+    res = permutation_test(gram[start:stop, start:stop], replace(config, seed=seed),
+                           stop_on_accept=True)
     b = start + res.tau_hat
     trace.append(
         {

@@ -12,7 +12,7 @@ from mmdseg import (
 )
 from mmdseg.mmd import splittable
 from mmdseg.errors import ConfigurationError
-from mmdseg.rng import permutation_chunks, permutation_stream
+from mmdseg.rng import TAG_PERMUTATION, _key, mix64, permutation_chunks, permutation_stream
 
 from reference import gathered_p_value, naive_rho_values_blockwise, separated_pools
 
@@ -132,6 +132,18 @@ def test_permutations_equal_per_draw_streams(m):
             got = next(permutation_chunks(seed, m, (R,)))
             assert got.dtype == per_draw.dtype
             assert np.array_equal(got, per_draw[:R]), (seed, R)
+
+
+def test_the_key_rule_is_numpys_conversion_of_the_pair():
+    # The seeds of test_permutations_equal_per_draw_streams, checked against
+    # the key numpy's Philox(key=) builds itself, not through _key.
+    seeds = [0, 1, 2**63 - 1, 2**63, 9807252377232042866, 9807252377232042867]
+    ids = [0, 1, 2**63 - 1, 2**63, *(mix64(TAG_PERMUTATION, r) for r in range(1, 20))]
+    for seed in seeds + _drawn_seeds():
+        for i in ids:
+            key = np.random.Philox(key=(seed, i)).state["state"]["key"]
+            assert np.array_equal(key, _key(seed, i)), (seed, i)
+            assert _key(seed, i).dtype == key.dtype
 
 
 def test_permutation_test_builds_one_generator(monkeypatch):
@@ -266,7 +278,7 @@ def test_detect_constant_segment_accepts():
 def test_detect_too_short_segment():
     G = random_gram(1, n=10)
     with pytest.raises(ConfigurationError, match="too short"):
-        permutation_test(G, AmocConfig(), start=0, stop=3)
+        permutation_test(G[:3, :3], AmocConfig())
     assert not splittable(3, 0.05)
     det = detect_u(np.random.default_rng(1).normal(size=(3, 6)), AmocConfig())
     assert det.segmentation.boundaries == ()
@@ -282,7 +294,7 @@ def test_detect_reports_absolute_coordinates():
         ]
     )
     G = prepare(X)[1]
-    res = permutation_test(G, AmocConfig(R=99, seed=2), start=30, stop=70)
+    res = permutation_test(G[30:70, 30:70], AmocConfig(R=99, seed=2))
     assert res.reject
     assert abs(30 + res.tau_hat - 50) <= 2
     # detect_u: the root splits at 30; the block [30, 70) then reports its

@@ -329,6 +329,30 @@ def test_simulate_non_finite_strength_writes_nothing(tmp_path, capsys):
     assert not path.with_suffix(".truth.json").exists()
 
 
+def test_simulate_with_an_unwritable_sidecar_writes_no_csv(tmp_path, capsys):
+    path = tmp_path / "o.csv"
+    (tmp_path / "o.truth.json").mkdir()
+    code, _, err = run(capsys, "simulate", str(path), "--model", "1", "--lengths", "3,3")
+    assert code == 2
+    assert json.loads(err) == {
+        "error": f"cannot write {tmp_path / 'o.truth.json'}: it is a directory",
+        "kind": "configuration",
+    }
+    assert not path.exists()
+
+
+def test_a_median_bandwidth_that_overflows_is_a_data_error(tmp_path, capsys):
+    # No bandwidth was set: the data's scale puts the median out of range.
+    path = tmp_path / "f.csv"
+    save_csv(np.random.default_rng(0).normal(size=(40, 5)) * 1e200, path)
+    code, out, err = run(capsys, "detect-s", str(path), "-K", "1")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "median pairwise distance is inf; the kernel needs h > 0 with 2h^2 finite",
+        "kind": "data",
+    }
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     """Tiny inputs: valid, constant (degenerate bandwidth) and non-numeric."""

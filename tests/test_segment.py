@@ -15,7 +15,7 @@ from mmdseg import (
     prepare,
     rho_curve,
 )
-from mmdseg.errors import ConfigurationError
+from mmdseg.errors import ConfigurationError, DegenerateBandwidthError
 
 from reference import separated_pools
 
@@ -97,8 +97,9 @@ def test_a_bad_fixed_bandwidth_is_rejected_before_the_distance_pass(monkeypatch,
 
 
 def test_a_median_bandwidth_out_of_the_kernels_range_is_rejected():
-    # Distances of curves at 1e160 overflow to inf, and so does the median.
-    with pytest.raises(ConfigurationError, match="bandwidth must be positive with 2h\\^2 finite"):
+    # Distances of curves at 1e160 overflow to inf, and so does the median:
+    # a fault of the data, not of a setting.
+    with pytest.raises(DegenerateBandwidthError, match="the kernel needs h > 0 with 2h\\^2 finite"):
         prepare(two_change_data(2) * 1e160)
 
 

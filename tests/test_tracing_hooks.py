@@ -13,6 +13,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import pathlib
 
 import pytest
@@ -77,3 +78,25 @@ def test_cli_detect_records_its_detector_span(tracing, tmp_path):
         assert mmdseg.cli.main(["detect-s", str(path), "-K", "2"]) == 0
     (outer, _), = spans_named(tracer, "cli.main")
     assert [span[3] for _, span in spans_named(tracer, "segment.detect_s")] == [outer]
+
+
+@pytest.mark.parametrize("algorithm, budget", [("u", []), ("ss", ["--upper", "3"])])
+def test_permutation_test_spans_note_the_draws_the_detector_made(
+    tracing, tmp_path, algorithm, budget
+):
+    # perfbench's per-layer counters read the config and the statistics of
+    # each permutation_test call; they must agree with the detector's trace.
+    path = tmp_path / "m8.csv"
+    save_csv(generate(ModelSpec("8", (30, 30, 30), grid_size=8)).data, path)
+    out = io.StringIO()
+    with traced(tracing) as tracer, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert mmdseg.cli.main([f"detect-{algorithm}", str(path), "-R", "49", *budget]) == 0
+    trace = json.loads(out.getvalue())["trace"]
+    drawn = [span[5]["drawn"] for _, span in spans_named(tracer, "amoc.permutation_test")]
+    if algorithm == "u":
+        expected = [rec["permutations_used"] for rec in trace if rec["op"] == "test"]
+        assert min(expected) < 49  # an accepting test stopped early
+    else:
+        expected = [49 for rec in trace if rec["op"] == "pair_test"]
+    assert drawn == expected != []
