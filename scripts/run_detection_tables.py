@@ -7,14 +7,18 @@ Builds the benchmark grids behind the published-style tables:
   budget   detect-s at K in {K0-1, K0, K0+1}, K >= 1, where K0 is the true
            count (subset / match / superset rates), balanced layout
   bounds   detect-ss for (K_l, K_u) in (0, 2), (0, 3), (1, 3), balanced layout
+  null     detect-u on the no-change models N1-N4: the empirical size, or
+           rejection rate at level alpha, is 1 - K-correct
 
-Every table takes any model: its layouts of n = 300 follow from its
-population count.
+Every table takes any model: its layouts follow from its population count.
+Every table runs at each sample size of --n, by default n = 300, and
+n in {100, 500} for null.
 
-The full grids at 100 replications run for hours; use --models /
+The full grids at 100 replications run for hours; use --models / --n /
 --replications to carve out a slice.
 """
 
+import itertools
 import os
 import sys
 
@@ -24,26 +28,36 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from mmdseg import AmocConfig, BenchmarkCell, ModelSpec, run_benchmark  # noqa: E402
-from mmdseg.cli import Parser, run_command  # noqa: E402
+from mmdseg.cli import Parser, int_list, run_command  # noqa: E402
 from mmdseg.dataio import check_writable, write_json  # noqa: E402
 from mmdseg.errors import ConfigurationError  # noqa: E402
 from mmdseg.simulate import POPULATIONS  # noqa: E402
 
-# Segment layouts of n = 300, by a model's population count.  The detect-u
-# tables run every layout; budget and bounds run the balanced one.
+# Segment layouts by a model's population count, as their lengths at n = 300,
+# the size of the paper's detection tables.  The detect-u tables run every
+# layout; budget and bounds run the balanced one, of equal parts.
+BASE_N = 300
 LAYOUTS = {
     1: [(300,)],
     2: [(45, 255), (150, 150), (240, 60)],
     3: [(45, 75, 180), (100, 100, 100), (180, 45, 75)],
 }
 
-# Each table's algorithm and default models.
+# Each table's algorithm, default models and default sample sizes.
 TABLES = {
-    "single": ("u", ("1", "2", "3", "4", "5", "6", "7")),
-    "multi": ("u", ("8", "9", "10", "11", "12")),
-    "budget": ("s", ("8", "9", "10", "11", "12")),
-    "bounds": ("ss", ("1", "2", "5")),
+    "single": ("u", ("1", "2", "3", "4", "5", "6", "7"), (BASE_N,)),
+    "multi": ("u", ("8", "9", "10", "11", "12"), (BASE_N,)),
+    "budget": ("s", ("8", "9", "10", "11", "12"), (BASE_N,)),
+    "bounds": ("ss", ("1", "2", "5"), (BASE_N,)),
+    "null": ("u", ("N1", "N2", "N3", "N4"), (100, 500)),
 }
+
+
+def scaled(layout, n):
+    """The layout's segment lengths at sample size n: each boundary at the
+    layout's fraction of n, rounded down in integers, so they sum to n."""
+    ends = [n * end // sum(layout) for end in itertools.accumulate(layout)]
+    return tuple(b - a for a, b in zip([0, *ends], ends))
 
 
 def budgets(algorithm, populations):
@@ -58,28 +72,34 @@ def budgets(algorithm, populations):
 
 
 def label(model_id, lengths, budget):
-    """The model id, then the budget (K2, Kl0-Ku3), or with no budget the
-    segment lengths but the last."""
+    """The model id, then the budget (K2, Kl0-Ku3) or else the segment
+    lengths but the last, then n, which n = 300 leaves out unless nothing
+    else follows the model id."""
     parts = [f"{name.replace('_', '')}{value}" for name, value in budget.items()]
-    if not parts:
-        parts = [",".join(map(str, lengths[:-1] or lengths))]
+    if not parts and len(lengths) > 1:
+        parts = [",".join(map(str, lengths[:-1]))]
+    if sum(lengths) != BASE_N or not parts:
+        parts.append(str(sum(lengths)))
     return "-".join([model_id, *parts])
 
 
-def build_cells(table, models, config):
-    algorithm, defaults = TABLES[table]
+def build_cells(table, models, config, sizes=None):
+    algorithm, default_models, default_sizes = TABLES[table]
     cells = []
-    for mid in models or defaults:
-        if mid not in POPULATIONS:
-            raise ConfigurationError(f"unknown model id {mid!r}")
-        populations = POPULATIONS[mid]
-        balanced = (300 // populations,) * populations
-        for lengths in LAYOUTS[populations] if algorithm == "u" else [balanced]:
-            for budget in budgets(algorithm, populations):
-                cells.append(BenchmarkCell(
-                    model=ModelSpec(mid, lengths), algorithm=algorithm, config=config,
-                    label=label(mid, lengths, budget), **budget,
-                ))
+    for n in sizes or default_sizes:
+        for mid in models or default_models:
+            if mid not in POPULATIONS:
+                raise ConfigurationError(f"unknown model id {mid!r}")
+            populations = POPULATIONS[mid]
+            layouts = LAYOUTS[populations] if algorithm == "u" else [(1,) * populations]
+            for lengths in (scaled(layout, n) for layout in layouts):
+                for budget in budgets(algorithm, populations):
+                    cells.append(BenchmarkCell(
+                        model=ModelSpec(mid, lengths), algorithm=algorithm, config=config,
+                        label=label(mid, lengths, budget), **budget,
+                    ))
+    if len({cell.label for cell in cells}) < len(cells):
+        raise ConfigurationError("--models or --n names a value twice")
     return cells
 
 
@@ -87,6 +107,7 @@ def main(argv=None):
     ap = Parser(description=__doc__)
     ap.add_argument("table", choices=tuple(TABLES))
     ap.add_argument("--models", help="comma-separated model ids (default: table's set)")
+    ap.add_argument("--n", type=int_list, help="comma-separated sample sizes (default: table's)")
     ap.add_argument("--replications", type=int, default=100)
     ap.add_argument("--permutations", type=int, default=AmocConfig.R)
     ap.add_argument("--seed", type=int, default=AmocConfig.seed)
@@ -101,7 +122,7 @@ def run(args):
     check_writable(out)
     config = AmocConfig(R=args.permutations)
     models = tuple(args.models.split(",")) if args.models else None
-    cells = build_cells(args.table, models, config)
+    cells = build_cells(args.table, models, config, args.n)
     report = run_benchmark(cells, args.replications, seed=args.seed, workers=args.workers)
     rows = report.to_rows()
     for row in rows:

@@ -59,7 +59,7 @@ def read_config_file(path) -> list[tuple[str, str]]:
 
 class Parser(argparse.ArgumentParser):
     """Parser whose usage errors raise ConfigurationError (exit 2 in run_command)
-    instead of printing usage text and exiting; the experiment scripts use it too."""
+    instead of printing usage text and exiting; the experiment script uses it too."""
 
     def error(self, message):
         raise ConfigurationError(message)
@@ -100,8 +100,8 @@ def _amoc_config(args) -> AmocConfig:
 
 
 def _bandwidth(raw: str) -> float | None:
-    """--bandwidth value: None for 'median' (or 'auto'), else a number."""
-    if raw.lower() in ("median", "auto"):
+    """--bandwidth value: None for 'median', else a number."""
+    if raw.lower() == "median":
         return None
     try:
         return float(raw)

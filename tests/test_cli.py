@@ -119,6 +119,49 @@ def test_detect_output_byte_identical(model8_csv, tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+# Each command of the CLI, in-process, with its stdout: the simulated CSV and
+# truth sidecar, every detector, the oracle curve, and a benchmark cell's rows
+# less their wall-clock fields.  The detectors read curves far from the origin
+# (M1 shifts the second segment by 20 sin t), where a distance pass by
+# |x|^2 + |y|^2 - 2 x.y would cancel and show any thread-dependent bits.
+_EVERY_COMMAND = """
+import json, pathlib, sys, tempfile
+from mmdseg.cli import main
+from mmdseg.dataio import truth_sidecar_path
+with tempfile.TemporaryDirectory() as tmp:
+    csv, report = pathlib.Path(tmp, "d.csv"), pathlib.Path(tmp, "b")
+    runs = [["simulate", str(csv), "--model", "M1", "--lengths", "60,90", "--param", "c=20"],
+            ["detect-u", str(csv)], ["detect-s", str(csv), "-K", "2"],
+            ["detect-ss", str(csv), "--upper", "3"], ["detect-forward", str(csv), "--lower", "1"],
+            ["oracle-curve", "--model", "2", "--lengths", "50,100"],
+            ["benchmark", "--model", "8", "--lengths", "40,30,30", "--algorithm", "u",
+             "--replications", "2", "--output", str(report)]]
+    for argv in runs:
+        if main(argv) != 0:
+            sys.exit(f"{argv[0]} failed")
+    print(csv.read_text(), pathlib.Path(truth_sidecar_path(csv)).read_text())
+    for row in json.loads(report.with_suffix(".json").read_text())["cells"]:
+        print({key: value for key, value in row.items() if not key.endswith("_seconds")})
+"""
+
+
+def test_stdout_does_not_depend_on_the_blas_thread_count():
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _EVERY_COMMAND], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                 **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "MKL_NUM_THREADS"), threads)},
+        )
+        for threads in ("1", "2")
+    ]
+    (one, err), (two, _) = (proc.communicate() for proc in procs)
+    assert [proc.returncode for proc in procs] == [0, 0], err
+    assert one.count(b'"command": "detect-') == 4 and b"rho_star" in one
+    assert one == two
+
+
 def test_detect_s_budget_and_csv_format(model8_csv, capsys):
     code, out, _ = run(
         capsys, "detect-s", str(model8_csv), "-K", "2", "--format", "csv"
@@ -234,6 +277,7 @@ def test_fixed_bandwidth_flag(model8_csv, capsys):
         pytest.param(["detect-u", "{csv}", "--bogus"], None, 2, id="unknown-flag"),
         pytest.param(["detect-u", "{csv}", "-R", "x"], None, 2, id="non-integer-R"),
         pytest.param(["detect-u", "{csv}", "--bandwidth", "nan"], None, 2, id="nan-bandwidth"),
+        pytest.param(["detect-u", "{csv}", "--bandwidth", "auto"], None, 2, id="auto-bandwidth"),
         pytest.param([], None, 2, id="no-subcommand"),
         pytest.param(["detect-u", "{tmp}/a\tb.csv"], None, 3, id="tab-in-path"),
         pytest.param(["detect-u", "{csv}", "-R", "9", "--output", "{tmp}/missing/r.json"],

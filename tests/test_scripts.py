@@ -1,4 +1,4 @@
-"""Smoke tests of the experiment scripts behind the paper's tables, at tiny sizes."""
+"""Smoke tests of the experiment script behind the paper's tables, at tiny sizes."""
 
 import importlib.util
 import json
@@ -21,15 +21,16 @@ def written_cells(path):
     return {row["label"]: row for row in json.loads(path.read_text())["cells"]}
 
 
-def test_run_null_size_writes_one_cell_per_null_model(tmp_path, capsys):
+def test_the_null_table_writes_one_cell_per_null_model(tmp_path, capsys):
     out = tmp_path / "null.json"
-    assert load_script("run_null_size").main([*TINY, "--sizes", "40", "--output", str(out)]) == 0
+    script = load_script("run_detection_tables")
+    assert script.main(["null", "--n", "40", *TINY, "--output", str(out)]) == 0
     cells = written_cells(out)
-    assert list(cells) == ["N1-n40", "N2-n40", "N3-n40", "N4-n40"]
+    assert list(cells) == ["N1-40", "N2-40", "N3-40", "N4-40"]
     for row in cells.values():
         assert 0.0 <= row["rate_k_correct"] <= 1.0
         assert row["se_k_correct"] >= 0.0
-    assert "rejection rate" in capsys.readouterr().out
+    assert "K-correct" in capsys.readouterr().out
 
 
 def test_run_detection_tables_writes_the_bounds_cells(tmp_path, capsys):
@@ -61,7 +62,7 @@ def test_run_detection_tables_builds_cells_from_the_population_count(table, mode
     assert all(row["segment_lengths"] == balanced for row in cells.values())
 
 
-@pytest.mark.parametrize("models", ["99"])  # unknown id
+@pytest.mark.parametrize("models", ["99", "1,1"])  # unknown id; a repeated label
 def test_run_detection_tables_rejects_a_bad_model_with_exit_2(models, tmp_path, capsys):
     out = tmp_path / "bounds.json"
     script = load_script("run_detection_tables")
@@ -71,24 +72,49 @@ def test_run_detection_tables_rejects_a_bad_model_with_exit_2(models, tmp_path, 
     assert json.loads(captured.err)["kind"] == "configuration"
 
 
-def test_run_null_size_rejects_an_empty_sample_with_exit_2(tmp_path, capsys):
-    out = tmp_path / "null.json"
-    assert load_script("run_null_size").main([*TINY, "--sizes", "0", "--output", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and not out.exists()
-    assert json.loads(captured.err)["kind"] == "configuration"
-
-
 @pytest.mark.parametrize(
     "sizes, code, kind",
-    [("1", 3, "data"), ("abc", 2, "configuration")],  # one observation; not an integer
+    [("0", 2, "configuration"), ("1", 3, "data"),  # an empty sample; one observation
+     ("abc", 2, "configuration")],  # not an integer
 )
-def test_run_null_size_bad_sizes_end_in_json(sizes, code, kind, tmp_path, capsys):
+def test_the_null_table_bad_sizes_end_in_json(sizes, code, kind, tmp_path, capsys):
     out = tmp_path / "null.json"
-    assert load_script("run_null_size").main([*TINY, "--sizes", sizes, "--output", str(out)]) == code
+    script = load_script("run_detection_tables")
+    assert script.main(["null", "--n", sizes, *TINY, "--output", str(out)]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert json.loads(captured.err)["kind"] == kind
+
+
+def test_every_table_scales_with_n(tmp_path):
+    out = tmp_path / "budget.json"
+    script = load_script("run_detection_tables")
+    assert script.main(["budget", "--models", "1", "--n", "60,100", *TINY,
+                        "--output", str(out)]) == 0
+    rows = json.loads(out.read_text())["cells"]
+    assert [row["label"] for row in rows] == ["1-K1-60", "1-K2-60", "1-K1-100", "1-K2-100"]
+    assert [sum(row["segment_lengths"]) for row in rows] == [row["n"] for row in rows]
+    assert [row["n"] for row in rows] == [60, 60, 100, 100]
+
+
+def test_layouts_are_exact_fractions_of_n():
+    script = load_script("run_detection_tables")
+    for layout in (layout for layouts in script.LAYOUTS.values() for layout in layouts):
+        assert script.scaled(layout, script.BASE_N) == layout
+        for n in (7, 60, 100, 299, 301, 1000):
+            lengths = script.scaled(layout, n)
+            assert sum(lengths) == n and min(lengths) >= 1
+            assert all(n * part // script.BASE_N <= m <= n * part // script.BASE_N + 1
+                       for part, m in zip(layout, lengths))
+
+
+def test_a_size_that_empties_a_segment_exits_2_before_the_grid_runs(tmp_path, capsys):
+    out = tmp_path / "single.json"
+    script = load_script("run_detection_tables")
+    assert script.main(["single", "--models", "1", "--n", "5", *TINY, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err)["kind"] == "configuration"
 
 
 def test_run_detection_tables_usage_error_is_json_with_exit_2(capsys):
@@ -99,12 +125,11 @@ def test_run_detection_tables_usage_error_is_json_with_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "name, args",
-    [("run_null_size", ["--sizes", "40"]), ("run_detection_tables", ["bounds", "--models", "1"])],
+    "args", [["null", "--n", "40"], ["bounds", "--models", "1"]], ids=["null", "bounds"],
 )
-def test_scripts_check_the_output_path_before_the_grid_runs(name, args, tmp_path, capsys):
+def test_the_script_checks_the_output_path_before_the_grid_runs(args, tmp_path, capsys):
     out = tmp_path / "nonexistent" / "x.json"
-    assert load_script(name).main([*args, *TINY, "--output", str(out)]) == 2
+    assert load_script("run_detection_tables").main([*args, *TINY, "--output", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""  # no rate line: nothing ran
     assert json.loads(captured.err) == {
