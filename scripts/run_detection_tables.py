@@ -18,6 +18,7 @@ The full grids at 100 replications run for hours; use --models / --n /
 --replications to carve out a slice.
 """
 
+import argparse
 import itertools
 import os
 import sys
@@ -104,7 +105,7 @@ def build_cells(table, models, config, sizes=None):
 
 
 def main(argv=None):
-    ap = Parser(description=__doc__)
+    ap = Parser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("table", choices=tuple(TABLES))
     ap.add_argument("--models", help="comma-separated model ids (default: table's set)")
     ap.add_argument("--n", type=int_list, help="comma-separated sample sizes (default: table's)")

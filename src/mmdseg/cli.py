@@ -2,8 +2,10 @@
 
 Subcommands: detect-u, detect-s, detect-ss, detect-forward, simulate,
 oracle-curve, benchmark.  Exit codes: 0 success, 2 configuration error,
-3 data error.  Results are deterministic given identical inputs and flags;
-wall-clock timing goes to stderr so reports stay byte-identical.
+3 data error.  Results are deterministic given identical inputs and flags.
+Reports are byte-identical too, except the wall-clock `mean_seconds` and
+`total_seconds` fields of `benchmark` rows; the detect and benchmark
+commands print their elapsed_seconds to stderr.
 """
 
 from __future__ import annotations

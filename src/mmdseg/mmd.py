@@ -89,14 +89,17 @@ def rho_values(gram: np.ndarray) -> np.ndarray:
     """Split statistic t(n-t)/n^2 * d(first t, rest) for every t = 1..n-1.
 
     Row prefix sums are taken a block of about _MASK_CELLS cells at a time,
-    so no n x n temporary is made; each row's sum runs in the same order.
+    into one buffer that every block reuses, so no n x n temporary is made;
+    each row's sum runs in the same order.
     """
     n = gram.shape[0]
     row_prefix_diag = np.empty(n)  # sum of row i through column i
     rows = np.empty(n)
-    step = max(1, _MASK_CELLS // n)
+    step = min(max(1, _MASK_CELLS // n), n)
+    buffer = np.empty((step, n))
     for lo in range(0, n, step):
-        cs = np.cumsum(gram[lo : lo + step], axis=1)
+        block = gram[lo : lo + step]
+        cs = np.cumsum(block, axis=1, out=buffer[: block.shape[0]])
         row_prefix_diag[lo : lo + step] = np.diagonal(cs, offset=lo)
         rows[lo : lo + step] = cs[:, -1]
     return _rho_from_rows(2.0 * row_prefix_diag - np.diagonal(gram), rows)

@@ -85,9 +85,9 @@ def prepare(data, h: float | None = None, k: int = 0):
         )
     if h is not None:
         h = check_bandwidth(h)  # before the O(n^2 p) pass, not after it
-    sq = squared_distances(X)
-    bw = median_heuristic(sq) if h is None else h
-    return bw, gram_matrix(sq, bw)
+    D = squared_distances(X)
+    bw = median_heuristic(D) if h is None else h
+    return bw, gram_matrix(D, bw)
 
 
 def _detect(algorithm: str, data, config: AmocConfig, h, k: int, K_l: int = 0):

@@ -15,6 +15,7 @@ detectors.
 from math import ceil, floor
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from mmdseg import ModelSpec, generate, rho_curve
 from mmdseg.rng import TAG_DATA, derive_seed, permutation_stream
@@ -66,6 +67,28 @@ def gathered_p_value(gram, config):
     if config.add_one:
         return (1 + int(np.count_nonzero(stats >= T))) / (config.R + 1)
     return int(np.count_nonzero(stats > T)) / config.R
+
+
+def condensed_prepare(X, h=None):
+    """(bandwidth, Gram matrix) by the condensed route: pdist's condensed
+    squared distances over p, the median from np.partition of that vector,
+    then squareform and exp.  segment.prepare builds both in one n x n
+    buffer instead; it applies the same operations to the same values, so
+    the two must agree bit for bit.  h is None when the median's square
+    root is not in the kernel's range."""
+    sq = pdist(X, "sqeuclidean")
+    sq /= X.shape[1]
+    if h is None:
+        half = sq.size // 2
+        kth = [half] if sq.size % 2 else [half - 1, half]
+        h = float(np.mean(np.sqrt(np.partition(sq, kth)[kth])))
+        if not (h > 0.0 and 0.0 < 2.0 * h * h < np.inf):
+            return None, None
+    G = squareform(sq)
+    np.negative(G, out=G)
+    G /= 2.0 * h * h
+    np.exp(G, out=G)
+    return h, G
 
 
 def l2_distance(a, b):

@@ -502,6 +502,21 @@ def test_input_too_large_for_memory_is_data_error(model8_csv, capsys, monkeypatc
     assert doc["kind"] == "data" and "149. GiB" in doc["error"]
 
 
+def test_an_input_over_the_available_memory_exits_3_before_the_distance_pass(
+        model8_csv, capsys, monkeypatch):
+    import mmdseg.kernel
+
+    passes = []
+    monkeypatch.setattr(mmdseg.kernel, "pdist", lambda *a, **k: passes.append(1))
+    monkeypatch.setattr(mmdseg.kernel, "_available_memory", lambda: 1000)
+    code, out, err = run(capsys, "detect-s", str(model8_csv), "-K", "1")
+    assert (code, out, passes) == (3, "", [])
+    doc = json.loads(err)
+    assert doc["kind"] == "data"
+    assert doc["error"].startswith("input too large for memory: ")
+    assert doc["error"].endswith(" MB for the 180 x 180 Gram matrix, 0.001 MB available")
+
+
 # oracle-curve ---------------------------------------------------------------
 
 

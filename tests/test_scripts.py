@@ -135,3 +135,13 @@ def test_the_script_checks_the_output_path_before_the_grid_runs(args, tmp_path, 
     assert json.loads(captured.err) == {
         "error": f"cannot write {out}: no directory {out.parent}", "kind": "configuration",
     }
+
+
+def test_the_help_lists_one_table_per_line(capsys):
+    script = load_script("run_detection_tables")
+    with pytest.raises(SystemExit) as exit_:
+        script.main(["-h"])
+    assert exit_.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for table in script.TABLES:
+        assert any(line.startswith(f"  {table} ") for line in lines), table
