@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -105,6 +104,8 @@ def run_benchmark(cells, replications: int, seed: int = 0, workers: int = 1) -> 
     if size <= 1:
         records = [run_replication(cell, s) for cell, s in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here: a run of 1 never loads it
+
         with ProcessPoolExecutor(max_workers=size) as pool:
             records = list(pool.map(run_replication, *zip(*jobs), chunksize=4))
     rows = []

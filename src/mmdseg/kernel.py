@@ -10,6 +10,11 @@ pass into an (n, n) buffer, median_heuristic reads the bandwidth from it,
 and gram_matrix (at a checked bandwidth) turns that same buffer into the
 Gram matrix, so the run's peak is one 8n^2-byte array.  `segment.prepare`
 chains them: it is the one public route to a Gram matrix.
+
+scipy is loaded at the first distance pass only, by `pdist`, and not at
+import: the generators, the oracle curve, the metrics and the CLI's checks
+never need it, and its import (about 0.27 s on 2 vCPU) would be nearly
+three quarters of `import mmdseg`.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import ConfigurationError, DataError, DegenerateBandwidthError
 
@@ -74,6 +78,13 @@ def _check_memory(n: int, p: int) -> None:
 def _condensed_start(i: int, n: int) -> int:
     """Index of pair (i, i + 1) in the condensed order of n observations."""
     return i * n - i * (i + 1) // 2
+
+
+def pdist(*args, **kwargs):
+    """scipy.spatial.distance.pdist, imported at its first call."""
+    from scipy.spatial.distance import pdist
+
+    return pdist(*args, **kwargs)
 
 
 def squared_distances(X: np.ndarray) -> np.ndarray:

@@ -8,13 +8,16 @@ permutation loops and Monte Carlo replications safe to parallelize.
 Seeds must lie in [0, 2**64); `check_seed` rejects anything else rather
 than let the key's 64-bit mask alias it onto another seed.
 
-The key is not the exact 128-bit pair.  `_key` converts the pair as numpy's
-Philox(key=) does, through an array that is float64 when either half is
->= 2**63, so both halves are then rounded to 53 significant bits.  About
-half of all keys are rounded this way, and distinct seeds can share a
-stream (seeds 9807252377232042866 and 9807252377232042867 do).  Seeds in
-[2**64 - 1024, 2**64) round to 2**64 itself, which does not fit the key,
-so numpy warns on the cast.
+The key is not always the exact 128-bit pair.  `_key` converts the pair as
+numpy's Philox(key=) does, through np.asarray((seed, id)).  That array is
+int64, and exact, when both halves are below 2**63; uint64, and exact, when
+both are >= 2**63; and float64 when exactly one half is >= 2**63, and only
+then are both halves rounded to 53 significant bits.  About half of all
+keys are rounded this way, and distinct seeds can share draws: seeds
+9807252377232042866 and 9807252377232042867 share every draw whose id is
+below 2**63 (100 of a permutation test's first 199) and differ in the rest.
+A seed in [2**64 - 1024, 2**64) with an id below 2**63 rounds to 2**64
+itself, which does not fit the key, so numpy warns on the cast.
 
 A permutation test's draws are all made in `permutation_chunks`, on one
 Philox whose key is reset for each draw to the `_key` that

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,7 @@ def test_permutation_reuse_equals_physical_permutation():
 
 def _drawn_seeds():
     # 20 seeds on each side of 2**63; the top 1024 seeds, whose keys round to
-    # 2**64 and warn on the cast, are left out.
+    # 2**64 and warn on the cast when the id is below 2**63, are left out.
     draw = np.random.default_rng(8)
     low = draw.integers(0, 2**63, size=20, dtype=np.uint64)
     high = draw.integers(2**63, 2**64 - 1024, size=20, dtype=np.uint64)
@@ -123,8 +125,9 @@ def _drawn_seeds():
 
 @pytest.mark.parametrize("m", [4, 5, 20, 101])
 def test_permutations_equal_per_draw_streams(m):
-    # Keys of both kinds occur (exact, and rounded to float64 when a half is
-    # >= 2**63), as does the pair of seeds that rounding maps to one stream.
+    # Keys of both kinds occur (exact, and rounded to float64 when exactly one
+    # half is >= 2**63), as does the pair of seeds that rounding makes share
+    # their draws with an id below 2**63.
     seeds = [0, 1, 2**63 - 1, 2**63, 9807252377232042866, 9807252377232042867]
     for seed in seeds + _drawn_seeds():
         per_draw = np.array([permutation_stream(seed, r).permutation(m) for r in range(1, 200)])
@@ -144,6 +147,32 @@ def test_the_key_rule_is_numpys_conversion_of_the_pair():
             key = np.random.Philox(key=(seed, i)).state["state"]["key"]
             assert np.array_equal(key, _key(seed, i)), (seed, i)
             assert _key(seed, i).dtype == key.dtype
+
+
+def test_key_conversion_regimes():
+    # np.asarray((seed, id)) is int64 when both halves are below 2**63,
+    # uint64 when both are >= 2**63, and exact in both; it is float64, and
+    # rounds, only when exactly one half is >= 2**63.
+    for pair, dtype in (((2**63 - 1, 2**63 - 2), np.int64),
+                        ((2**64 - 1, 2**63), np.uint64),
+                        ((2**63 + 1, 5), np.float64)):
+        assert np.asarray(pair).dtype == dtype
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [int(k) for k in _key(2**63 - 1, 2**63 - 2)] == [2**63 - 1, 2**63 - 2]
+        assert [int(k) for k in _key(2**64 - 1, 2**63)] == [2**64 - 1, 2**63]
+        assert [int(k) for k in _key(5, 2**63 + 1)] == [5, 2**63]
+    # Two seeds one apart round to one key exactly when the id is below 2**63:
+    # 100 of a permutation test's first 199 draws.
+    a, b = 9807252377232042866, 9807252377232042867
+    ids = [mix64(TAG_PERMUTATION, r) for r in range(1, 200)]
+    shared = [np.array_equal(_key(a, i), _key(b, i)) for i in ids]
+    assert shared == [i < 2**63 for i in ids]
+    assert sum(shared) == 100
+    for r in (1, 2, 3, 4):
+        same = np.array_equal(permutation_stream(a, r).permutation(50),
+                              permutation_stream(b, r).permutation(50))
+        assert same == shared[r - 1]
 
 
 def test_permutation_test_builds_one_generator(monkeypatch):
@@ -204,8 +233,8 @@ def test_early_accept_keeps_every_decision(m):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="stream keys are rounded to float64 when either half is >= 2**63, so "
-    "these seeds share one stream; exact keys are ROADMAP item 1",
+    reason="stream keys are rounded to float64 when exactly one half is >= 2**63, "
+    "so these seeds share draw 1, whose id is below 2**63; exact keys are ROADMAP item 1",
 )
 def test_distinct_seeds_give_distinct_permutation_streams():
     a = permutation_stream(9807252377232042867, 1).permutation(50)

@@ -162,6 +162,54 @@ def test_stdout_does_not_depend_on_the_blas_thread_count():
     assert one == two
 
 
+# The modules that only a distance pass or a pool of processes needs, listed
+# after each step of a fresh process.  It is a subprocess because the test
+# process has scipy loaded already (tests/reference.py uses it).  The oracle
+# curve and the metrics are called on a given Gram and boundaries; the
+# oracle-curve command builds its Gram, so it makes a distance pass.
+_IMPORT_FOOTPRINT = """
+import contextlib, io, json, pathlib, sys, tempfile
+import numpy as np
+import mmdseg, mmdseg.cli, mmdseg.kernel
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m == "concurrent.futures.process")
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return mmdseg.cli.main(list(argv))
+
+steps = {"import": loaded()}
+with tempfile.TemporaryDirectory() as tmp:
+    csv = str(pathlib.Path(tmp, "d.csv"))
+    steps["simulate"] = [run("simulate", csv, "--model", "8", "--lengths", "20,20,20"), loaded()]
+    mmdseg.oracle_curve(np.eye(6), (3, 3))
+    mmdseg.hausdorff((20, 40), (21, 40))
+    steps["oracle and metrics"] = [0, loaded()]
+    steps["config error"] = [run("detect-u", csv, "--bandwidth", "-1"), loaded()]
+    passes, pdist = [], mmdseg.kernel.pdist
+    mmdseg.kernel.pdist = lambda *a, **k: passes.append(1) or pdist(*a, **k)
+    code = run("detect-s", csv, "-K", "2")
+    steps["detect-s"] = [code, "scipy.spatial.distance" in sys.modules, len(passes)]
+    code = run("benchmark", "--model", "N4", "--lengths", "24", "--algorithm", "u",
+               "--replications", "2", "-R", "9")
+    steps["benchmark"] = [code, "concurrent.futures.process" in sys.modules]
+print(json.dumps(steps))
+"""
+
+
+def test_only_a_distance_pass_loads_scipy():
+    src = os.path.dirname(os.path.dirname(mmdseg.cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": [], "simulate": [0, []], "oracle and metrics": [0, []],
+        "config error": [2, []], "detect-s": [0, True, 1], "benchmark": [0, False],
+    }
+
+
 def test_detect_s_budget_and_csv_format(model8_csv, capsys):
     code, out, _ = run(
         capsys, "detect-s", str(model8_csv), "-K", "2", "--format", "csv"

@@ -116,12 +116,16 @@ POOL_CELLS = [
 def test_run_benchmark_runs_every_job_on_one_bounded_pool(
     monkeypatch, workers, cpus, replications, size
 ):
+    import concurrent.futures
+
     import mmdseg.benchmark
 
     sizes = []
 
     class InlinePool:
-        """A ProcessPoolExecutor that records its size and maps in this process."""
+        """A ProcessPoolExecutor that records its size and maps in this process.
+        run_benchmark imports the pool class from concurrent.futures at its
+        first pool, so this takes its place there."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -141,7 +145,7 @@ def test_run_benchmark_runs_every_job_on_one_bounded_pool(
                 for row in report.to_rows()]
 
     serial = rows()
-    monkeypatch.setattr(mmdseg.benchmark, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(mmdseg.benchmark, "_usable_cpus", lambda: cpus)
     assert rows(workers=workers) == serial
     assert sizes == ([] if size == 1 else [size])
