@@ -148,9 +148,10 @@ def _boundary_p_values(trace) -> dict[int, float]:
 def _cmd_detect(args) -> int:
     config = _amoc_config(args)
     h = args.bandwidth
-    data = load_csv(args.input)
-
     budget = check_budget(args.algorithm, args.K, args.K_l, args.K_u)
+    if args.output is not None:
+        check_writable(args.output)  # before the load and the distance pass
+    data = load_csv(args.input)
     t0 = time.perf_counter()
     result = detect(args.algorithm, data, config, h, **budget)
     elapsed = time.perf_counter() - t0
@@ -218,6 +219,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle_curve(args) -> int:
+    if args.output is not None:
+        check_writable(args.output)  # before the load and the distance pass
     # Each route takes only its own flags: one of the other route's is an error.
     model_flags = {"--model": args.model, "--lengths": args.lengths, "--param": args.param,
                    "--seed": args.seed, "--grid-size": args.grid_size}

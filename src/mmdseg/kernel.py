@@ -6,10 +6,12 @@ sqrt((1/p) * sum (a_j - b_j)^2), the Riemann approximation of the L2[0, 1]
 norm, so the bandwidth and kernel values are grid-resolution independent.
 
 as_dataset validates the data; squared_distances makes the one distance
-pass into an (n, n) buffer, median_heuristic reads the bandwidth from it,
-and gram_matrix (at a checked bandwidth) turns that same buffer into the
-Gram matrix, so the run's peak is one 8n^2-byte array.  `segment.prepare`
-chains them: it is the one public route to a Gram matrix.
+pass into an (n, n) buffer and moves the pairs into both triangles.
+Between the pass and the move, median_heuristic reads the bandwidth from a
+copy of the pairs in the buffer's free half.  gram_matrix (at a checked
+bandwidth) then turns that same buffer into the Gram matrix, so the run's
+peak is one 8n^2-byte array.  `segment.prepare` chains them: it is the one
+public route to a Gram matrix.
 
 scipy is loaded at the first distance pass only, by `pdist`, and not at
 import: the generators, the oracle curve, the metrics and the CLI's checks
@@ -19,21 +21,9 @@ three quarters of `import mmdseg`.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
-
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DegenerateBandwidthError
-
-# Cells per block of the scatter and of the median's counting pass; bounds
-# their temporaries to about a megabyte whatever n is.
-_BLOCK_CELLS = 1 << 17
-
-# The strided sample that brackets the median's order statistics takes
-# about _SAMPLE entries, and at most one entry in _MIN_STEP: a sample of
-# every entry would cost a sort of the whole matrix at small n.
-_SAMPLE = 1 << 16
-_MIN_STEP = 16
 
 
 def as_dataset(data) -> np.ndarray:
@@ -87,10 +77,10 @@ def pdist(*args, **kwargs):
     return pdist(*args, **kwargs)
 
 
-def squared_distances(X: np.ndarray) -> np.ndarray:
-    """Symmetric (n, n) matrix of the squared scaled L2 distances of the
-    rows of X, an array as_dataset has already validated, with exact zeros
-    on the diagonal.
+def squared_distances(X: np.ndarray, h: float | None = None) -> tuple[np.ndarray, float]:
+    """(D, bandwidth): the symmetric (n, n) squared scaled L2 distances of
+    the rows of X, an array as_dataset has already validated, with exact
+    zeros on the diagonal, and h, or the median heuristic when h is None.
 
     This is the run's single O(n^2 p) distance pass: the median bandwidth
     and the Gram matrix are both derived from it, and the Gram is made in
@@ -105,20 +95,21 @@ def squared_distances(X: np.ndarray) -> np.ndarray:
     pairs = n * (n - 1) // 2
     pdist(X, "sqeuclidean", out=flat[:pairs])
     flat[:pairs] /= p
+    if h is None:
+        # Until the rows move, the back half of the buffer is free, and
+        # 2 pairs = n(n - 1) <= n^2: the median partitions a copy there.
+        flat[pairs : 2 * pairs] = flat[:pairs]
+        h = median_heuristic(flat[pairs : 2 * pairs])
     # pdist packs the strict upper triangle, row by row, at the front of the
-    # buffer; every value moves forward to its place.  Blocks of rows go last
-    # first, so a block overwrites only values that have already moved, and
-    # its own values are copied out before they are written.
-    rows = max(1, _BLOCK_CELLS // n)
-    columns = np.arange(n)
-    for a in reversed(range(0, n, rows)):
-        b = min(a + rows, n)
-        upper = columns > np.arange(a, b)[:, None]
-        values = flat[_condensed_start(a, n) : _condensed_start(b, n)].copy()
-        D[a:b][upper] = values
-        D.T[a:b][upper] = values  # the mirror image, in the lower triangle
+    # buffer.  Rows move last first: each destination lies at or after its
+    # source, so a row overwrites only values that have already moved.
+    for i in reversed(range(n - 1)):
+        start = _condensed_start(i, n)
+        D[i, i + 1 :] = flat[start : start + n - 1 - i]
+    for i in range(1, n):
+        D[i, :i] = D[:i, i]  # the mirror image, in the lower triangle
     np.fill_diagonal(D, 0.0)
-    return D
+    return D, h
 
 
 def _in_kernel_range(h: float) -> bool:
@@ -126,74 +117,18 @@ def _in_kernel_range(h: float) -> bool:
     return h > 0.0 and 0.0 < 2.0 * h * h < np.inf
 
 
-def _bracket_pass(values: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
-    """(number of values below lo, the values in [lo, hi]), a block at a time."""
-    below, inside = 0, []
-    for a in range(0, values.size, _BLOCK_CELLS):
-        block = values[a : a + _BLOCK_CELLS]
-        below += np.count_nonzero(block < lo)
-        inside.append(np.compress((block >= lo) & (block <= hi), block))
-    return below, np.concatenate(inside)
-
-
-def _sample_step(n: int) -> int:
-    """Stride of the bracket's sample of an (n, n) matrix: about _SAMPLE
-    entries, at least every _MIN_STEP-th, and prime to n, so the sample
-    meets every row and every column alike."""
-    step = max(_MIN_STEP, n * n // _SAMPLE)
-    while gcd(step, n) != 1:
-        step += 1
-    return step
-
-
-def _order_statistics(D: np.ndarray, rank: int) -> np.ndarray:
-    """The (rank - 1)-th and rank-th smallest entries of a square C-contiguous
-    D, 0 < rank < D.size, as np.sort(D, axis=None)[rank - 1 : rank + 1] gives
-    them, without a copy of D.
-
-    A sorted strided sample brackets the rank.  One pass over blocks counts
-    the entries below the bracket and collects those inside it, and only the
-    collected entries are partitioned.  A side the bracket missed is widened
-    to infinity for another pass.
-    """
-    values = D.reshape(-1)
-    step = _sample_step(D.shape[0])
-    sample = np.sort(values[::step])
-    slack = 4 * isqrt(sample.size)
-    lo = sample[max(rank // step - slack, 0)]
-    hi = sample[min(rank // step + slack, sample.size - 1)]
-    while True:
-        below, inside = _bracket_pass(values, lo, hi)
-        missed_low, missed_high = below >= rank, below + inside.size <= rank
-        if not (missed_low or missed_high):
-            k = rank - below
-            inside = np.partition(inside, k)  # one kth: far faster than two
-            return np.array([inside[:k].max(), inside[k]])
-        if missed_low:
-            lo = -np.inf
-        if missed_high:
-            hi = np.inf
-
-
-def median_heuristic(D: np.ndarray) -> float:
+def median_heuristic(sq: np.ndarray) -> float:
     """Bandwidth h = median of all pairwise distances over distinct pairs.
 
-    `D` is the (n, n) squared distances from squared_distances; it is read,
-    not copied.  Even pair counts take the mean of the two central order
-    statistics.  Raises DegenerateBandwidthError when the median is out of
+    `sq` is the 1-D vector of squared distances, one per pair; it is
+    partitioned in place.  Even pair counts take the mean of the two central
+    order statistics; sqrt is monotone, so this is np.median of the distances
+    bit for bit.  Raises DegenerateBandwidthError when the median is out of
     the kernel's range: zero, or so small or large that 2h^2 is 0 or inf.
     """
-    n = D.shape[0]
-    pairs = n * (n - 1) // 2
-    # D holds n exact zeros on its diagonal and every pair twice, so the k-th
-    # smallest pair is the (n + 2k)-th and (n + 2k + 1)-th smallest entry of
-    # D.  With half = pairs // 2, entry n + 2 half is the upper central pair
-    # and entry n + 2 half - 1 the lower one of an even count.  sqrt is
-    # monotone, so the square roots of the central order statistics are those
-    # of the distances: this is np.median of the n(n-1)/2 pairwise distances
-    # bit for bit, without the square root of every pair.
-    lower, upper = _order_statistics(D, n + 2 * (pairs // 2))
-    central = np.array([upper] if pairs % 2 else [lower, upper])
+    half = sq.size // 2
+    sq.partition(half)
+    central = np.array([sq[half]] if sq.size % 2 else [sq[:half].max(), sq[half]])
     h = float(np.mean(np.sqrt(central)))
     if not _in_kernel_range(h):
         raise DegenerateBandwidthError(

@@ -411,6 +411,38 @@ def test_a_bad_bandwidth_exits_2_before_the_distance_pass(model8_csv, capsys, mo
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect-u", "{csv}"],
+        ["oracle-curve", "--input", "{csv}", "--segment-lengths", "60,60,60"],
+    ],
+    ids=["detect-u", "oracle-curve"],
+)
+def test_an_unwritable_output_exits_2_before_the_distance_pass(
+        model8_csv, tmp_path, capsys, monkeypatch, argv):
+    import mmdseg.kernel
+
+    passes = []
+    monkeypatch.setattr(mmdseg.kernel, "pdist", lambda *a, **k: passes.append(1))
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *(a.format(csv=model8_csv) for a in argv), "-o", str(target))
+    assert (code, out, passes) == (2, "", [])
+    assert json.loads(err) == {
+        "error": f"cannot write {target}: no directory {target.parent}", "kind": "configuration",
+    }
+
+
+def test_detect_checks_its_budget_before_reading_the_csv(model8_csv, capsys, monkeypatch):
+    def no_load(*args, **kwargs):
+        raise AssertionError("the CSV was read")
+
+    monkeypatch.setattr(mmdseg.cli, "load_csv", no_load)
+    code, out, err = run(capsys, "detect-s", str(model8_csv), "-K", "0")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "K must be >= 1, got 0", "kind": "configuration"}
+
+
 def test_simulate_non_finite_strength_writes_nothing(tmp_path, capsys):
     path = tmp_path / "s.csv"
     code, _, err = run(capsys, "simulate", str(path), "--model", "M2", "--lengths", "5,5",
@@ -537,7 +569,7 @@ def test_fuzzed_argv_and_config_end_in_result_or_json_error(
 
 
 def test_input_too_large_for_memory_is_data_error(model8_csv, capsys, monkeypatch):
-    def out_of_memory(data):
+    def out_of_memory(data, h=None):
         raise MemoryError(
             "Unable to allocate 149. GiB for an array with shape (19999900000,) "
             "and data type float64"

@@ -6,7 +6,6 @@ import textwrap
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial.distance import squareform
 
 import mmdseg.kernel
 from mmdseg import ModelSpec, generate, prepare
@@ -18,7 +17,7 @@ from reference import condensed_prepare, gaussian_kernel, quadrature_l2
 
 def scaled_l2(a, b):
     """The package's scaled L2 distance between two curves."""
-    return float(np.sqrt(squared_distances(as_dataset(np.vstack([a, b])))[0, 1]))
+    return float(np.sqrt(squared_distances(as_dataset(np.vstack([a, b])), 1.0)[0][0, 1]))
 
 
 def upper(D):
@@ -72,22 +71,27 @@ def test_median_heuristic_odd_count():
 def test_median_heuristic_even_count_midpoint():
     # perfect ruler 0, 1, 4, 6: pairwise distances {1, 2, 3, 4, 5, 6}
     data = np.vstack([np.full(4, v) for v in (0.0, 1.0, 4.0, 6.0)])
-    D = squared_distances(as_dataset(data))
+    D = squared_distances(as_dataset(data), 1.0)[0]
     assert sorted(np.sqrt(upper(D)).round(12)) == [1, 2, 3, 4, 5, 6]
     assert prepare(data)[0] == pytest.approx(3.5)
 
 
-# n + 1 observations, n(n + 1)/2 pairs: 1, 3, 6, 21, 1035, 500500, 501501 --
-# odd and even counts, the last two through the sampled bracket.
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 45, 1000, 1001])
-def test_median_heuristic_is_numpy_median_bit_for_bit(n):
+# n(n + 1)/2 pairs: 1, 3, 6, 21, 1035, 5050, ..., 500500, 501501 -- odd and
+# even counts.  The model8 cases prepare an n-curve model-8 draw.
+@pytest.mark.parametrize("n, model8", [
+    *(pytest.param(n, False, id=str(n)) for n in (1, 2, 3, 6, 45, 1000, 1001)),
+    *(pytest.param(n, True, id=f"model8-{n}") for n in (100, 300, 600, 1000)),
+])
+def test_median_heuristic_is_numpy_median_bit_for_bit(n, model8):
     rng = np.random.default_rng(n)
     pairs = n * (n + 1) // 2
     for sq in (rng.random(pairs) * 3.0, rng.integers(1, 4, size=pairs).astype(float)):  # ties
-        assert median_heuristic(squareform(sq)) == float(np.median(np.sqrt(sq)))
-    X = rng.normal(size=(n % 40 + 2, 5))
-    D = squared_distances(X)
-    assert median_heuristic(D) == float(np.median(np.sqrt(upper(D))))
+        assert median_heuristic(sq.copy()) == float(np.median(np.sqrt(sq)))
+    if model8:
+        X = generate(ModelSpec("8", (n // 3, n // 3, n - 2 * (n // 3)))).data
+    else:
+        X = rng.normal(size=(n % 40 + 2, 5))
+    assert prepare(X)[0] == float(np.median(np.sqrt(upper(squared_distances(X, 1.0)[0]))))
 
 
 def test_median_heuristic_degenerate():
@@ -179,56 +183,9 @@ def test_prepare_equals_the_condensed_route_bit_for_bit_at_n_1000():
 @pytest.mark.parametrize("n", [600, 602, 1000])  # 179700, 180901, 499500 pairs
 def test_the_exact_median_on_heavy_ties(n):
     X = _rows_with_repeats(np.random.default_rng(n), n, 40, integer=True)
-    D = squared_distances(X)
+    D, h = squared_distances(X)
     assert len(np.unique(upper(D))) < 30
-    assert median_heuristic(D) == float(np.median(np.sqrt(upper(D))))
-
-
-def _spy_passes(monkeypatch):
-    passes = []
-    bracket_pass = mmdseg.kernel._bracket_pass
-    monkeypatch.setattr(mmdseg.kernel, "_bracket_pass",
-                        lambda *a: passes.append(a[1:]) or bracket_pass(*a))
-    return passes
-
-
-@pytest.mark.parametrize(
-    "shift, rank",
-    [(10.0, 1), (10.0, 300001), (-10.0, 300001), (-10.0, 724 * 724 - 1)],
-    ids=["low-miss-min", "low-miss-mid", "high-miss-mid", "high-miss-max"],
-)
-def test_order_statistics_equal_a_sort_when_the_bracket_misses(shift, rank, monkeypatch):
-    # The bracket comes from every step-th entry.  Moving exactly those
-    # entries above (below) all the others puts the whole bracket above
-    # (below) these ranks, which unsampled entries hold: the first pass
-    # misses that side, and a second pass runs with it widened to infinity.
-    D = np.random.default_rng(7).random((724, 724))
-    values = D.reshape(-1)
-    values[:: mmdseg.kernel._sample_step(724)] += shift
-    passes = _spy_passes(monkeypatch)
-    got = mmdseg.kernel._order_statistics(D, rank)
-    assert got.tobytes() == np.sort(values)[rank - 1 : rank + 1].tobytes()
-    (lo, hi), widened = passes
-    assert widened == ((-np.inf, hi) if shift > 0 else (lo, np.inf))
-
-
-@pytest.mark.parametrize("n", [300, 1000, 1024])
-def test_the_sample_stride_is_prime_to_the_row_length(n):
-    # A stride sharing a factor with n samples only some columns.  At n=1000
-    # a stride of 16 sees only columns that are multiples of 8; on a model-8
-    # draw its median sat 2548 sample ranks off, beyond the bracket's slack.
-    step = mmdseg.kernel._sample_step(n)
-    assert step >= mmdseg.kernel._MIN_STEP and np.gcd(step, n) == 1
-    assert len({i % n for i in range(0, n * n, step)}) == n
-
-
-@pytest.mark.parametrize("n", [100, 300, 600, 1000])
-def test_the_bracket_takes_one_pass_on_a_model_draw(n, monkeypatch):
-    X = generate(ModelSpec("8", (n // 3, n // 3, n - 2 * (n // 3)))).data
-    D = squared_distances(X)
-    passes = _spy_passes(monkeypatch)
-    assert median_heuristic(D) == float(np.median(np.sqrt(upper(D))))
-    assert len(passes) == 1
+    assert h == float(np.median(np.sqrt(upper(D))))
 
 
 def test_an_input_too_large_for_memory_stops_before_the_distance_pass(monkeypatch):
@@ -270,10 +227,11 @@ def test_prepare_peaks_at_one_n_by_n_buffer():
     # The child reads only its own high-water mark.  The condensed route
     # rises by about 12 n^2 bytes (47.9 MB at n = 2000): the condensed vector, its
     # partition copy, and squareform's matrix beside the vector.  The one
-    # buffer rises by 8 n^2 and a few MB of block temporaries.
+    # buffer rises by 8 n^2: the median's copy lies in the buffer's free half,
+    # and the rows move one at a time with no block temporaries.
     child = subprocess.run(
         [sys.executable, "-c", _PEAK_OF_PREPARE], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     n = 2000
-    assert int(child.stdout) <= 1.25 * 8 * n * n
+    assert int(child.stdout) <= 1.05 * 8 * n * n
