@@ -29,9 +29,10 @@ def _is_number(token: str) -> bool:
 
 def load_csv(path) -> np.ndarray:
     """Rectangular numeric CSV, one observation per row; a non-numeric first
-    line is treated as a header and skipped.  Blank lines are ignored."""
+    line is treated as a header and skipped.  Blank lines and a UTF-8 byte
+    order mark are ignored."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = [(i, line) for i, line in enumerate(fh, start=1) if line.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -9,8 +9,10 @@ as_dataset validates the data; squared_distances makes the one distance
 pass into an (n, n) buffer and moves the pairs into both triangles.
 Between the pass and the move, median_heuristic reads the bandwidth from a
 copy of the pairs in the buffer's free half.  gram_matrix (at a checked
-bandwidth) then turns that same buffer into the Gram matrix, so the run's
-peak is one 8n^2-byte array.  `segment.prepare` chains them: it is the one
+bandwidth) then turns that same buffer into the Gram matrix.  A run peaks
+at that 8n^2-byte Gram, the rows, and 1 MiB of sweep or rank-mask scratch
+(`mmd._SCRATCH_BYTES`); only the near-tie recheck in `amoc.permutation_test`
+gathers an m x m copy.  `segment.prepare` chains them: it is the one
 public route to a Gram matrix.
 
 scipy is loaded at the first distance pass only, by `pdist`, and not at

@@ -30,9 +30,9 @@ MIN_SIDE = 2
 # floating-point cancellation gone wrong rather than roundoff.
 CLAMP_WARN_THRESHOLD = -1e-9
 
-# Entries per chunk of rho_values' prefix sums and of permuted_maxima's rank
-# masks; bounds their temporaries.
-_MASK_CELLS = 1 << 20
+# Bytes of each temporary of rho_values' prefix sums and of permuted_maxima's
+# rank masks; a chunk takes _SCRATCH_BYTES // itemsize cells.
+_SCRATCH_BYTES = 1 << 20
 
 
 def _clamp_nonnegative(values: np.ndarray) -> np.ndarray:
@@ -88,14 +88,14 @@ def admissible_range(n: int, delta: float) -> tuple[int, int]:
 def rho_values(gram: np.ndarray) -> np.ndarray:
     """Split statistic t(n-t)/n^2 * d(first t, rest) for every t = 1..n-1.
 
-    Row prefix sums are taken a block of about _MASK_CELLS cells at a time,
-    into one buffer that every block reuses, so no n x n temporary is made;
-    each row's sum runs in the same order.
+    Row prefix sums are taken into one buffer of _SCRATCH_BYTES (or of one
+    row, if larger) that every block of rows reuses, so no n x n temporary
+    is made; each row's sum runs in the same order whatever the block size.
     """
     n = gram.shape[0]
     row_prefix_diag = np.empty(n)  # sum of row i through column i
     rows = np.empty(n)
-    step = min(max(1, _MASK_CELLS // n), n)
+    step = min(max(1, _SCRATCH_BYTES // (8 * n)), n)
     buffer = np.empty((step, n))
     for lo in range(0, n, step):
         block = gram[lo : lo + step]
@@ -121,7 +121,9 @@ def permuted_maxima(gram: np.ndarray, perms, delta: float) -> np.ndarray:
     permutation p, the strict-lower row sums of the reordered matrix are
     S[a] = sum_b gram[a, b] [r_b < r_a] on the matrix as it is, so one
     rank mask per draw replaces the m x m gather and its cumulative sum.
-    Draws go through in chunks of about _MASK_CELLS mask entries.  The sums
+    Each bool mask takes at most _SCRATCH_BYTES: draws go through in chunks
+    of that many cells, and a draw whose mask is larger (m > 1024) sums a
+    span of rows per mask; no row sum's order depends on either.  The sums
     run in another order than rho_curve's, so the maxima agree with it to
     roundoff, not bit for bit.
     """
@@ -133,10 +135,15 @@ def permuted_maxima(gram: np.ndarray, perms, delta: float) -> np.ndarray:
     diag = np.diagonal(gram)
     rows = gram.sum(axis=1)
     out = np.empty(perms.shape[0])
-    step = max(1, _MASK_CELLS // (m * m))
+    step = max(1, _SCRATCH_BYTES // (m * m))  # draws per chunk
+    span = min(max(1, _SCRATCH_BYTES // m), m)  # mask rows per einsum
     for lo in range(0, perms.shape[0], step):
         p, r = perms[lo : lo + step], ranks[lo : lo + step]
-        lower = np.einsum("cab,ab->ca", r[:, None, :] < r[:, :, None], gram)
+        lower = np.empty(p.shape)
+        for a in range(0, m, span):
+            q = slice(a, a + span)
+            # unnamed, the mask is freed before the next (named: 45% slower)
+            np.einsum("cab,ab->ca", r[:, None, :] < r[:, q, None], gram[q], out=lower[:, q])
         wl_rows = 2.0 * np.take_along_axis(lower, p, axis=1) + diag[p]
         values = _rho_from_rows(wl_rows, rows[p])
         out[lo : lo + step] = values[:, t_min - 1 : t_max].max(axis=1)

@@ -40,6 +40,18 @@ def test_csv_header_detection(tmp_path):
     assert data.shape == (2, 3)
 
 
+def test_csv_byte_order_mark_before_a_numeric_row_keeps_every_row(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.5,2\n3,4\n5,6\n")
+    assert np.array_equal(load_csv(path), [[1.5, 2], [3, 4], [5, 6]])
+
+
+def test_csv_byte_order_mark_before_a_header_skips_the_header(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbft1,t2\n1,2\n3,4\n")
+    assert np.array_equal(load_csv(path), [[1, 2], [3, 4]])
+
+
 def test_csv_ragged_row_names_location(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2,3\n4,5\n")

@@ -206,32 +206,63 @@ def test_the_memory_check_is_skipped_without_a_reading(monkeypatch):
     assert prepare(np.eye(3))[1].shape == (3, 3)
 
 
-_PEAK_OF_PREPARE = textwrap.dedent("""
+_HIGH_WATER_RISE = textwrap.dedent("""
     import numpy as np
-    from mmdseg import prepare
+    from mmdseg import AmocConfig, detect_s, permutation_test, prepare
 
     def high_water_mark():
         with open("/proc/self/status") as fh:
             return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
 
-    X = np.random.default_rng(0).normal(size=(2000, 8))
-    prepare(X[:100])  # every module loaded
+    X = np.random.default_rng(0).normal(size=({n}, 8))
+    {warm}  # every module loaded
     before = high_water_mark()
-    prepare(X)
+    {run}
     print(high_water_mark() - before)
 """)
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_prepare_peaks_at_one_n_by_n_buffer():
-    # The child reads only its own high-water mark.  The condensed route
-    # rises by about 12 n^2 bytes (47.9 MB at n = 2000): the condensed vector, its
-    # partition copy, and squareform's matrix beside the vector.  The one
-    # buffer rises by 8 n^2: the median's copy lies in the buffer's free half,
-    # and the rows move one at a time with no block temporaries.
+def high_water_rise(n, warm, run):
+    """Bytes by which `run` raises a fresh process's high-water mark, after
+    `warm`; the child reads only its own /proc/self/status."""
+    script = _HIGH_WATER_RISE.format(n=n, warm=warm, run=run)
     child = subprocess.run(
-        [sys.executable, "-c", _PEAK_OF_PREPARE], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
+    return int(child.stdout)
+
+
+needs_proc_status = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+
+
+@needs_proc_status
+def test_prepare_peaks_at_one_n_by_n_buffer():
+    # The condensed route rises by about 12 n^2 bytes (47.9 MB at n = 2000):
+    # the condensed vector, its partition copy, and squareform's matrix beside
+    # the vector.  The one buffer rises by 8 n^2: the median's copy lies in the
+    # buffer's free half, and the rows move one at a time with no block
+    # temporaries.
     n = 2000
-    assert int(child.stdout) <= 1.05 * 8 * n * n
+    assert high_water_rise(n, "prepare(X[:100])", "prepare(X)") <= 1.05 * 8 * n * n
+
+
+@needs_proc_status
+def test_a_detection_peaks_at_its_gram():
+    # The sweeps of the supervised rounds work in mmd._SCRATCH_BYTES (1 MiB,
+    # 0.03 x 8n^2 here) on top of the Gram; a sweep buffer of 2^20 float64
+    # cells (8 MiB) would take the rise to 1.26 x 8n^2.
+    n = 2000
+    assert high_water_rise(n, "detect_s(X[:100], 2)", "detect_s(X, 2)") <= 1.05 * 8 * n * n
+
+
+@needs_proc_status
+def test_a_permutation_test_adds_at_most_its_scratch():
+    # On a Gram that already exists, a test's sweep and its rank masks each
+    # take at most 1 MiB; an 8 MiB sweep buffer would take the rise to 7.9 MiB,
+    # and a whole m^2-byte mask per draw (2.25 MB at m = 1500) to 2.3 MiB.
+    warm = "G = prepare(X)[1]; permutation_test(G[:100, :100], AmocConfig(R=3))"
+    rise = high_water_rise(1500, warm, "permutation_test(G, AmocConfig(R=3))")
+    assert rise <= 2 * 1024 * 1024

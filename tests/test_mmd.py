@@ -8,6 +8,7 @@ from mmdseg import (
     rho_curve,
     rho_values,
 )
+import mmdseg.mmd
 from mmdseg.errors import ConfigurationError
 from mmdseg.mmd import admissible_range, permuted_maxima
 from mmdseg.rng import permutation_stream
@@ -157,8 +158,8 @@ def test_mixture_blocks_never_exceed_pure_pool_distance():
 @pytest.mark.parametrize(
     "m, R",
     # 100 and 300: R is not a multiple of the draws per chunk (104 and 11);
-    # 1024: one draw fills a chunk
-    [*((m, 199) for m in (*range(4, 13), 16, 24, 40, 100)), (300, 25), (1024, 2)],
+    # 1024: one draw fills a chunk; 1100: one draw's mask takes two spans of rows
+    [*((m, 199) for m in (*range(4, 13), 16, 24, 40, 100)), (300, 25), (1024, 2), (1100, 2)],
 )
 def test_permuted_maxima_match_gathered_route(m, R):
     G = random_gram(m, n=m)
@@ -169,3 +170,14 @@ def test_permuted_maxima_match_gathered_route(m, R):
         rtol=0,
         atol=1e-12,
     )
+
+
+@pytest.mark.parametrize("m, R", [(40, 30), (300, 5), (1100, 2)])
+@pytest.mark.parametrize("budget", [1, 1000])  # one row per chunk and per span; uneven ones
+def test_the_scratch_budget_changes_no_bit(m, R, budget, monkeypatch):
+    G = random_gram(m, n=m)
+    perms = np.array([permutation_stream(m, r).permutation(m) for r in range(1, R + 1)])
+    curve, maxima = rho_values(G), permuted_maxima(G, perms, 0.05)
+    monkeypatch.setattr(mmdseg.mmd, "_SCRATCH_BYTES", budget)
+    assert np.array_equal(rho_values(G), curve)
+    assert np.array_equal(permuted_maxima(G, perms, 0.05), maxima)
