@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import mmd
 from .errors import ConfigurationError
-from .mmd import permuted_maxima, rho_curve, splittable
 from .rng import check_seed, permutation_chunks
 
 # permuted_maxima agrees with rho_curve on a reordered copy of the block to
@@ -81,12 +81,14 @@ def _accept_count(config: AmocConfig) -> int:
     return h
 
 
-def _chunk_ends(R: int, h: int) -> list[int]:
-    """Draw counts after each chunk: 2h draws, then chunks doubling, up to R.
-    Small first chunks matter: a test that accepts early stops after few."""
+def _chunk_ends(R: int, h: int, m: int) -> list[int]:
+    """Draw counts after chunks of 2h, 4h, 8h, ... draws (an early accept stops
+    after few) up to R, each capped to the draws and ranks mmd._SCRATCH_BYTES fits."""
+    cell = np.dtype(np.intp).itemsize + np.min_scalar_type(m).itemsize
+    cap = max(1, mmd._SCRATCH_BYTES // (cell * m))
     ends, drawn, chunk = [], 0, max(2 * h, 1)
     while drawn < R:
-        drawn = min(drawn + chunk, R)
+        drawn = min(drawn + min(chunk, cap), R)
         ends.append(drawn)
         chunk *= 2
     return ends
@@ -105,29 +107,28 @@ def permutation_test(
     comes from rank-masked sums over the block (`permuted_maxima`), never
     from recomputed kernel values.
 
-    By default all R draws are made.  With stop_on_accept the draws come in
-    chunks of 2h, 4h, 8h, ... (h = _accept_count(config)), and the test stops
-    at the draw L that brings the exceedance count to h.  It then reports
-    p = h / L, or (1 + h) / (L + 1) under add_one, and permutation_stats
-    holds those L draws.  A test that never reaches h makes all R draws and
-    reports what the full run reports; every decision equals the full run's.
+    Draws come in the chunks of `_chunk_ends`, and the test stops at the draw
+    L that brings the exceedance count to h.  By default h = R + 1, which no
+    count reaches, so all R draws are made.  With stop_on_accept h is
+    _accept_count(config): the test then reports p = h / L, or (1 + h) / (L + 1)
+    under add_one, and permutation_stats holds those L draws.  Chunking changes
+    no bit, and every decision equals the full run's.
     """
     m = block.shape[0]
-    if not splittable(m, config.delta):
+    if not mmd.splittable(m, config.delta):
         raise ConfigurationError(f"block of {m} observations is too short to test")
-    tau_hat, T_n = rho_curve(block, config.delta)
+    tau_hat, T_n = mmd.rho_curve(block, config.delta)
 
-    h = _accept_count(config) if stop_on_accept else None
-    ends = [config.R] if h is None else _chunk_ends(config.R, h)
+    h = _accept_count(config) if stop_on_accept else config.R + 1
     stats = np.empty(0)
-    for perms in permutation_chunks(config.seed, m, ends):
-        chunk = permuted_maxima(block, perms, config.delta)
+    for perms in permutation_chunks(config.seed, m, _chunk_ends(config.R, h, m)):
+        chunk = mmd.permuted_maxima(block, perms, config.delta)
         for i in np.flatnonzero(np.abs(chunk - T_n) <= TIE_BAND):
             p = perms[i]
-            chunk[i] = rho_curve(block[np.ix_(p, p)], config.delta)[1]
+            chunk[i] = mmd.rho_curve(block[np.ix_(p, p)], config.delta)[1]
         stats = np.concatenate((stats, chunk))
         hits = np.flatnonzero(stats >= T_n if config.add_one else stats > T_n)
-        if h is not None and hits.size >= h:
+        if hits.size >= h:
             stats = stats[: hits[h - 1] + 1 if h else 0]
             hits = hits[:h]
             break

@@ -10,10 +10,10 @@ pass into an (n, n) buffer and moves the pairs into both triangles.
 Between the pass and the move, median_heuristic reads the bandwidth from a
 copy of the pairs in the buffer's free half.  gram_matrix (at a checked
 bandwidth) then turns that same buffer into the Gram matrix.  A run peaks
-at that 8n^2-byte Gram, the rows, and 1 MiB of sweep or rank-mask scratch
-(`mmd._SCRATCH_BYTES`); only the near-tie recheck in `amoc.permutation_test`
-gathers an m x m copy.  `segment.prepare` chains them: it is the one
-public route to a Gram matrix.
+at that 8n^2-byte Gram, the rows, and 1 MiB (`mmd._SCRATCH_BYTES`) for each
+sweep buffer, rank mask, and chunk of permutation draws with their ranks;
+only the near-tie recheck in `amoc.permutation_test` gathers an m x m copy.
+`segment.prepare` chains them: it is the one public route to a Gram matrix.
 
 scipy is loaded at the first distance pass only, by `pdist`, and not at
 import: the generators, the oracle curve, the metrics and the CLI's checks

@@ -30,8 +30,8 @@ MIN_SIDE = 2
 # floating-point cancellation gone wrong rather than roundoff.
 CLAMP_WARN_THRESHOLD = -1e-9
 
-# Bytes of each temporary of rho_values' prefix sums and of permuted_maxima's
-# rank masks; a chunk takes _SCRATCH_BYTES // itemsize cells.
+# Bytes of each scratch temporary: rho_values' prefix sums, permuted_maxima's
+# rank masks, and amoc.permutation_test's chunks of draws with their ranks.
 _SCRATCH_BYTES = 1 << 20
 
 

@@ -44,6 +44,8 @@ from reference import (
     squared_l2_norm,
 )
 
+pytestmark = pytest.mark.acceptance  # `pytest -m "not acceptance"` runs the unit tier alone
+
 SEED = 20260808
 WORKERS = 2
 Z = 2.0  # standard errors a rate may fall short of its gate

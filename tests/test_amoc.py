@@ -1,8 +1,11 @@
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import mmdseg.mmd
 from mmdseg import (
     AmocConfig,
     detect_u,
@@ -12,6 +15,7 @@ from mmdseg import (
     prepare,
     rho_curve,
 )
+from mmdseg.amoc import _accept_count, _chunk_ends
 from mmdseg.mmd import splittable
 from mmdseg.errors import ConfigurationError
 from mmdseg.rng import TAG_PERMUTATION, _key, mix64, permutation_chunks, permutation_stream
@@ -229,6 +233,44 @@ def test_early_accept_keeps_every_decision(m):
             assert early.p_value == ((1 + h) / (L + 1) if add_one else h / L)
             assert early.p_value >= cfg.alpha and not early.reject
     assert stopped > 0
+
+
+def test_a_test_that_cannot_reject_accepts_at_once():
+    # With add_one at R = 19 the smallest p-value, 1/20, equals alpha: h = 0,
+    # so an early-stopping test accepts at once, and a full run cannot reject
+    # even when no draw reaches T.
+    cfg = AmocConfig(R=19, add_one=True)
+    assert _accept_count(cfg) == 0
+    G = prepare(separated_pools(np.random.default_rng(0), (20, 20)))[1]
+    early = permutation_test(G, cfg, stop_on_accept=True)
+    assert early.p_value == 1.0 and early.permutation_stats.size == 0 and not early.reject
+    full = permutation_test(G, cfg)
+    assert full.p_value == 0.05 and full.permutation_stats.size == 19 and not full.reject
+
+
+def test_chunk_ends_at_the_default_budget():
+    for m in (4, 40, 300):
+        assert _chunk_ends(199, 200, m) == [199]  # a full run: h = R + 1
+        assert _chunk_ends(199, 10, m) == [20, 60, 140, 199]
+    assert _chunk_ends(19, 0, 40) == [1, 3, 7, 15, 19]  # h = 0 still draws
+    assert _chunk_ends(199, 200, 1500) == [69, 138, 199]  # 69 draws of 10 bytes x m
+
+
+@given(
+    R=st.integers(1, 3000),
+    h=st.integers(0, 3001),
+    m=st.integers(4, 70000),
+    budget=st.sampled_from([1, 1000, 1 << 20]),
+)
+def test_chunk_ends_rise_to_R_in_chunks_within_the_budget(R, h, m, budget):
+    h = min(h, R + 1)
+    cell = np.dtype(np.intp).itemsize + np.min_scalar_type(m).itemsize  # a draw and its rank
+    with patch.object(mmdseg.mmd, "_SCRATCH_BYTES", budget):  # read at call time
+        ends = _chunk_ends(R, h, m)
+    chunks = np.diff([0, *ends])
+    assert ends[-1] == R and np.all(chunks > 0)
+    assert np.all((chunks == 1) | (chunks * m * cell <= budget))
+    assert chunks[0] == min(max(2 * h, 1), R, max(1, budget // (m * cell)))
 
 
 @pytest.mark.xfail(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmdseg.kernel
+import mmdseg.mmd
 from mmdseg import ModelSpec, generate, prepare
 from mmdseg.errors import ConfigurationError, DataError, DegenerateBandwidthError
 from mmdseg.kernel import as_dataset, median_heuristic, squared_distances
@@ -266,3 +267,15 @@ def test_a_permutation_test_adds_at_most_its_scratch():
     warm = "G = prepare(X)[1]; permutation_test(G[:100, :100], AmocConfig(R=3))"
     rise = high_water_rise(1500, warm, "permutation_test(G, AmocConfig(R=3))")
     assert rise <= 2 * 1024 * 1024
+
+
+@needs_proc_status
+@pytest.mark.parametrize("R, stop", [(199, False), (999, False), (999, True)])
+def test_a_permutation_test_holds_its_draws_in_scratch(R, stop):
+    # A chunk of draws with their ranks fits in the budget, and so does a rank
+    # mask; with per-draw rows and the allocator's slack the rise is 2.5 MiB.
+    # One (R, m) block of draws and ranks at once took it to 3.96 MiB
+    # (R = 199), 15.4 MiB (R = 999) and 4.8 MiB (R = 999, stopping early).
+    warm = "G = prepare(X)[1]; permutation_test(G[:100, :100], AmocConfig(R=3))"
+    run = f"permutation_test(G, AmocConfig(R={R}), stop_on_accept={stop})"
+    assert high_water_rise(1500, warm, run) <= 3 * mmdseg.mmd._SCRATCH_BYTES

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmdseg import (
+    AmocConfig,
     oracle_curve,
+    permutation_test,
     prepare,
     rho_curve,
     rho_values,
@@ -181,3 +183,22 @@ def test_the_scratch_budget_changes_no_bit(m, R, budget, monkeypatch):
     monkeypatch.setattr(mmdseg.mmd, "_SCRATCH_BYTES", budget)
     assert np.array_equal(rho_values(G), curve)
     assert np.array_equal(permuted_maxima(G, perms, 0.05), maxima)
+
+
+@pytest.mark.parametrize("m", [40, 300, 1100])
+def test_the_scratch_budget_changes_no_permutation_test_bit(m, monkeypatch):
+    # At 1 or 1000 bytes every chunk of draws holds one or two draws, and at
+    # m = 1100 the default budget splits R = 99 draws too (95 + 4); each draw
+    # has its own key, so full and early-stopping tests agree bit for bit.
+    G, cfg = random_gram(m, n=m), AmocConfig(R=99, seed=m)
+
+    def outcomes():
+        return [permutation_test(G, cfg, stop_on_accept=stop) for stop in (False, True)]
+
+    default = outcomes()
+    assert default[1].permutation_stats.size < cfg.R  # the null block stops early
+    for budget in (1, 1000):
+        monkeypatch.setattr(mmdseg.mmd, "_SCRATCH_BYTES", budget)
+        for got, want in zip(outcomes(), default):
+            assert got.p_value == want.p_value and got.tau_hat == want.tau_hat
+            assert np.array_equal(got.permutation_stats, want.permutation_stats)
