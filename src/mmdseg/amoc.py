@@ -111,8 +111,8 @@ def permutation_test(
     L that brings the exceedance count to h.  By default h = R + 1, which no
     count reaches, so all R draws are made.  With stop_on_accept h is
     _accept_count(config): the test then reports p = h / L, or (1 + h) / (L + 1)
-    under add_one, and permutation_stats holds those L draws.  Chunking changes
-    no bit, and every decision equals the full run's.
+    under add_one, and permutation_stats holds those L draws (none when h = 0).
+    Chunking changes no bit, and every decision equals the full run's.
     """
     m = block.shape[0]
     if not mmd.splittable(m, config.delta):
@@ -120,8 +120,9 @@ def permutation_test(
     tau_hat, T_n = mmd.rho_curve(block, config.delta)
 
     h = _accept_count(config) if stop_on_accept else config.R + 1
-    stats = np.empty(0)
-    for perms in permutation_chunks(config.seed, m, _chunk_ends(config.R, h, m)):
+    stats, hits = np.empty(0), np.empty(0, dtype=np.intp)
+    # h = 0: even no exceedance gives p >= alpha, so the test accepts undrawn
+    for perms in permutation_chunks(config.seed, m, _chunk_ends(config.R, h, m)) if h else ():
         chunk = mmd.permuted_maxima(block, perms, config.delta)
         for i in np.flatnonzero(np.abs(chunk - T_n) <= TIE_BAND):
             p = perms[i]
@@ -129,7 +130,7 @@ def permutation_test(
         stats = np.concatenate((stats, chunk))
         hits = np.flatnonzero(stats >= T_n if config.add_one else stats > T_n)
         if hits.size >= h:
-            stats = stats[: hits[h - 1] + 1 if h else 0]
+            stats = stats[: hits[h - 1] + 1]
             hits = hits[:h]
             break
 

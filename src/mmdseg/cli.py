@@ -323,10 +323,9 @@ def _add_budget(sub, names):
     sub.set_defaults(**dict.fromkeys(_BUDGET_FLAGS))
 
 
-def _add_model(sub, required=False):
-    sub.add_argument("--model", choices=MODEL_IDS, required=required, help="model id")
-    sub.add_argument("--lengths", type=int_list, required=required,
-                     help="comma-separated segment lengths")
+def _add_model(sub):
+    sub.add_argument("--model", choices=MODEL_IDS, help="model id")
+    sub.add_argument("--lengths", type=int_list, help="comma-separated segment lengths")
     sub.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
                      help=f"grid points (default {DEFAULT_GRID_SIZE})")
     sub.add_argument("--param", type=_param, action="append",
@@ -376,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_oracle_curve, seed=None, grid_size=None)
 
     sub = subs.add_parser("benchmark", help="Monte Carlo success rates for one cell")
-    _add_model(sub, required=True)
-    sub.add_argument("--algorithm", choices=tuple(BUDGETS), required=True)
+    _add_model(sub)
+    sub.add_argument("--algorithm", choices=tuple(BUDGETS))
     sub.add_argument("--replications", type=int, default=100)
     _add_budget(sub, _BUDGET_FLAGS)
     sub.add_argument("--workers", type=int, default=1, help="parallel replication workers")

@@ -102,27 +102,19 @@ def _basis(kind: str, q: int, p: int) -> np.ndarray:
     if kind == "sine":
         j = np.arange(1, q + 1)[:, None]
         return np.sqrt(2.0) * np.sin(j * np.pi * t)
-    if kind == "paired_trig":
-        # row 0 constant, then sqrt(2) sin(2 pi l t - pi), sqrt(2) cos(2 pi l t - pi)
-        rows = [np.ones(p)]
-        for l in range(1, (q - 1) // 2 + 1):
-            rows.append(np.sqrt(2.0) * np.sin(2.0 * np.pi * l * t - np.pi))
-            rows.append(np.sqrt(2.0) * np.cos(2.0 * np.pi * l * t - np.pi))
-        return np.vstack(rows[:q])
-    # "fourier", the classical Fourier system: 1, then sin/cos pairs at frequency l
+    # "fourier", the classical Fourier system: 1, then sqrt(2) sin and cos of
+    # 2 pi l t at l = 1, 2, ...; "paired_trig" shifts each argument by pi
+    shift = np.pi if kind == "paired_trig" else 0.0
     rows = [np.ones(p)]
-    l = 1
-    while len(rows) < q:
-        rows.append(np.sqrt(2.0) * np.sin(2.0 * np.pi * l * t))
-        if len(rows) < q:
-            rows.append(np.sqrt(2.0) * np.cos(2.0 * np.pi * l * t))
-        l += 1
-    return np.vstack(rows)
+    for l in range(1, q // 2 + 1):
+        rows.append(np.sqrt(2.0) * np.sin(2.0 * np.pi * l * t - shift))
+        rows.append(np.sqrt(2.0) * np.cos(2.0 * np.pi * l * t - shift))
+    return np.vstack(rows[:q])
 
 
-# Eigenvalue theta_j of each decay, as a function of the index j.
+# Eigenvalue theta_j of each decay, as a function of the index j = 1, 2, ...
 _DECAYS = {
-    "geometric": lambda j: 0.7 * 2.0 ** (-j),  # j from 0
+    "geometric": lambda j: 0.7 * 2.0 ** (1 - j),
     "exp3": lambda j: np.exp(-j / 3.0),
     "exp": lambda j: np.exp(-j),
     "invsq": lambda j: j ** (-2.0),
@@ -130,8 +122,8 @@ _DECAYS = {
 }
 
 
-def _theta(kind: str, q: int, start: int = 1) -> np.ndarray:
-    return _DECAYS[kind](np.arange(start, start + q, dtype=np.float64))
+def _theta(kind: str, q: int) -> np.ndarray:
+    return _DECAYS[kind](np.arange(1, q + 1, dtype=np.float64))
 
 
 def _mu_bumpy(t, c=None):
@@ -182,21 +174,20 @@ class _Bridge(NamedTuple):
 
 class _KL(NamedTuple):
     """mean(t, c) plus a truncated basis expansion: q functions of the
-    basis, eigenvalues scale(c) * theta_j of the decay for j from start,
-    and coefficients of the noise."""
+    basis, eigenvalues scale(c) * theta_j of the decay for j = 1..q, and
+    coefficients of the noise."""
 
     basis: str
     q: int
     decay: str
-    start: int
     mean: Callable = lambda t, c: 0.0
     noise: str = "gaussian"
     scale: Callable = lambda c: 1.0
 
 
-_TRIG = ("paired_trig", 151, "geometric", 0)
-_SINE40_INVSQ = ("sine", 40, "invsq", 1)
-_SINE50_EXP3 = ("sine", 50, "exp3", 1)
+_TRIG = ("paired_trig", 151, "geometric")
+_SINE40_INVSQ = ("sine", 40, "invsq")
+_SINE50_EXP3 = ("sine", 50, "exp3")
 _TIMES3 = lambda c: 3.0
 
 # Every model, in catalog order, with one population row per segment.
@@ -216,21 +207,21 @@ _CATALOG = {
     "3": (_KL(*_TRIG, _wiggly(_mu_bumpy, 0.8)), _KL(*_TRIG, _wiggly(_mu_cubic, 0.6))),
     "4": (_Bridge(), _Bridge(lambda t, c: np.sin(t))),
     "5": (_KL(*_SINE40_INVSQ), _KL(*_SINE40_INVSQ, scale=_TIMES3)),
-    "6": (_KL("sine", 50, "invsq", 1), _KL("sine", 50, "exp", 1)),
-    "7": (_KL(*_SINE40_INVSQ), _KL("fourier", 40, "invsq", 1)),
+    "6": (_KL("sine", 50, "invsq"), _KL("sine", 50, "exp")),
+    "7": (_KL(*_SINE40_INVSQ), _KL("fourier", 40, "invsq")),
     "8": (
         _KL(*_TRIG, _mu_bumpy),
         _KL(*_TRIG, _wiggly(_mu_cubic, 1.5)),
         _KL(*_TRIG, _mu_cubic),
     ),
     "9": (_Bridge(), _Bridge(lambda t, c: t), _Bridge()),
-    "10": (_KL("sine", 50, "invsq", 1), _KL("sine", 50, "inv105", 1), _KL("sine", 50, "exp", 1)),
+    "10": (_KL("sine", 50, "invsq"), _KL("sine", 50, "inv105"), _KL("sine", 50, "exp")),
     "11": (
         _KL(*_SINE40_INVSQ, noise="t3_scaled"),
         _KL(*_SINE40_INVSQ, noise="t3_scaled", scale=_TIMES3),
         _KL(*_SINE40_INVSQ, noise="t3_scaled"),
     ),
-    "12": (_KL("sine", 40, "exp3", 1), _KL("fourier", 40, "exp3", 1), _KL("sine", 40, "exp3", 1)),
+    "12": (_KL("sine", 40, "exp3"), _KL("fourier", 40, "exp3"), _KL("sine", 40, "exp3")),
     "M1": (_Bridge(), _Bridge(lambda t, c: c * np.sin(t))),
     "M2": (_KL(*_SINE40_INVSQ), _KL(*_SINE40_INVSQ, scale=lambda c: c)),
 }
@@ -244,7 +235,7 @@ def _sample(row, rng, n: int, t: np.ndarray, c) -> np.ndarray:
     mean = np.asarray(row.mean(t, c), dtype=np.float64)
     if isinstance(row, _Bridge):
         return _bb_sample(rng, n, t.size, mean)
-    theta = row.scale(c) * _theta(row.decay, row.q, start=row.start)
+    theta = row.scale(c) * _theta(row.decay, row.q)
     return _kl_sample(rng, n, _basis(row.basis, row.q, t.size), theta, row.noise, mean)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import mmdseg.amoc
 import mmdseg.mmd
 from mmdseg import (
     AmocConfig,
@@ -246,6 +247,21 @@ def test_a_test_that_cannot_reject_accepts_at_once():
     assert early.p_value == 1.0 and early.permutation_stats.size == 0 and not early.reject
     full = permutation_test(G, cfg)
     assert full.p_value == 0.05 and full.permutation_stats.size == 19 and not full.reject
+
+
+def test_a_test_with_h_zero_accepts_before_any_draw(monkeypatch):
+    calls = []
+    chunks, maxima = mmdseg.amoc.permutation_chunks, mmdseg.mmd.permuted_maxima
+    monkeypatch.setattr(mmdseg.amoc, "permutation_chunks",
+                        lambda *a: calls.append("chunks") or chunks(*a))
+    monkeypatch.setattr(mmdseg.mmd, "permuted_maxima",
+                        lambda *a: calls.append("maxima") or maxima(*a))
+    G = prepare(separated_pools(np.random.default_rng(0), (20, 20)))[1]
+    early = permutation_test(G, AmocConfig(R=19, add_one=True), stop_on_accept=True)
+    assert calls == []
+    assert early.p_value == 1.0 and early.permutation_stats.size == 0 and not early.reject
+    permutation_test(G, AmocConfig(R=19, add_one=True))  # a full run still draws
+    assert calls == ["chunks", "maxima"]
 
 
 def test_chunk_ends_at_the_default_budget():

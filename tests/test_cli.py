@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def model8_csv(tmp_path_factory):
 def test_simulate_writes_data_and_sidecar(model8_csv):
     data = load_csv(model8_csv)
     assert data.shape == (180, 128)
-    sidecar = json.loads(open(truth_sidecar_path(model8_csv)).read())
+    sidecar = json.loads(Path(truth_sidecar_path(model8_csv)).read_text())
     assert sidecar["boundaries"] == [60, 120]
     assert sidecar["model"] == "8"
 
@@ -699,3 +700,32 @@ def test_benchmark_reports_lower_bound_zero_for_ss_without_lower(capsys):
     explicit = json.loads(out)["cells"][0]
     assert row["rate_match"] == explicit["rate_match"]
     assert row["rate_k_correct"] == explicit["rate_k_correct"]
+
+
+def _rows_without_wall_clock(out):
+    return [{k: v for k, v in row.items() if not k.endswith("_seconds")}
+            for row in json.loads(out)["cells"]]
+
+
+def test_benchmark_takes_every_flag_from_a_config_file(tmp_path, capsys):
+    flags = ["--model", "8", "--lengths", "20,20,20", "--algorithm", "ss", "--upper", "2",
+             "--replications", "2", "-R", "9"]
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("model=8\nlengths=20,20,20\nalgorithm=ss\nupper=2\n"
+                   "replications=2\npermutations=9\n")
+    code, by_flags, _ = run(capsys, "benchmark", *flags)
+    assert code == 0
+    code, by_config, _ = run(capsys, "benchmark", "--config", str(cfg))
+    assert code == 0
+    assert _rows_without_wall_clock(by_config) == _rows_without_wall_clock(by_flags)
+
+
+def test_benchmark_without_an_algorithm_is_a_configuration_error(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("model=N4\nlengths=24\n")
+    code, out, err = run(capsys, "benchmark", "--config", str(cfg), "--replications", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "algorithm must be one of ('u', 's', 'ss', 'forward'), got None",
+        "kind": "configuration",
+    }

@@ -78,6 +78,19 @@ def test_kl_curve_zero_eigenvalues_returns_mean():
     assert np.array_equal(curves, np.tile(mean, (4, 1)))
 
 
+@pytest.mark.parametrize("q", [1, 2, 40, 151])
+def test_both_trig_bases_have_q_rows_and_differ_by_sign(q):
+    fourier, paired = _basis("fourier", q, 64), _basis("paired_trig", q, 64)
+    assert fourier.shape == paired.shape == (q, 64)
+    assert np.array_equal(paired[0], fourier[0])  # the constant row
+    assert np.allclose(paired[1:], -fourier[1:])  # sin and cos shifted by pi
+
+
+def test_geometric_decay_halves_from_0_7():
+    for q in (1, 40, 151):
+        assert np.array_equal(_theta("geometric", q), 0.7 * 2.0 ** -np.arange(q))
+
+
 def test_n4_variance_matches_truncated_series():
     basis = _basis("sine", 40, 128)
     theta = _theta("invsq", 40)
