@@ -10,7 +10,6 @@ replications of every cell form one job list, run on one pool of processes.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,16 +46,14 @@ class BenchmarkCell:
 
 
 def run_replication(cell: BenchmarkCell, base_seed: int) -> dict:
-    """One draw-and-detect round; every field of the record is derived
-    deterministically from base_seed, never from global state."""
+    """One draw-and-detect round; every field of the record derives from
+    (cell, base_seed) alone, never from global state or the clock."""
     model = replace(cell.model, seed=derive_seed(base_seed, TAG_DATA))
     sample = generate(model)
     config = replace(cell.config, seed=derive_seed(base_seed, TAG_ALGO))
-    t0 = time.perf_counter()
     det = detect(
         cell.algorithm, sample.data, config, cell.bandwidth, K=cell.K, K_l=cell.K_l, K_u=cell.K_u
     )
-    seconds = time.perf_counter() - t0
     est, truth = det.segmentation, sample.truth
     return {
         "k_correct": est.k == truth.k,
@@ -68,7 +65,6 @@ def run_replication(cell: BenchmarkCell, base_seed: int) -> dict:
             if est.k > 0 and truth.k > 0
             else None
         ),
-        "seconds": seconds,
     }
 
 
@@ -113,7 +109,6 @@ def run_benchmark(cells, replications: int, seed: int = 0, workers: int = 1) -> 
         cell_records = records[ci * replications:(ci + 1) * replications]
         rates = {key: float(np.mean([r[key] for r in cell_records])) for key in RATES}
         h_values = [r["hausdorff"] for r in cell_records if r["hausdorff"] is not None]
-        seconds = [r["seconds"] for r in cell_records]
         rows.append({
             "label": cell.label or f"cell{ci}",
             "model": cell.model.model_id,
@@ -131,7 +126,5 @@ def run_benchmark(cells, replications: int, seed: int = 0, workers: int = 1) -> 
             **{f"se_{key}": float(np.sqrt(rate * (1.0 - rate) / replications))
                for key, rate in rates.items()},
             "mean_hausdorff": float(np.mean(h_values)) if h_values else None,
-            "mean_seconds": float(np.mean(seconds)),
-            "total_seconds": float(np.sum(seconds)),
         })
     return BenchmarkReport(rows=tuple(rows), replications=replications, seed=seed)

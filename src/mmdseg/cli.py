@@ -2,10 +2,9 @@
 
 Subcommands: detect-u, detect-s, detect-ss, detect-forward, simulate,
 oracle-curve, benchmark.  Exit codes: 0 success, 2 configuration error,
-3 data error.  Results are deterministic given identical inputs and flags.
-Reports are byte-identical too, except the wall-clock `mean_seconds` and
-`total_seconds` fields of `benchmark` rows; the detect and benchmark
-commands print their elapsed_seconds to stderr.
+3 data error.  Stdout and every output file are byte-identical given
+identical inputs and flags; after a command that succeeds, run_command
+prints its one `elapsed_seconds=` line to stderr.
 """
 
 from __future__ import annotations
@@ -152,9 +151,7 @@ def _cmd_detect(args) -> int:
     if args.output is not None:
         check_writable(args.output)  # before the load and the distance pass
     data = load_csv(args.input)
-    t0 = time.perf_counter()
     result = detect(args.algorithm, data, config, h, **budget)
-    elapsed = time.perf_counter() - t0
 
     seg = result.segmentation
     by_boundary = _boundary_p_values(result.trace)
@@ -175,7 +172,6 @@ def _cmd_detect(args) -> int:
     else:
         rows = [("boundary", "breakfraction"), *zip(seg.boundaries, seg.breakfractions)]
         write_text(csv_text(rows), args.output)
-    print(f"elapsed_seconds={elapsed:.3f}", file=sys.stderr)
     return 0
 
 
@@ -262,14 +258,12 @@ def _cmd_benchmark(args) -> int:
     if args.output is not None:
         check_writable(f"{args.output}.json")
         check_writable(f"{args.output}.csv")
-    t0 = time.perf_counter()
     report = run_benchmark(
         [cell],
         replications=args.replications,
         seed=args.seed,
         workers=args.workers,
     )
-    elapsed = time.perf_counter() - t0
     rows = report.to_rows()
     doc = {"seed": report.seed, "replications": report.replications, "cells": rows}
     if args.output is None:
@@ -279,7 +273,6 @@ def _cmd_benchmark(args) -> int:
         keys = list(rows[0])
         write_text(csv_text([keys, *([row[k] for k in keys] for row in rows)]),
                    f"{args.output}.csv")
-    print(f"elapsed_seconds={elapsed:.3f}", file=sys.stderr)
     return 0
 
 
@@ -387,12 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(parser: argparse.ArgumentParser, argv=None) -> int:
-    """Parse argv and return args.func(args).  A configuration error exits 2
-    and a data error (an input too large for memory included) exits 3, each
-    with one JSON object on stderr."""
+    """Parse argv, run args.func(args) and print its elapsed_seconds to
+    stderr.  A configuration error exits 2 and a data error (an input too
+    large for memory included) exits 3, each with one JSON object on stderr."""
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        t0 = time.perf_counter()
+        code = args.func(args)
+        print(f"elapsed_seconds={time.perf_counter() - t0:.3f}", file=sys.stderr)
+        return code
     except ConfigurationError as exc:
         sys.stderr.write(dumps_json({"error": str(exc), "kind": "configuration"}))
         return 2

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ import mmdseg.cli
 from mmdseg.cli import main
 from mmdseg.dataio import load_csv, save_csv, truth_sidecar_path
 from mmdseg.errors import DataError
+
+from test_scripts import TINY, load_script
 
 
 def run(capsys, *argv):
@@ -132,13 +135,25 @@ def test_detect_output_byte_identical(model8_csv, tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_benchmark_reports_are_byte_identical(tmp_path, capsys):
+    argv = ["benchmark", "--model", "N4", "--lengths", "24", "--algorithm", "u",
+            "--replications", "2", "-R", "9", "--seed", "4"]
+    reports = []
+    for prefix in (tmp_path / "a", tmp_path / "b"):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--output", str(prefix))[:2] == (0, "")
+        reports.append([out, *(prefix.with_suffix(ext).read_bytes() for ext in (".json", ".csv"))])
+    assert reports[0] == reports[1]
+
+
 # Each command of the CLI, in-process, with its stdout: the simulated CSV and
-# truth sidecar, every detector, the oracle curve, and a benchmark cell's rows
-# less their wall-clock fields.  The detectors read curves far from the origin
+# truth sidecar, every detector, the oracle curve, and a benchmark cell's
+# JSON and CSV reports.  The detectors read curves far from the origin
 # (M1 shifts the second segment by 20 sin t), where a distance pass by
 # |x|^2 + |y|^2 - 2 x.y would cancel and show any thread-dependent bits.
 _EVERY_COMMAND = """
-import json, pathlib, sys, tempfile
+import pathlib, sys, tempfile
 from mmdseg.cli import main
 from mmdseg.dataio import truth_sidecar_path
 with tempfile.TemporaryDirectory() as tmp:
@@ -153,8 +168,7 @@ with tempfile.TemporaryDirectory() as tmp:
         if main(argv) != 0:
             sys.exit(f"{argv[0]} failed")
     print(csv.read_text(), pathlib.Path(truth_sidecar_path(csv)).read_text())
-    for row in json.loads(report.with_suffix(".json").read_text())["cells"]:
-        print({key: value for key, value in row.items() if not key.endswith("_seconds")})
+    print(report.with_suffix(".json").read_text(), report.with_suffix(".csv").read_text())
 """
 
 
@@ -378,6 +392,44 @@ def test_error_contract(model8_csv, tmp_path, capsys, argv, config, expected):
     assert "Traceback" not in err
 
 
+# After a success stderr holds one elapsed_seconds line (after simulate's
+# `wrote` line) and stdout none; after a failure stderr holds only the JSON
+# object.  The last entry is the table script, which shares run_command.
+@pytest.mark.parametrize(
+    "argv, failing",
+    [
+        pytest.param(["detect-u", "{csv}", "-R", "9"], ["--bandwidth", "-1"], id="detect-u"),
+        pytest.param(["detect-s", "{csv}", "-K", "2"], ["-K", "0"], id="detect-s"),
+        pytest.param(["detect-ss", "{csv}", "--upper", "2", "-R", "9"], ["--lower", "3"],
+                     id="detect-ss"),
+        pytest.param(["detect-forward", "{csv}", "--lower", "1", "-R", "9"], ["--lower", "-1"],
+                     id="detect-forward"),
+        pytest.param(["simulate", "{tmp}/d.csv", "--model", "8", "--lengths", "9,9,9"],
+                     ["--seed", "-1"], id="simulate"),
+        pytest.param(["oracle-curve", "--model", "1", "--lengths", "9,9"],
+                     ["--segment-lengths", "9,9"], id="oracle-curve"),
+        pytest.param(["benchmark", "--model", "N4", "--lengths", "24", "--algorithm", "u",
+                      "--replications", "1", "-R", "9"], ["--replications", "0"], id="benchmark"),
+        pytest.param(["null", "--n", "40", *TINY, "--output", "{tmp}/t.json"], ["--n", "0"],
+                     id="run_detection_tables"),
+    ],
+)
+def test_stderr_holds_the_elapsed_line_after_a_success_and_only_json_after_a_failure(
+        model8_csv, tmp_path, capsys, argv, failing):
+    argv = [a.format(csv=model8_csv, tmp=tmp_path) for a in argv]
+    entry = load_script("run_detection_tables").main if argv[0] == "null" else main
+    assert entry(argv) == 0
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    if argv[0] == "simulate":
+        assert lines.pop(0).startswith("wrote ")
+    assert "elapsed_seconds" not in out
+    assert len(lines) == 1 and re.fullmatch(r"elapsed_seconds=\d+\.\d{3}", lines[0])
+    assert entry([*argv, *failing]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["kind"] == "configuration"
+
+
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
@@ -565,6 +617,11 @@ def test_fuzzed_argv_and_config_end_in_result_or_json_error(
         )
         argv += ["--config", "fuzz.cfg"]
     argv += ["-R", "9"]  # last, so it bounds the permutation count
+    _assert_result_or_json_error(fuzz_dir, argv)
+
+
+def _assert_result_or_json_error(fuzz_dir, argv):
+    """main(argv), run in fuzz_dir, exits 0, or 2 or 3 with one JSON object on stderr."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(fuzz_dir)  # relative paths, and any stray output file, stay here
@@ -579,6 +636,57 @@ def test_fuzzed_argv_and_config_end_in_result_or_json_error(
     assert code in (0, 2, 3)
     if code:
         assert json.loads(err.getvalue())["kind"] in ("configuration", "data")
+
+
+# The other subcommands, each with a valid run to start from and its own
+# flags.  Every value keeps a run tiny (segment lengths summing to at most
+# 12), and a benchmark ends with one replication of 5 permutations.
+_MODEL_FLAGS = ["--model", "--lengths", "--grid-size", "--param", "--seed", "--config", "-h"]
+_OTHER_COMMANDS = {
+    "simulate": (["sim.csv", "--model", "8", "--lengths", "4,4,4"], _MODEL_FLAGS),
+    "oracle-curve": (
+        ["--model", "8", "--lengths", "4,4,4", "--grid-size", "8"],
+        [*_MODEL_FLAGS, "--input", "--segment-lengths", "--bandwidth", "--output"],
+    ),
+    "benchmark": (
+        ["--model", "8", "--lengths", "4,4,4", "--grid-size", "8", "--algorithm", "u"],
+        [*_MODEL_FLAGS, "--algorithm", "-K", "--lower", "--upper", "--workers", "--delta",
+         "--alpha", "--add-one", "--bandwidth", "--output"],
+    ),
+}
+_OTHER_VALUES = ["1", "8", "N1", "M2", "99", "12", "3,4", "6,6", "4,4,4", "0,5", "0", "2", "-1",
+                 "0.3", "nan", "inf", "1e308", "c=0.5", "c=inf", "c", "u", "s", "ss", "forward",
+                 "median", "x", "", "yes", "tiny.csv", "bad.csv", "missing.csv", "out",
+                 "missing/out"]
+_OTHER_KEYS = ["model", "lengths", "grid_size", "param", "seed", "input", "segment_lengths",
+               "bandwidth", "output", "algorithm", "changepoints", "lower", "upper", "workers",
+               "delta", "alpha", "add_one", "replications", "permutations", "config", "alhpa"]
+
+
+@st.composite
+def _other_argv(draw):
+    """A command, its valid run or nothing, then up to four of its flags."""
+    command = draw(st.sampled_from(sorted(_OTHER_COMMANDS)))
+    start, flags = _OTHER_COMMANDS[command]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(flags), st.sampled_from(_OTHER_VALUES)),
+                          max_size=4))
+    return [command, *draw(st.sampled_from([start, []])), *(tok for pair in pairs for tok in pair)]
+
+
+@given(
+    argv=_other_argv(),
+    lines=st.none() | st.lists(
+        st.tuples(st.sampled_from(_OTHER_KEYS), st.sampled_from(_OTHER_VALUES)), max_size=3
+    ),
+)
+@settings(max_examples=90, deadline=None)
+def test_fuzzed_simulate_oracle_and_benchmark_end_in_result_or_json_error(fuzz_dir, argv, lines):
+    if lines is not None:
+        (fuzz_dir / "other.cfg").write_text("\n".join(f"{k}={v}" for k, v in lines))
+        argv += ["--config", "other.cfg"]
+    if argv[0] == "benchmark":
+        argv += ["--replications", "1", "-R", "5"]  # last, so they bound the run
+    _assert_result_or_json_error(fuzz_dir, argv)
 
 
 def test_input_too_large_for_memory_is_data_error(model8_csv, capsys, monkeypatch):
@@ -702,11 +810,6 @@ def test_benchmark_reports_lower_bound_zero_for_ss_without_lower(capsys):
     assert row["rate_k_correct"] == explicit["rate_k_correct"]
 
 
-def _rows_without_wall_clock(out):
-    return [{k: v for k, v in row.items() if not k.endswith("_seconds")}
-            for row in json.loads(out)["cells"]]
-
-
 def test_benchmark_takes_every_flag_from_a_config_file(tmp_path, capsys):
     flags = ["--model", "8", "--lengths", "20,20,20", "--algorithm", "ss", "--upper", "2",
              "--replications", "2", "-R", "9"]
@@ -717,7 +820,7 @@ def test_benchmark_takes_every_flag_from_a_config_file(tmp_path, capsys):
     assert code == 0
     code, by_config, _ = run(capsys, "benchmark", "--config", str(cfg))
     assert code == 0
-    assert _rows_without_wall_clock(by_config) == _rows_without_wall_clock(by_flags)
+    assert by_config == by_flags
 
 
 def test_benchmark_without_an_algorithm_is_a_configuration_error(tmp_path, capsys):

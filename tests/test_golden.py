@@ -3,19 +3,17 @@
 Each case runs `mmdseg.cli.main` on a small generated input and compares
 what it writes with a file under tests/golden/: the stdout of every
 detector, in JSON and (for one run of each detector) in CSV, of
-`benchmark` and the CSV its `--output` writes (both less their wall-clock
-fields), of `oracle-curve` on both input routes, the CSV and truth sidecar
-`simulate` writes, (through `generate`) every model of the catalog, and
-the cells of each default table of `scripts/run_detection_tables.py`.
-Like perfbench/fixture.json, these files pin the program's results: a
-change that keeps results must leave them untouched, and they are
-re-recorded only by a change that moves results on purpose (a stream
-re-baseline, say), which says so.  To re-record, run
-`PYTHONPATH=src python tests/test_golden.py`.
+`benchmark` and the CSV its `--output` writes, of `oracle-curve` on both
+input routes, the CSV and truth sidecar `simulate` writes, (through
+`generate`) every model of the catalog, and the cells of each default
+table of `scripts/run_detection_tables.py`.  Like perfbench/fixture.json,
+these files pin the program's results: a change that keeps results must
+leave them untouched, and they are re-recorded only by a change that moves
+results on purpose (a stream re-baseline, say), which says so.  To
+re-record, run `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import contextlib
-import csv
 import io
 import json
 import pathlib
@@ -59,7 +57,6 @@ BENCHMARKS = {
     "ss": ["--algorithm", "ss", "--upper", "3"],
     "forward": ["--algorithm", "forward", "--lower", "1"],
 }
-WALL_CLOCK = ("mean_seconds", "total_seconds")
 
 ORACLE_ROUTES = {
     "model": ["--model", "8", "--lengths", "30,30,30", "--grid-size", "16", "--seed", "11"],
@@ -98,23 +95,11 @@ def benchmark_argv(run: str) -> list[str]:
             *BENCHMARKS[run], "--replications", "3", "-R", "19", "--seed", "5"]
 
 
-def benchmark_stdout(run: str) -> str:
-    doc = json.loads(cli_stdout(benchmark_argv(run)))
-    for row in doc["cells"]:
-        for key in WALL_CLOCK:
-            del row[key]
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def benchmark_csv(out_dir, run: str) -> str:
-    """The CSV `benchmark --output` writes, less its wall-clock columns."""
+    """The CSV `benchmark --output` writes."""
     prefix = pathlib.Path(out_dir) / f"benchmark-{run}"
     assert cli_stdout([*benchmark_argv(run), "--output", str(prefix)]) == ""
-    rows = list(csv.reader(prefix.with_suffix(".csv").read_text().splitlines()))
-    keep = [i for i, key in enumerate(rows[0]) if key not in WALL_CLOCK]
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([row[i] for i in keep] for row in rows)
-    return out.getvalue()
+    return prefix.with_suffix(".csv").read_text()
 
 
 def oracle_stdout(csv_dir, route: str) -> str:
@@ -182,7 +167,7 @@ def test_detector_csv_matches_golden(csv_dir, data, run):
 @pytest.mark.parametrize("run", BENCHMARKS)
 def test_benchmark_stdout_matches_golden(run):
     expected = (GOLDEN / f"benchmark-{run}.json").read_text()
-    assert benchmark_stdout(run) == expected
+    assert cli_stdout(benchmark_argv(run)) == expected
 
 
 @pytest.mark.parametrize("run", BENCHMARKS)
@@ -221,7 +206,7 @@ if __name__ == "__main__":
             **{f"{d}-{r}.json": detect_stdout(pathlib.Path(tmp) / f"{d}.csv", r) for d, r in CASES},
             **{f"{d}-{r}.csv": detect_stdout(pathlib.Path(tmp) / f"{d}.csv", r, "--format", "csv")
                for d, r in CSV_CASES},
-            **{f"benchmark-{r}.json": benchmark_stdout(r) for r in BENCHMARKS},
+            **{f"benchmark-{r}.json": cli_stdout(benchmark_argv(r)) for r in BENCHMARKS},
             **{f"benchmark-{r}.csv": benchmark_csv(tmp, r) for r in BENCHMARKS},
             **{f"oracle-{r}.csv": oracle_stdout(tmp, r) for r in ORACLE_ROUTES},
             **simulate_files(tmp),

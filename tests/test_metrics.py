@@ -13,6 +13,7 @@ from mmdseg import (
     subset_match,
     superset_match,
 )
+from mmdseg.benchmark import run_replication
 from mmdseg.errors import ConfigurationError
 
 
@@ -88,8 +89,7 @@ def test_run_benchmark_is_deterministic_and_validates():
     cell = BenchmarkCell(model=ModelSpec("N4", (24,)), algorithm="u", config=AmocConfig(R=9))
     a = run_benchmark([cell], replications=3, seed=7).to_rows()[0]
     b = run_benchmark([cell], replications=3, seed=7).to_rows()[0]
-    for key in ("rate_k_correct", "rate_match", "rate_superset", "rate_subset"):
-        assert a[key] == b[key]
+    assert a == b  # every field, not only the rates
     assert a["rate_match"] <= a["rate_k_correct"]
     with pytest.raises(ConfigurationError):
         run_benchmark([cell], replications=0)
@@ -101,6 +101,11 @@ POOL_CELLS = [
     BenchmarkCell(model=ModelSpec("N4", (24,)), algorithm="u", config=AmocConfig(R=9)),
     BenchmarkCell(model=ModelSpec("1", (12, 12)), algorithm="s", K=1),
 ]
+
+
+def test_run_replication_records_depend_only_on_the_cell_and_seed():
+    for cell in POOL_CELLS:
+        assert run_replication(cell, 3) == run_replication(cell, 3)
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,14 @@ def test_the_null_table_writes_one_cell_per_null_model(tmp_path, capsys):
     assert "K-correct" in capsys.readouterr().out
 
 
+def test_the_table_json_is_byte_identical_across_runs(tmp_path):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    script = load_script("run_detection_tables")
+    for out in paths:
+        assert script.main(["null", "--n", "40", *TINY, "--output", str(out)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_run_detection_tables_writes_the_bounds_cells(tmp_path, capsys):
     out = tmp_path / "bounds.json"
     script = load_script("run_detection_tables")
