@@ -15,13 +15,16 @@ sweep buffer, rank mask, and chunk of permutation draws with their ranks;
 only the near-tie recheck in `amoc.permutation_test` gathers an m x m copy.
 `segment.prepare` chains them: it is the one public route to a Gram matrix.
 
-scipy is loaded at the first distance pass only, by `pdist`, and not at
-import: the generators, the oracle curve, the metrics and the CLI's checks
-never need it, and its import (about 0.27 s on 2 vCPU) would be nearly
-three quarters of `import mmdseg`.
+The distance pass is scipy's compiled sqeuclidean kernel: `pdist` loads that
+one file at the first pass, not the 0.3-0.5 s import of scipy.spatial.
 """
 
 from __future__ import annotations
+
+import functools
+import os
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 
 import numpy as np
 
@@ -72,11 +75,23 @@ def _condensed_start(i: int, n: int) -> int:
     return i * n - i * (i + 1) // 2
 
 
-def pdist(*args, **kwargs):
-    """scipy.spatial.distance.pdist, imported at its first call."""
-    from scipy.spatial.distance import pdist
+@functools.cache
+def _distance_pybind():
+    """scipy.spatial._distance_pybind, loaded alone and kept out of sys.modules."""
+    folder = getattr(find_spec("scipy"), "submodule_search_locations", ["<no scipy>"])[0]
+    path = os.path.join(folder, "spatial", "_distance_pybind" + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        from importlib.metadata import version
+        raise ImportError(f"scipy {version('scipy')} has no {path}")
+    loader = ExtensionFileLoader("scipy.spatial._distance_pybind", path)
+    module = module_from_spec(spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
 
-    return pdist(*args, **kwargs)
+
+def pdist(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """scipy.spatial.distance.pdist(X, "sqeuclidean", out=out), bit for bit."""
+    return _distance_pybind().pdist_sqeuclidean(X, out=out)
 
 
 def squared_distances(X: np.ndarray, h: float | None = None) -> tuple[np.ndarray, float]:
@@ -95,7 +110,7 @@ def squared_distances(X: np.ndarray, h: float | None = None) -> tuple[np.ndarray
     D = np.empty((n, n))
     flat = D.reshape(-1)
     pairs = n * (n - 1) // 2
-    pdist(X, "sqeuclidean", out=flat[:pairs])
+    pdist(X, out=flat[:pairs])
     flat[:pairs] /= p
     if h is None:
         # Until the rows move, the back half of the buffer is free, and

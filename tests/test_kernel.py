@@ -2,10 +2,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist, squareform
 
 import mmdseg.kernel
 import mmdseg.mmd
@@ -205,6 +209,52 @@ def test_the_memory_check_is_skipped_without_a_reading(monkeypatch):
     assert available is None or available > 0
     monkeypatch.setattr(mmdseg.kernel, "_available_memory", lambda: None)
     assert prepare(np.eye(3))[1].shape == (3, 3)
+
+
+_LAYOUTS = {
+    "C": lambda X: X.copy(),
+    "F": np.asfortranarray,
+    "strided": lambda X: np.repeat(X, 2, axis=1)[:, ::2],
+}
+
+
+@st.composite
+def distance_inputs(draw):
+    """Rows in a drawn memory layout, with up to three rows copied over others."""
+    n, p = draw(st.integers(2, 12)), draw(st.integers(1, 9))
+    X = draw(arrays(np.float64, (n, p), elements=st.floats(-1e6, 1e6)))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=3)):
+        X[dst] = X[src]
+    return _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))](X)
+
+
+@given(distance_inputs())
+@example(_LAYOUTS["C"](np.array([[0.5], [-2.0]])))
+@example(_LAYOUTS["F"](np.array([[0.5, 1.0], [0.5, 1.0]])))
+@example(_LAYOUTS["strided"](np.array([[3.0, 1.0], [3.0, 1.0], [0.0, 1.0]])))
+@settings(max_examples=100, deadline=None)
+def test_the_distance_pass_is_scipys_pdist_bit_for_bit(X):
+    # The pass calls a private scipy kernel; a change to it must fail here.
+    sq = mmdseg.kernel.pdist(X)
+    assert sq.tobytes() == pdist(X, "sqeuclidean").tobytes()
+    out = np.full(sq.size, np.nan)
+    mmdseg.kernel.pdist(X, out=out)
+    assert out.tobytes() == sq.tobytes()
+    duplicates = (X[:, None] == X[None]).all(axis=2)
+    assert (squareform(sq)[duplicates] == 0.0).all()
+
+
+def test_a_missing_distance_kernel_names_the_file_it_looked_for(monkeypatch, tmp_path):
+    scipy_dir = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(mmdseg.kernel, "find_spec", lambda name: scipy_dir)
+    mmdseg.kernel._distance_pybind.cache_clear()
+    with pytest.raises(ImportError) as raised:
+        squared_distances(np.eye(3))
+    path = tmp_path / "spatial" / "_distance_pybind"
+    assert str(raised.value).startswith(f"scipy {scipy.__version__} has no {path}")
+    monkeypatch.undo()  # the next pass finds the file again
+    assert squared_distances(np.eye(3))[1] == np.sqrt(2 / 3)
 
 
 _HIGH_WATER_RISE = textwrap.dedent("""
