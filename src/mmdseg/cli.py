@@ -42,7 +42,7 @@ def read_config_file(path) -> list[tuple[str, str]]:
     """Plain key=value lines, in file order; '#' starts a comment."""
     pairs = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for ln, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -96,8 +96,14 @@ class _CommandParser(Parser):
         return super().parse_known_args([*tokens, *args], namespace)
 
 
+# The AmocConfig fields only the permutation test reads; algorithm s runs none.
+_TEST_FIELDS = ("R", "alpha", "add_one")
+
+
 def _amoc_config(args) -> AmocConfig:
-    return AmocConfig(**{f.name: getattr(args, f.name) for f in fields(AmocConfig)})
+    """The flags given; AmocConfig supplies every other field."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(AmocConfig)}
+    return AmocConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _bandwidth(raw: str) -> float | None:
@@ -145,21 +151,23 @@ def _boundary_p_values(trace) -> dict[int, float]:
 
 
 def _cmd_detect(args) -> int:
+    algorithm = args.command.removeprefix("detect-")
     config = _amoc_config(args)
     h = args.bandwidth
-    budget = check_budget(args.algorithm, args.K, args.K_l, args.K_u)
+    budget = check_budget(algorithm, **{name: getattr(args, name) for name in BUDGETS[algorithm]})
     if args.output is not None:
         check_writable(args.output)  # before the load and the distance pass
     data = load_csv(args.input)
-    result = detect(args.algorithm, data, config, h, **budget)
+    result = detect(algorithm, data, config, h, **budget)
 
     seg = result.segmentation
     by_boundary = _boundary_p_values(result.trace)
     doc = {
-        "command": f"detect-{args.algorithm}",
+        "command": args.command,
         "n": seg.n,
         "grid_size": int(data.shape[1]),
-        "config": {**asdict(config), "bandwidth": "median" if h is None else h, **budget},
+        "config": {**{key: value for key, value in asdict(config).items() if key in args},
+                   "bandwidth": "median" if h is None else h, **budget},
         "bandwidth": result.bandwidth,
         "k_hat": seg.k,
         "boundaries": list(seg.boundaries),
@@ -245,25 +253,17 @@ def _cmd_oracle_curve(args) -> int:
 def _cmd_benchmark(args) -> int:
     config = _amoc_config(args)
     spec = _model_spec(args)
-    cell = BenchmarkCell(
-        model=spec,
-        algorithm=args.algorithm,
-        config=config,
-        K=args.K,
-        K_l=args.K_l,
-        K_u=args.K_u,
-        bandwidth=args.bandwidth,
-        label=f"{spec.model_id}-{args.algorithm}",
-    )
+    if args.algorithm == "s":
+        unread = [name for name in _TEST_FIELDS if getattr(args, name) is not None]
+        if unread:
+            raise ConfigurationError(f"algorithm 's' takes no {', '.join(unread)}")
+    cell = BenchmarkCell(spec, args.algorithm, config, K=args.K, K_l=args.K_l, K_u=args.K_u,
+                         bandwidth=args.bandwidth, label=f"{spec.model_id}-{args.algorithm}")
     if args.output is not None:
         check_writable(f"{args.output}.json")
         check_writable(f"{args.output}.csv")
-    report = run_benchmark(
-        [cell],
-        replications=args.replications,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    # The benchmark seed is the model's: --seed, else ModelSpec's default.
+    report = run_benchmark([cell], args.replications, seed=spec.seed, workers=args.workers)
     rows = report.to_rows()
     doc = {"seed": report.seed, "replications": report.replications, "cells": rows}
     if args.output is None:
@@ -281,48 +281,68 @@ def _cmd_benchmark(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--delta", type=float, default=AmocConfig.delta,
-                     help="boundary fraction excluded at both ends")
-    sub.add_argument("-R", "--permutations", dest="R", type=int, default=AmocConfig.R,
-                     metavar="PERMUTATIONS", help="permutation count")
-    sub.add_argument("--alpha", type=float, default=AmocConfig.alpha, help="significance level")
-    sub.add_argument("--seed", type=int, default=AmocConfig.seed, help="random seed")
-    sub.add_argument("--add-one", action="store_true",
-                     help="use the (1 + #{T >= T_obs}) / (R + 1) p-value variant")
-    _add_bandwidth(sub)
-    sub.add_argument("--config", help="key=value file supplying any flag")
-    sub.add_argument("--output", "-o", help="output path (default: stdout)")
+def _flag(*names, **kwargs):
+    return names[0], (names, kwargs)
 
 
-def _add_bandwidth(sub):
-    sub.add_argument("--bandwidth", type=_bandwidth, default="median",
-                     help="'median' (default) or a fixed positive value")
+# Every flag once, keyed by its first name.  Flags without a default give
+# None when absent, so AmocConfig and ModelSpec alone supply their defaults.
+_FLAGS = dict((
+    _flag("input", help="CSV file, one observation per row"),
+    _flag("--delta", type=float, help="boundary fraction excluded at both ends"),
+    _flag("-R", "--permutations", dest="R", type=int, metavar="PERMUTATIONS",
+          help="permutation count"),
+    _flag("--alpha", type=float, help="significance level"),
+    _flag("--seed", type=int, help="random seed"),
+    _flag("--add-one", action="store_true", default=None,
+          help="use the (1 + #{T >= T_obs}) / (R + 1) p-value variant"),
+    _flag("--bandwidth", type=_bandwidth, help="'median' (default) or a fixed positive value"),
+    _flag("--config", help="key=value file supplying any flag"),
+    _flag("--output", "-o", help="output path (default: stdout)"),
+    _flag("--format", choices=("json", "csv"), default="json", help="output format"),
+    _flag("-K", "--changepoints", dest="K", type=int,
+          help="number of changepoints K (algorithm s)"),
+    _flag("--lower", dest="K_l", type=int, help="lower bound K_l (ss, forward)"),
+    _flag("--upper", dest="K_u", type=int, help="upper bound K_u (ss)"),
+    _flag("output", help="CSV path; truth labels go to <output>.truth.json"),
+    _flag("--input", help="CSV dataset (requires --segment-lengths)"),
+    _flag("--segment-lengths", type=int_list, help="true segment lengths of --input"),
+    _flag("--model", choices=MODEL_IDS, help="model id"),
+    _flag("--lengths", type=int_list, help="comma-separated segment lengths"),
+    _flag("--grid-size", type=int, help=f"grid points (default {DEFAULT_GRID_SIZE})"),
+    _flag("--param", type=_param, action="append", help="model parameter, e.g. c=0.5"),
+    _flag("--algorithm", choices=tuple(BUDGETS)),
+    _flag("--replications", type=int, default=100),
+    _flag("--workers", type=int, default=1, help="parallel replication workers"),
+))
 
+_DETECT = ("input", "--delta", "-R", "--alpha", "--seed", "--add-one", "--bandwidth",
+           "--config", "--output", "--format")
+_MODEL = ("--model", "--lengths", "--grid-size", "--param")
 
-# The flags and help of each budget parameter; segment.BUDGETS says which
-# parameters an algorithm takes.
-_BUDGET_FLAGS = {
-    "K": (("-K", "--changepoints"), "number of changepoints K (algorithm s)"),
-    "K_l": (("--lower",), "lower bound K_l (ss, forward)"),
-    "K_u": (("--upper",), "upper bound K_u (ss)"),
+# Each subcommand: its help line, its function and, in --help order, the
+# flags its code reads.  detect-s runs no permutation test, so it takes no
+# -R, --alpha or --add-one; its --seed has no effect.
+_COMMANDS = {
+    "detect-u": ("unknown number of changepoints (permutation-gated recursion)",
+                 _cmd_detect, _DETECT),
+    "detect-s": ("known number of changepoints K (forced split and merge)", _cmd_detect,
+                 ("input", "--delta", "--seed", "--bandwidth", "--config", "--output",
+                  "--format", "-K")),
+    "detect-ss": ("bounds K_l <= K <= K_u (backward elimination)", _cmd_detect,
+                  (*_DETECT, "--lower", "--upper")),
+    "detect-forward": ("lower bound only (forced split, then recursion)", _cmd_detect,
+                       (*_DETECT, "--lower")),
+    "simulate": ("draw a sample from a benchmark model", _cmd_simulate,
+                 ("output", *_MODEL, "--seed", "--config")),
+    "oracle-curve": ("export labeled and empirical split curves as CSV", _cmd_oracle_curve,
+                     ("--input", "--segment-lengths", *_MODEL, "--seed", "--bandwidth",
+                      "--config", "--output")),
+    "benchmark": ("Monte Carlo success rates for one cell", _cmd_benchmark,
+                  (*_MODEL, "--algorithm", "--replications", "-K", "--lower", "--upper",
+                   "--workers", "--delta", "-R", "--alpha", "--seed", "--add-one",
+                   "--bandwidth", "--config", "--output")),
 }
-
-
-def _add_budget(sub, names):
-    for name in names:
-        flags, blurb = _BUDGET_FLAGS[name]
-        sub.add_argument(*flags, dest=name, type=int, help=blurb)
-    sub.set_defaults(**dict.fromkeys(_BUDGET_FLAGS))
-
-
-def _add_model(sub):
-    sub.add_argument("--model", choices=MODEL_IDS, help="model id")
-    sub.add_argument("--lengths", type=int_list, help="comma-separated segment lengths")
-    sub.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
-                     help=f"grid points (default {DEFAULT_GRID_SIZE})")
-    sub.add_argument("--param", type=_param, action="append",
-                     help="model parameter, e.g. c=0.5")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,51 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="MMD-based offline changepoint detection for functional data",
     )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-
-    for algo, blurb in (
-        ("u", "unknown number of changepoints (permutation-gated recursion)"),
-        ("s", "known number of changepoints K (forced split and merge)"),
-        ("ss", "bounds K_l <= K <= K_u (backward elimination)"),
-        ("forward", "lower bound only (forced split, then recursion)"),
-    ):
-        sub = subs.add_parser(f"detect-{algo}", help=blurb)
-        sub.add_argument("input", help="CSV file, one observation per row")
-        _add_common(sub)
-        sub.add_argument("--format", choices=("json", "csv"), default="json",
-                         help="output format")
-        _add_budget(sub, BUDGETS[algo])
-        sub.set_defaults(func=_cmd_detect, algorithm=algo)
-
-    sub = subs.add_parser("simulate", help="draw a sample from a benchmark model")
-    sub.add_argument("output", help="CSV path; truth labels go to <output>.truth.json")
-    _add_model(sub)
-    sub.add_argument("--seed", type=int, default=AmocConfig.seed, help="random seed")
-    sub.add_argument("--config", help="key=value file supplying any flag")
-    sub.set_defaults(func=_cmd_simulate)
-
-    sub = subs.add_parser(
-        "oracle-curve", help="export labeled and empirical split curves as CSV"
-    )
-    sub.add_argument("--input", help="CSV dataset (requires --segment-lengths)")
-    sub.add_argument(
-        "--segment-lengths", type=int_list, help="true segment lengths of --input"
-    )
-    _add_model(sub)
-    sub.add_argument("--seed", type=int, default=AmocConfig.seed, help="random seed")
-    _add_bandwidth(sub)
-    sub.add_argument("--config", help="key=value file supplying any flag")
-    sub.add_argument("--output", "-o", help="output path (default: stdout)")
-    sub.set_defaults(func=_cmd_oracle_curve, seed=None, grid_size=None)
-
-    sub = subs.add_parser("benchmark", help="Monte Carlo success rates for one cell")
-    _add_model(sub)
-    sub.add_argument("--algorithm", choices=tuple(BUDGETS))
-    sub.add_argument("--replications", type=int, default=100)
-    _add_budget(sub, _BUDGET_FLAGS)
-    sub.add_argument("--workers", type=int, default=1, help="parallel replication workers")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_benchmark)
-
+    for command, (blurb, func, flags) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=blurb)
+        for flag in flags:
+            names, kwargs = _FLAGS[flag]
+            sub.add_argument(*names, **kwargs)
+        sub.set_defaults(func=func)
     return parser
 
 

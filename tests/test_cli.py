@@ -272,6 +272,44 @@ def test_detect_s_requires_budget(model8_csv, capsys):
         assert doc["error"].endswith(f"needs {missing}"), doc["error"]
 
 
+# Algorithm s runs no permutation test, so a permutation setting given to
+# it is an error, never echoed as if used.
+_BENCHMARK_S = ["benchmark", "--model", "8", "--lengths", "9,9,9", "--algorithm", "s", "-K", "2",
+                "--replications", "1"]
+
+
+@pytest.mark.parametrize("command", ["detect-s", "benchmark"])
+@pytest.mark.parametrize("flag, key, value", [
+    (["-R", "9"], "permutations", "9"),
+    (["--alpha", "0.5"], "alpha", "0.5"),
+    (["--add-one"], "add_one", "yes"),
+])
+def test_algorithm_s_rejects_permutation_settings(
+        model8_csv, tmp_path, capsys, command, flag, key, value):
+    argv = ["detect-s", str(model8_csv), "-K", "2"] if command == "detect-s" else _BENCHMARK_S
+    assert run(capsys, *argv)[0] == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    for extra in (flag, ["--config", str(cfg)]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["kind"] == "configuration"
+
+
+def test_detect_s_echoes_only_the_settings_it_reads(model8_csv, capsys):
+    code, out, _ = run(capsys, "detect-s", str(model8_csv), "-K", "2", "--seed", "3")
+    assert code == 0
+    assert json.loads(out)["config"] == {"delta": 0.05, "seed": 3, "bandwidth": "median", "K": 2}
+
+
+def test_config_file_may_start_with_a_byte_order_mark(model8_csv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfdelta=0.1\n")
+    code, out, _ = run(capsys, "detect-s", str(model8_csv), "-K", "2", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["config"]["delta"] == 0.1
+
+
 def test_detect_missing_file_is_data_error(capsys):
     code, _, err = run(capsys, "detect-u", "/nonexistent/file.csv")
     assert code == 3
@@ -620,7 +658,8 @@ def test_fuzzed_argv_and_config_end_in_result_or_json_error(
             "\n".join(k + sep + v for k, sep, v in lines), encoding="utf-8"
         )
         argv += ["--config", "fuzz.cfg"]
-    argv += ["-R", "9"]  # last, so it bounds the permutation count
+    if command != "detect-s":  # detect-s takes no -R
+        argv += ["-R", "9"]  # last, so it bounds the permutation count
     _assert_result_or_json_error(fuzz_dir, argv)
 
 

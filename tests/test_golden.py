@@ -85,14 +85,19 @@ def cli_stdout(argv) -> str:
     return out.getvalue()
 
 
+def permutations(run: str, count: str) -> list[str]:
+    """-R count, for every algorithm but s, which takes no -R."""
+    return [] if run == "s" else ["-R", count]
+
+
 def detect_stdout(csv_path, run: str, *extra: str) -> str:
-    return cli_stdout([*RUNS[run][:1], str(csv_path), *RUNS[run][1:], "-R", "99", "--seed", "7",
-                       *extra])
+    return cli_stdout([*RUNS[run][:1], str(csv_path), *RUNS[run][1:], *permutations(run, "99"),
+                       "--seed", "7", *extra])
 
 
 def benchmark_argv(run: str) -> list[str]:
     return ["benchmark", "--model", "8", "--lengths", "20,20,20", "--grid-size", "16",
-            *BENCHMARKS[run], "--replications", "3", "-R", "19", "--seed", "5"]
+            *BENCHMARKS[run], "--replications", "3", *permutations(run, "19"), "--seed", "5"]
 
 
 def benchmark_csv(out_dir, run: str) -> str:
