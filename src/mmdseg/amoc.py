@@ -28,7 +28,8 @@ from .rng import check_seed, permutation_chunks
 # well within this (1.3e-14 at most over m = 4..3000).  A draw closer than
 # this to the observed statistic is recomputed on that copy, so a draw that
 # ties T exactly is counted as the copy's roundoff counts it, and every
-# exceedance count equals the per-draw copy route's.
+# exceedance count equals the per-draw copy route's.  Twice this is also the
+# float32 screen's margin for float64 roundoff beyond its certified band.
 TIE_BAND = 1e-12
 
 
@@ -59,7 +60,9 @@ class AmocResult:
     tau_hat is the split index local to the block; a + tau_hat is the
     boundary in full-sequence coordinates.  permutation_stats holds the
     statistics of the draws made, in draw order: all R of them, or the first
-    L when the test stopped on an accept.
+    L when the test stopped on an accept.  A draw that permutation_test
+    screened and did not recheck holds its screened value, certified to lie
+    on its float64 value's side of T_n: every count against T_n is exact.
     """
 
     T_n: float
@@ -104,15 +107,27 @@ def permutation_test(
     (config.seed, r), so results do not depend on evaluation order.  Draws
     come from `rng.permutation_chunks`, on one generator re-keyed per draw
     with the same keys `permutation_stream` uses.  Every draw's statistic
-    comes from rank-masked sums over the block (`permuted_maxima`), never
-    from recomputed kernel values.
+    comes from rank-masked sums over the block, never from recomputed kernel
+    values: in float64 (`permuted_maxima`), or screened in float32.
+
+    The screen applies when the block's entries lie in [0, 1], as a Gaussian
+    Gram's do, and its float32 copy (4 m^2 bytes) and one draw's mask (m^2)
+    fit in mmd._SCRATCH_BYTES, so m <= 457: the test makes that copy once,
+    and `mmd.screened_maxima` gives each draw a certified band.  A draw whose
+    screened maximum lies within band + 2 TIE_BAND of T_n, or whose screened
+    curve comes that close to mmd.CLAMP_WARN_THRESHOLD, is recomputed by
+    `permuted_maxima` alone, which gives the bits of any chunking; every
+    other draw lies in float64 more than TIE_BAND from T_n, on the screened
+    side, and clear of the warning.  Then every draw goes through the
+    near-tie recheck, so every count, p-value, decision, stop L and clamp
+    warning is the float64 route's.
 
     Draws come in the chunks of `_chunk_ends`, and the test stops at the draw
     L that brings the exceedance count to h.  By default h = R + 1, which no
     count reaches, so all R draws are made.  With stop_on_accept h is
     _accept_count(config): the test then reports p = h / L, or (1 + h) / (L + 1)
     under add_one, and permutation_stats holds those L draws (none when h = 0).
-    Chunking changes no bit, and every decision equals the full run's.
+    Chunking changes no value, and every decision equals the full run's.
     """
     m = block.shape[0]
     if not mmd.splittable(m, config.delta):
@@ -120,10 +135,20 @@ def permutation_test(
     tau_hat, T_n = mmd.rho_curve(block, config.delta)
 
     h = _accept_count(config) if stop_on_accept else config.R + 1
+    screen = 5 * m * m <= mmd._SCRATCH_BYTES and 0.0 <= block.min() and block.max() <= 1.0
+    copy = block.astype(np.float32) if screen else None
     stats, hits = np.empty(0), np.empty(0, dtype=np.intp)
     # h = 0: even no exceedance gives p >= alpha, so the test accepts undrawn
     for perms in permutation_chunks(config.seed, m, _chunk_ends(config.R, h, m)) if h else ():
-        chunk = mmd.permuted_maxima(block, perms, config.delta)
+        if copy is None:
+            chunk = mmd.permuted_maxima(block, perms, config.delta)
+        else:
+            chunk, low, band = mmd.screened_maxima(block, copy, perms, config.delta)
+            unsure = (np.abs(chunk - T_n) <= band + 2 * TIE_BAND) | (
+                low <= mmd.CLAMP_WARN_THRESHOLD + band + 2 * TIE_BAND
+            )
+            for i in np.flatnonzero(unsure):  # one draw's mask fits beside the copy
+                chunk[i] = mmd.permuted_maxima(block, perms[i : i + 1], config.delta)[0]
         for i in np.flatnonzero(np.abs(chunk - T_n) <= TIE_BAND):
             p = perms[i]
             chunk[i] = mmd.rho_curve(block[np.ix_(p, p)], config.delta)[1]

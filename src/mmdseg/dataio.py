@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -30,31 +31,41 @@ def _is_number(token: str) -> bool:
 def load_csv(path) -> np.ndarray:
     """Rectangular numeric CSV, one observation per row; a non-numeric first
     line is treated as a header and skipped.  Blank lines and a UTF-8 byte
-    order mark are ignored."""
+    order mark are ignored.  The non-blank lines stream into np.loadtxt; only
+    an error re-reads the file, to name the bad row."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            lines = [(i, line) for i, line in enumerate(fh, start=1) if line.strip()]
+            lines = (line for line in fh if line.strip())
+            first = next(lines, None)
+            if first is None:
+                raise DataError(f"{path}: file is empty")
+            header = not all(_is_number(c) for c in next(csv.reader([first])))
+            if header:
+                first = next(lines, None)
+                if first is None:  # np.loadtxt would warn on no rows
+                    raise DataError(f"{path}: no data rows after header")
+            try:
+                data = np.loadtxt(
+                    chain([first], lines), delimiter=",", comments=None, quotechar='"', ndmin=2
+                )
+            except ValueError as exc:  # UnicodeDecodeError too: the re-read names it
+                raise _locate_bad_cell(path, header, exc) from None
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise DataError(f"{path}: file is empty")
-    if not all(_is_number(c) for c in next(csv.reader([lines[0][1]]))):
-        lines = lines[1:]
-        if not lines:
-            raise DataError(f"{path}: no data rows after header")
-    try:
-        data = np.loadtxt(
-            [line for _, line in lines], delimiter=",", comments=None, quotechar='"', ndmin=2
-        )
-    except ValueError as exc:
-        raise _locate_bad_cell(path, lines, exc) from None
     if not np.isfinite(data).all():
         raise DataError(f"{path}: contains non-finite values")
     return data
 
 
-def _locate_bad_cell(path, lines, exc) -> DataError:
-    """The error naming the first ragged row or non-numeric cell (1-based file lines)."""
+def _locate_bad_cell(path, header, exc) -> DataError:
+    """The error naming the first ragged row or non-numeric cell (1-based file
+    lines), from a second read of the file; an unreadable file is named as
+    such, as a first read that failed would be."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = [(i, line) for i, line in enumerate(fh, start=1) if line.strip()][header:]
+    except (OSError, UnicodeDecodeError) as read_exc:
+        return DataError(f"cannot read {path}: {read_exc}")
     width = None
     for (i, _), row in zip(lines, csv.reader(line for _, line in lines)):
         width = len(row) if width is None else width

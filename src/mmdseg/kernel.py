@@ -11,8 +11,9 @@ Between the pass and the move, median_heuristic reads the bandwidth from a
 copy of the pairs in the buffer's free half.  gram_matrix (at a checked
 bandwidth) then turns that same buffer into the Gram matrix.  A run peaks
 at that 8n^2-byte Gram, the rows, and 1 MiB (`mmd._SCRATCH_BYTES`) for each
-sweep buffer, rank mask, and chunk of permutation draws with their ranks;
-only the near-tie recheck in `amoc.permutation_test` gathers an m x m copy.
+sweep buffer, chunk of rank masks (with a screened block's float32 copy beside
+them), and chunk of permutation draws with their ranks; only the near-tie
+recheck in `amoc.permutation_test` gathers an m x m float64 copy.
 `segment.prepare` chains them: it is the one public route to a Gram matrix.
 
 The distance pass is scipy's compiled sqeuclidean kernel: `pdist` loads that

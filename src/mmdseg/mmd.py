@@ -10,7 +10,8 @@ block of size n is rho(t) = t (n - t) / n^2 * d(first t, rest); its curve
 over all admissible t is computed with one prefix-sum sweep, O(n) per split
 and O(n^2) total, instead of recomputing the three block sums per split.
 The same sweep over permuted blocks takes its row sums from a rank mask on
-the unpermuted matrix (`permuted_maxima`).
+the unpermuted matrix (`permuted_maxima`), or from a float32 copy of it with a
+certified error band per draw (`screened_maxima`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ MIN_SIDE = 2
 CLAMP_WARN_THRESHOLD = -1e-9
 
 # Bytes of each scratch temporary: rho_values' prefix sums, permuted_maxima's
-# rank masks, and amoc.permutation_test's chunks of draws with their ranks.
+# rank masks, screened_maxima's float32 copy with its rank masks, and
+# amoc.permutation_test's chunks of draws with their ranks.
 _SCRATCH_BYTES = 1 << 20
 
 
@@ -47,22 +49,29 @@ def _clamp_nonnegative(values: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
-def _rho_from_rows(wl_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Split statistic for t = 1..m-1 along the last axis, from per-row terms
-    of a block P in split order: wl_rows[i] = 2 sum_{j<i} P[i, j] + P[i, i]
-    and rows[i] = sum_j P[i, j].  Their prefix sums give every split's
-    within-left, within-right and cross block sums."""
-    m = wl_rows.shape[-1]
-    wl = np.cumsum(wl_rows, axis=-1)  # wl[t-1] = sum of P[:t, :t]
-    left_rows = np.cumsum(rows, axis=-1)  # = within_left + cross
-    total = left_rows[..., -1:]
-    within_left = wl[..., :-1]
-    cross = left_rows[..., :-1] - within_left
-    within_right = total - 2.0 * left_rows[..., :-1] + within_left
+def _rho_from_sums(wl: np.ndarray, left_rows: np.ndarray) -> np.ndarray:
+    """Split statistic for t = 1..m-1 along the last axis, unclamped, from
+    prefix sums over a block P in split order: wl[t-1] = sum of P[:t, :t]
+    and left_rows[t-1] = sum of P[:t, :], so left_rows[-1] is P's total.
+    They give every split's within-left, within-right and cross block sums."""
+    m = wl.shape[-1]
+    total, left, within_left = left_rows[..., -1:], left_rows[..., :-1], wl[..., :-1]
     t = np.arange(1, m, dtype=np.float64)
-    mm = float(m) * float(m)
-    values = (within_left * (m - t) / t + within_right * t / (m - t) - 2.0 * cross) / mm
-    return _clamp_nonnegative(values)
+    # (within_left (m-t) / t + within_right t / (m-t) - 2 cross) / m^2, with
+    # within_right = total - 2 left + within_left and cross = left -
+    # within_left, evaluated in that order in place
+    cross = left - within_left
+    within_right = np.subtract(total, 2.0 * left)
+    within_right += within_left
+    within_right *= t
+    within_right /= m - t
+    values = within_left * (m - t)
+    values /= t
+    values += within_right
+    cross *= 2.0
+    values -= cross
+    values /= float(m) * float(m)
+    return values
 
 
 def _split_bounds(n: int, delta: float) -> tuple[int, int]:
@@ -102,7 +111,8 @@ def rho_values(gram: np.ndarray) -> np.ndarray:
         cs = np.cumsum(block, axis=1, out=buffer[: block.shape[0]])
         row_prefix_diag[lo : lo + step] = np.diagonal(cs, offset=lo)
         rows[lo : lo + step] = cs[:, -1]
-    return _rho_from_rows(2.0 * row_prefix_diag - np.diagonal(gram), rows)
+    wl = np.cumsum(2.0 * row_prefix_diag - np.diagonal(gram))
+    return _clamp_nonnegative(_rho_from_sums(wl, np.cumsum(rows)))
 
 
 def rho_curve(gram: np.ndarray, delta: float) -> tuple[int, float]:
@@ -114,37 +124,110 @@ def rho_curve(gram: np.ndarray, delta: float) -> tuple[int, float]:
     return t_min + i, float(values[i])
 
 
-def permuted_maxima(gram: np.ndarray, perms, delta: float) -> np.ndarray:
-    """rho_curve(gram[np.ix_(p, p)], delta)[1] for each row p of perms.
+def _masked_sums(gram: np.ndarray, perms: np.ndarray, sums: np.ndarray, mask_bytes: int):
+    """Yield (draws, wl, left_rows): the _rho_from_sums prefix sums of gram
+    reordered by each draw of perms[draws], for chunks of _SCRATCH_BYTES // m^2
+    draws (at least one).
 
     No reordered copy of the Gram matrix is built.  With r the inverse of a
     permutation p, the strict-lower row sums of the reordered matrix are
     S[a] = sum_b gram[a, b] [r_b < r_a] on the matrix as it is, so one
     rank mask per draw replaces the m x m gather and its cumulative sum.
-    Each bool mask takes at most _SCRATCH_BYTES: draws go through in chunks
-    of that many cells, and a draw whose mask is larger (m > 1024) sums a
-    span of rows per mask; no row sum's order depends on either.  The sums
-    run in another order than rho_curve's, so the maxima agree with it to
-    roundoff, not bit for bit.
+    Those sums are taken over `sums`, gram itself or a float32 copy of it,
+    in sums' dtype; the diagonal and the full row sums always come from
+    gram.  A chunk's bool masks span as many rows as mask_bytes holds (at
+    least one); no row sum's order depends on the chunk or the span.
     """
-    perms = np.asarray(perms, dtype=np.intp)
     m = gram.shape[0]
-    t_min, t_max = admissible_range(m, delta)
     ranks = np.empty(perms.shape, dtype=np.min_scalar_type(m))  # narrow: faster masks
     np.put_along_axis(ranks, perms, np.arange(m), axis=1)
     diag = np.diagonal(gram)
     rows = gram.sum(axis=1)
-    out = np.empty(perms.shape[0])
     step = max(1, _SCRATCH_BYTES // (m * m))  # draws per chunk
-    span = min(max(1, _SCRATCH_BYTES // m), m)  # mask rows per einsum
+    span = min(max(1, mask_bytes // (step * m)), m)  # mask rows per einsum
     for lo in range(0, perms.shape[0], step):
-        p, r = perms[lo : lo + step], ranks[lo : lo + step]
-        lower = np.empty(p.shape)
+        draws = slice(lo, lo + step)
+        p, r = perms[draws], ranks[draws]
+        lower = np.empty(p.shape, dtype=sums.dtype)
         for a in range(0, m, span):
             q = slice(a, a + span)
             # unnamed, the mask is freed before the next (named: 45% slower)
-            np.einsum("cab,ab->ca", r[:, None, :] < r[:, q, None], gram[q], out=lower[:, q])
-        wl_rows = 2.0 * np.take_along_axis(lower, p, axis=1) + diag[p]
-        values = _rho_from_rows(wl_rows, rows[p])
-        out[lo : lo + step] = values[:, t_min - 1 : t_max].max(axis=1)
+            np.einsum("cab,ab->ca", r[:, None, :] < r[:, q, None], sums[q], out=lower[:, q])
+        # wl_rows[c, i] = 2 lower[c, p[c, i]] + diag[p[c, i]], read from the flat array
+        wl_rows = (2.0 * lower + diag).ravel().take(p + m * np.arange(len(p))[:, None])
+        yield draws, np.cumsum(wl_rows, axis=1), np.cumsum(rows.take(p), axis=1)
+
+
+def permuted_maxima(gram: np.ndarray, perms, delta: float) -> np.ndarray:
+    """rho_curve(gram[np.ix_(p, p)], delta)[1] for each row p of perms.
+
+    The curves come from rank-mask sums over gram (`_masked_sums`), each
+    chunk's masks within _SCRATCH_BYTES.  The sums run in another order
+    than rho_curve's, so the maxima agree with it to roundoff, not bit for
+    bit; a draw's maximum is the same whatever the other draws passed.
+    """
+    perms = np.asarray(perms, dtype=np.intp)
+    t_min, t_max = admissible_range(gram.shape[0], delta)
+    out = np.empty(perms.shape[0])
+    for draws, wl, left_rows in _masked_sums(gram, perms, gram, _SCRATCH_BYTES):
+        values = _clamp_nonnegative(_rho_from_sums(wl, left_rows))
+        out[draws] = values[:, t_min - 1 : t_max].max(axis=1)
     return out
+
+
+def screened_maxima(gram: np.ndarray, copy: np.ndarray, perms, delta: float):
+    """(maxima, minima, bands) of each row p of perms, from the mask sums of
+    `_masked_sums` over copy, the float32 copy of a gram with entries >= 0.
+
+    Every term of a masked row sum is >= 0 and is rounded to float32 with
+    relative error at most u = 2^-24, so in any summation order the sum errs
+    by at most gamma = (m+1)u / (1 - (m+1)u) of itself (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 4.2).  Only within_left
+    carries that error e(t): cross = left_rows - within_left and within_right
+    = total - 2 left_rows + within_left, with left_rows and total exact, so
+    rho(t) moves by e(t) ((m-t)/t + t/(m-t) + 2) / m^2 = e(t) / (t (m-t)).
+    Two bounds hold, with W(t) the within-left sum:
+      - |e(t)| <= gamma W(t), from the rows before t;
+      - |e(t)| <= |E| + gamma (total - W(t)), from the rows at t and after:
+        W(m) = total for every draw, so the whole sum's error E = e(m) is
+        known, and e(t) = E minus those rows' error.
+    The first is the tighter for small t, the second as t nears m: with the
+    first alone, a band near t = m - 1 outgrows the curve itself at m = 300,
+    and amoc.permutation_test's clamp check rechecked 46% of perfbench's
+    mc-unknown draws (0.17% with both).  W(t) is read from the screened sums,
+    divided by 1 - gamma or 1 + gamma to bound the exact one, and band(t) =
+    min(both) / (t (m-t)).
+
+    maxima are the screened curves' maxima over the admissible range (as
+    permuted_maxima clamps, with no warning), minima their unclamped minima
+    over every t, and bands the largest band(t) over every t.  So a draw's
+    float64 maximum lies within its band of its screened one, and its float64
+    curve falls below CLAMP_WARN_THRESHOLD only if its screened minimum comes
+    within its band of that threshold, up to float64 roundoff (and 2^-150 per
+    entry below float32's normal range), which the caller's margin covers.
+    Each einsum's masks take half of what the copy leaves of _SCRATCH_BYTES,
+    so the copy and masks stay within (_SCRATCH_BYTES + 4 m^2) / 2, below the
+    float64 route's masks: with all of it, mc-bounded's peak RSS rose 0.6 MB.
+    """
+    perms = np.asarray(perms, dtype=np.intp)
+    m = gram.shape[0]
+    t_min, t_max = admissible_range(m, delta)
+    u = 2.0**-24  # float32's unit roundoff
+    gamma = (m + 1) * u / (1.0 - (m + 1) * u)
+    t = np.arange(1, m, dtype=np.float64)
+    c = 1.0 / (t * (m - t))
+    maxima, minima, bands = np.empty((3, perms.shape[0]))
+    mask_bytes = (_SCRATCH_BYTES - copy.nbytes) // 2
+    for draws, W, left_rows in _masked_sums(gram, perms, copy, mask_bytes):
+        values = _rho_from_sums(W, left_rows)
+        maxima[draws] = np.maximum(values[:, t_min - 1 : t_max].max(axis=1), 0.0)
+        minima[draws] = values.min(axis=1)
+        # band(t) = min(gamma W, |E| + gamma (total - W)) / (t (m-t)), with W
+        # widened by 1 / (1 - gamma) in the first and narrowed by 1 / (1 + gamma)
+        total = left_rows[:, -1:]
+        tail = W[:, :-1] * (-gamma / (1.0 + gamma))
+        tail += np.abs(W[:, -1:] - total) + gamma * total
+        band = np.minimum(W[:, :-1] * (gamma / (1.0 - gamma)), tail, out=tail)
+        band *= c
+        bands[draws] = band.max(axis=1)
+    return maxima, minima, bands

@@ -3,7 +3,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import mmdseg.amoc
 import mmdseg.mmd
@@ -17,7 +17,8 @@ from mmdseg import (
     rho_curve,
 )
 from mmdseg.amoc import _accept_count, _chunk_ends
-from mmdseg.mmd import splittable
+from mmdseg.mmd import permuted_maxima, screened_maxima, splittable
+from mmdseg.simulate import POPULATIONS
 from mmdseg.errors import ConfigurationError
 from mmdseg.rng import TAG_PERMUTATION, _key, mix64, permutation_chunks, permutation_stream
 
@@ -114,9 +115,11 @@ def test_permutation_reuse_equals_physical_permutation():
     h, G = prepare(X)
     for seed in range(20):
         perm = permutation_stream(seed, 1).permutation(28)
-        reused = permutation_test(G, AmocConfig(R=1, seed=seed))
         physical = rho_curve(prepare(X[perm], h)[1], 0.05)[1]
-        assert reused.permutation_stats[0] == pytest.approx(physical, abs=1e-12)
+        assert permuted_maxima(G, [perm], 0.05)[0] == pytest.approx(physical, abs=1e-12)
+        # the test's one value may be screened, but lies on the physical copy's side of T
+        reused = permutation_test(G, AmocConfig(R=1, seed=seed))
+        assert (reused.permutation_stats[0] > reused.T_n) == (physical > reused.T_n)
 
 
 def _drawn_seeds():
@@ -252,16 +255,19 @@ def test_a_test_that_cannot_reject_accepts_at_once():
 def test_a_test_with_h_zero_accepts_before_any_draw(monkeypatch):
     calls = []
     chunks, maxima = mmdseg.amoc.permutation_chunks, mmdseg.mmd.permuted_maxima
+    screen = mmdseg.mmd.screened_maxima
     monkeypatch.setattr(mmdseg.amoc, "permutation_chunks",
                         lambda *a: calls.append("chunks") or chunks(*a))
     monkeypatch.setattr(mmdseg.mmd, "permuted_maxima",
                         lambda *a: calls.append("maxima") or maxima(*a))
+    monkeypatch.setattr(mmdseg.mmd, "screened_maxima",
+                        lambda *a: calls.append("screen") or screen(*a))
     G = prepare(separated_pools(np.random.default_rng(0), (20, 20)))[1]
     early = permutation_test(G, AmocConfig(R=19, add_one=True), stop_on_accept=True)
     assert calls == []
     assert early.p_value == 1.0 and early.permutation_stats.size == 0 and not early.reject
     permutation_test(G, AmocConfig(R=19, add_one=True))  # a full run still draws
-    assert calls == ["chunks", "maxima"]
+    assert calls == ["chunks", "screen"]  # every draw lies far below T: none rechecked
 
 
 def test_chunk_ends_at_the_default_budget():
@@ -287,6 +293,65 @@ def test_chunk_ends_rise_to_R_in_chunks_within_the_budget(R, h, m, budget):
     assert ends[-1] == R and np.all(chunks > 0)
     assert np.all((chunks == 1) | (chunks * m * cell <= budget))
     assert chunks[0] == min(max(2 * h, 1), R, max(1, budget // (m * cell)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model=st.sampled_from(["8", "2", "N1", "5"]),
+    m=st.integers(4, 457),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_float32_screen_is_certified_and_changes_no_count(model, m, seed):
+    # Every block up to m = 457 is screened at the default budget.  Each
+    # screened maximum lies within its band of the float64 value, and the test
+    # counts, stops and decides as the float64 route (no screen below 5 m^2
+    # bytes) does.
+    k = POPULATIONS[model]
+    lengths = [m // k + (i < m % k) for i in range(k)]
+    G = prepare(generate(ModelSpec(model, lengths, seed=seed)).data)[1]
+    R = 49
+    perms = next(permutation_chunks(seed, m, (R,)))
+    screened, _, bands = screened_maxima(G, G.astype(np.float32), perms, 0.05)
+    assert np.all(np.abs(screened - permuted_maxima(G, perms, 0.05)) <= bands)
+    for add_one in (False, True):
+        cfg = AmocConfig(R=R, seed=seed, add_one=add_one)
+        for stop in (False, True):
+            got = permutation_test(G, cfg, stop_on_accept=stop)
+            with patch.object(mmdseg.mmd, "_SCRATCH_BYTES", 5 * m * m - 1):
+                want = permutation_test(G, cfg, stop_on_accept=stop)
+            assert (got.T_n, got.tau_hat) == (want.T_n, want.tau_hat)
+            assert got.p_value == want.p_value and got.reject == want.reject
+            assert got.permutation_stats.size == want.permutation_stats.size  # L
+            exceed = np.greater_equal if add_one else np.greater
+            assert np.array_equal(exceed(got.permutation_stats, got.T_n),
+                                  exceed(want.permutation_stats, want.T_n))
+
+
+def test_the_screen_rechecks_every_draw_the_float64_route_warns_on():
+    # A block with entries in [0, 1] that is not positive semidefinite: some
+    # permuted curves dip below CLAMP_WARN_THRESHOLD, which only the float64
+    # route warns about.  The screen rechecks each such draw alone, so each
+    # warns once, as it does alone on the float64 route.
+    A = np.random.default_rng(0).uniform(size=(30, 30))
+    A = (A + A.T) / 2
+    np.fill_diagonal(A, 1.0)
+    cfg = AmocConfig(R=49)
+
+    def clamp_warnings(f):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = f()
+        return out, sum("clamped" in str(w.message) for w in caught)
+
+    _, observed = clamp_warnings(lambda: rho_curve(A, cfg.delta))
+    perms = next(permutation_chunks(cfg.seed, 30, (cfg.R,)))
+    alone = sum(clamp_warnings(lambda: permuted_maxima(A, [p], cfg.delta))[1] for p in perms)
+    got, warned = clamp_warnings(lambda: permutation_test(A, cfg))
+    assert 0 < alone < cfg.R and warned == observed + alone
+    with patch.object(mmdseg.mmd, "_SCRATCH_BYTES", 5 * 30 * 30 - 1):  # the float64 route
+        want, _ = clamp_warnings(lambda: permutation_test(A, cfg))
+    assert got.p_value == want.p_value and got.T_n == want.T_n > 0.0
+    assert np.array_equal(got.permutation_stats > got.T_n, want.permutation_stats > want.T_n)
 
 
 @pytest.mark.xfail(

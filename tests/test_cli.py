@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import mmdseg.cli
 from mmdseg.cli import main
 from mmdseg.dataio import load_csv, save_csv, truth_sidecar_path
-from mmdseg.errors import DataError
+from mmdseg.errors import ConfigurationError, DataError
 
 from test_scripts import TINY, load_script
 
@@ -81,6 +81,30 @@ def test_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(DataError):
+        load_csv(path)
+
+
+def test_csv_header_only_file_is_a_data_error_not_a_warning(tmp_path):
+    # np.loadtxt warns on empty input; load_csv must stop before calling it.
+    path = tmp_path / "header.csv"
+    path.write_bytes(b"\xef\xbb\xbft1,t2\n\n  \n")
+    with pytest.raises(DataError, match="no data rows after header"):
+        load_csv(path)
+
+
+def test_csv_whitespace_only_lines_between_rows_are_skipped(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("t1,t2\n1,2\n   \n\t\n3,4\n \n5,oops\n")
+    with pytest.raises(DataError, match="row 7, column 2"):  # numbered as file lines
+        load_csv(path)
+    path.write_text("t1,t2\n1,2\n   \n\t\n3,4\n \n")
+    assert np.array_equal(load_csv(path), [[1, 2], [3, 4]])
+
+
+def test_csv_undecodable_bytes_after_a_bad_cell_still_read_as_unreadable(tmp_path):
+    path = tmp_path / "late.csv"
+    path.write_bytes(b"1,2\n3,oops\n\xff\xfe,5\n")
+    with pytest.raises(DataError, match="cannot read"):
         load_csv(path)
 
 
@@ -681,18 +705,21 @@ def _assert_result_or_json_error(fuzz_dir, argv):
         assert json.loads(err.getvalue())["kind"] in ("configuration", "data")
 
 
-# The other subcommands, each with a valid run to start from and its own
-# flags.  Every value keeps a run tiny (segment lengths summing to at most
-# 12), and a benchmark ends with one replication of 5 permutations.
+# The other subcommands, each with valid runs to start from (for benchmark,
+# one that draws permutations and one, algorithm s, that draws none) and its
+# own flags.  Every value keeps a run tiny (segment lengths summing to at most
+# 12), and a benchmark ends with one replication, of 5 permutations where its
+# algorithm draws any.
 _MODEL_FLAGS = ["--model", "--lengths", "--grid-size", "--param", "--seed", "--config", "-h"]
+_BENCHMARK_START = ["--model", "8", "--lengths", "4,4,4", "--grid-size", "8", "--algorithm"]
 _OTHER_COMMANDS = {
-    "simulate": (["sim.csv", "--model", "8", "--lengths", "4,4,4"], _MODEL_FLAGS),
+    "simulate": ([["sim.csv", "--model", "8", "--lengths", "4,4,4"]], _MODEL_FLAGS),
     "oracle-curve": (
-        ["--model", "8", "--lengths", "4,4,4", "--grid-size", "8"],
+        [["--model", "8", "--lengths", "4,4,4", "--grid-size", "8"]],
         [*_MODEL_FLAGS, "--input", "--segment-lengths", "--bandwidth", "--output"],
     ),
     "benchmark": (
-        ["--model", "8", "--lengths", "4,4,4", "--grid-size", "8", "--algorithm", "u"],
+        [[*_BENCHMARK_START, "u"], [*_BENCHMARK_START, "s", "-K", "2"]],
         [*_MODEL_FLAGS, "--algorithm", "-K", "--lower", "--upper", "--workers", "--delta",
          "--alpha", "--add-one", "--bandwidth", "--output"],
     ),
@@ -708,12 +735,12 @@ _OTHER_KEYS = ["model", "lengths", "grid_size", "param", "seed", "input", "segme
 
 @st.composite
 def _other_argv(draw):
-    """A command, its valid run or nothing, then up to four of its flags."""
+    """A command, one of its valid runs or nothing, then up to four of its flags."""
     command = draw(st.sampled_from(sorted(_OTHER_COMMANDS)))
-    start, flags = _OTHER_COMMANDS[command]
+    starts, flags = _OTHER_COMMANDS[command]
     pairs = draw(st.lists(st.tuples(st.sampled_from(flags), st.sampled_from(_OTHER_VALUES)),
                           max_size=4))
-    return [command, *draw(st.sampled_from([start, []])), *(tok for pair in pairs for tok in pair)]
+    return [command, *draw(st.sampled_from([*starts, []])), *(tok for pair in pairs for tok in pair)]
 
 
 @given(
@@ -728,8 +755,24 @@ def test_fuzzed_simulate_oracle_and_benchmark_end_in_result_or_json_error(fuzz_d
         (fuzz_dir / "other.cfg").write_text("\n".join(f"{k}={v}" for k, v in lines))
         argv += ["--config", "other.cfg"]
     if argv[0] == "benchmark":
-        argv += ["--replications", "1", "-R", "5"]  # last, so they bound the run
+        argv += ["--replications", "1"]  # last, so it bounds the run
+        if _parsed_algorithm(fuzz_dir, argv) != "s":  # algorithm s takes no -R
+            argv += ["-R", "5"]
     _assert_result_or_json_error(fuzz_dir, argv)
+
+
+def _parsed_algorithm(fuzz_dir, argv):
+    """The algorithm main(argv), run in fuzz_dir, would read, with any
+    --config file; None when argv does not parse."""
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):  # -h prints usage and exits
+            return mmdseg.cli.build_parser().parse_args(argv).algorithm
+    except (ConfigurationError, SystemExit):
+        return None
+    finally:
+        os.chdir(cwd)
 
 
 def test_input_too_large_for_memory_is_data_error(model8_csv, capsys, monkeypatch):
