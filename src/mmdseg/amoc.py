@@ -113,14 +113,17 @@ def permutation_test(
     The screen applies when the block's entries lie in [0, 1], as a Gaussian
     Gram's do, and its float32 copy (4 m^2 bytes) and one draw's mask (m^2)
     fit in mmd._SCRATCH_BYTES, so m <= 457: the test makes that copy once,
-    and `mmd.screened_maxima` gives each draw a certified band.  A draw whose
-    screened maximum lies within band + 2 TIE_BAND of T_n, or whose screened
-    curve comes that close to mmd.CLAMP_WARN_THRESHOLD, is recomputed by
-    `permuted_maxima` alone, which gives the bits of any chunking; every
-    other draw lies in float64 more than TIE_BAND from T_n, on the screened
-    side, and clear of the warning.  Then every draw goes through the
-    near-tie recheck, so every count, p-value, decision, stop L and clamp
-    warning is the float64 route's.
+    and `mmd.screened_maxima` gives each draw one certified band.  A draw
+    whose screened maximum lies within band + 2 TIE_BAND of T_n, or whose
+    screened curve comes that close to mmd.CLAMP_WARN_THRESHOLD, is
+    recomputed by `permuted_maxima`, in batches whose masks fit beside the
+    copy ((_SCRATCH_BYTES - 4 m^2) / m^2 draws); no row sum's order depends
+    on the batch, so each gets the bits of any chunking.  Every other draw
+    lies in float64 more than TIE_BAND from T_n, on the screened side, and
+    clear of the warning.  Then every draw goes through the near-tie
+    recheck, so every count, p-value, decision and stop L is the float64
+    route's, and a clamp warning is given by each batch that holds a draw
+    the float64 route warns on, once, as each float64 chunk warns once.
 
     Draws come in the chunks of `_chunk_ends`, and the test stops at the draw
     L that brings the exceedance count to h.  By default h = R + 1, which no
@@ -144,11 +147,13 @@ def permutation_test(
             chunk = mmd.permuted_maxima(block, perms, config.delta)
         else:
             chunk, low, band = mmd.screened_maxima(block, copy, perms, config.delta)
-            unsure = (np.abs(chunk - T_n) <= band + 2 * TIE_BAND) | (
+            unsure = np.flatnonzero((np.abs(chunk - T_n) <= band + 2 * TIE_BAND) | (
                 low <= mmd.CLAMP_WARN_THRESHOLD + band + 2 * TIE_BAND
-            )
-            for i in np.flatnonzero(unsure):  # one draw's mask fits beside the copy
-                chunk[i] = mmd.permuted_maxima(block, perms[i : i + 1], config.delta)[0]
+            ))
+            group = (mmd._SCRATCH_BYTES - copy.nbytes) // (m * m)  # masks beside the copy
+            for lo in range(0, unsure.size, group):
+                i = unsure[lo : lo + group]
+                chunk[i] = mmd.permuted_maxima(block, perms[i], config.delta)
         for i in np.flatnonzero(np.abs(chunk - T_n) <= TIE_BAND):
             p = perms[i]
             chunk[i] = mmd.rho_curve(block[np.ix_(p, p)], config.delta)[1]

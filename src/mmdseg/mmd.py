@@ -177,7 +177,7 @@ def permuted_maxima(gram: np.ndarray, perms, delta: float) -> np.ndarray:
 
 def screened_maxima(gram: np.ndarray, copy: np.ndarray, perms, delta: float):
     """(maxima, minima, bands) of each row p of perms, from the mask sums of
-    `_masked_sums` over copy, the float32 copy of a gram with entries >= 0.
+    `_masked_sums` over copy, the float32 copy of a gram with entries in [0, 1].
 
     Every term of a masked row sum is >= 0 and is rounded to float32 with
     relative error at most u = 2^-24, so in any summation order the sum errs
@@ -186,25 +186,26 @@ def screened_maxima(gram: np.ndarray, copy: np.ndarray, perms, delta: float):
     carries that error e(t): cross = left_rows - within_left and within_right
     = total - 2 left_rows + within_left, with left_rows and total exact, so
     rho(t) moves by e(t) ((m-t)/t + t/(m-t) + 2) / m^2 = e(t) / (t (m-t)).
-    Two bounds hold, with W(t) the within-left sum:
+    Two bounds hold, with W(t) the exact within-left sum:
       - |e(t)| <= gamma W(t), from the rows before t;
       - |e(t)| <= |E| + gamma (total - W(t)), from the rows at t and after:
         W(m) = total for every draw, so the whole sum's error E = e(m) is
         known, and e(t) = E minus those rows' error.
-    The first is the tighter for small t, the second as t nears m: with the
-    first alone, a band near t = m - 1 outgrows the curve itself at m = 300,
-    and amoc.permutation_test's clamp check rechecked 46% of perfbench's
-    mc-unknown draws (0.17% with both).  W(t) is read from the screened sums,
-    divided by 1 - gamma or 1 + gamma to bound the exact one, and band(t) =
-    min(both) / (t (m-t)).
+    The screen takes only blocks with entries in [0, 1], so W(t) <= t^2 and
+    total - W(t) <= m^2 - t^2.  For t <= m/2 the first bound moves rho(t) by
+    at most gamma t / (m-t) <= gamma; for t > m/2 the second moves it by at
+    most |E| / (t (m-t)) + gamma (m+t) / t < |E| / (m-1) + 3 gamma, since
+    t (m-t) >= m - 1.  So one number per draw, band = 3 gamma + |E| / (m-1),
+    bounds the error at every t.  (With the first bound alone, a band near
+    t = m - 1 outgrows the curve itself at m = 300.)
 
     maxima are the screened curves' maxima over the admissible range (as
     permuted_maxima clamps, with no warning), minima their unclamped minima
-    over every t, and bands the largest band(t) over every t.  So a draw's
-    float64 maximum lies within its band of its screened one, and its float64
-    curve falls below CLAMP_WARN_THRESHOLD only if its screened minimum comes
-    within its band of that threshold, up to float64 roundoff (and 2^-150 per
-    entry below float32's normal range), which the caller's margin covers.
+    over every t, and bands each draw's band.  So a draw's float64 maximum
+    lies within its band of its screened one, and its float64 curve falls
+    below CLAMP_WARN_THRESHOLD only if its screened minimum comes within its
+    band of that threshold, up to float64 roundoff (and 2^-150 per entry
+    below float32's normal range), which the caller's margin covers.
     Each einsum's masks take half of what the copy leaves of _SCRATCH_BYTES,
     so the copy and masks stay within (_SCRATCH_BYTES + 4 m^2) / 2, below the
     float64 route's masks: with all of it, mc-bounded's peak RSS rose 0.6 MB.
@@ -214,20 +215,11 @@ def screened_maxima(gram: np.ndarray, copy: np.ndarray, perms, delta: float):
     t_min, t_max = admissible_range(m, delta)
     u = 2.0**-24  # float32's unit roundoff
     gamma = (m + 1) * u / (1.0 - (m + 1) * u)
-    t = np.arange(1, m, dtype=np.float64)
-    c = 1.0 / (t * (m - t))
     maxima, minima, bands = np.empty((3, perms.shape[0]))
     mask_bytes = (_SCRATCH_BYTES - copy.nbytes) // 2
     for draws, W, left_rows in _masked_sums(gram, perms, copy, mask_bytes):
         values = _rho_from_sums(W, left_rows)
         maxima[draws] = np.maximum(values[:, t_min - 1 : t_max].max(axis=1), 0.0)
         minima[draws] = values.min(axis=1)
-        # band(t) = min(gamma W, |E| + gamma (total - W)) / (t (m-t)), with W
-        # widened by 1 / (1 - gamma) in the first and narrowed by 1 / (1 + gamma)
-        total = left_rows[:, -1:]
-        tail = W[:, :-1] * (-gamma / (1.0 + gamma))
-        tail += np.abs(W[:, -1:] - total) + gamma * total
-        band = np.minimum(W[:, :-1] * (gamma / (1.0 - gamma)), tail, out=tail)
-        band *= c
-        bands[draws] = band.max(axis=1)
+        bands[draws] = 3.0 * gamma + np.abs(W[:, -1] - left_rows[:, -1]) / (m - 1)
     return maxima, minima, bands

@@ -25,6 +25,9 @@ Philox whose key is reset for each draw to the `_key` that
 `permutation_stream(seed, r)` gives.  Each draw has its own key, so draw r
 does not depend on how many draws are made or in which chunk it falls: a
 test that stops after L draws has made the first L draws of the full run.
+The test's keys come from _key applied to the seed once per side of 2**63
+and to each draw id once (cached per R), so a top seed's cast warns once
+per test.
 """
 
 from __future__ import annotations
@@ -82,8 +85,19 @@ def permutation_stream(seed: int, index: int) -> np.random.Generator:
 
 
 @lru_cache(maxsize=None)
-def _permutation_ids(R: int) -> tuple[int, ...]:
-    return tuple(mix64(TAG_PERMUTATION, r) for r in range(1, R + 1))
+def _permutation_ids(R: int) -> tuple[tuple[int, ...], ...]:
+    """Each draw id's side of 2**63 (id >> 63), then its key half beside a
+    seed below 2**63 and beside one above: the id, or rounded as _key rounds it."""
+    ids = [mix64(TAG_PERMUTATION, r) for r in range(1, R + 1)]
+    halves = (tuple(int(_key(s, i)[1]) for i in ids) for s in (0, 1 << 63))
+    return tuple(i >> 63 for i in ids), *halves
+
+
+def _fresh_state(key) -> dict:
+    """Philox(key=key).state in plain ints (counter 0, empty buffer), which
+    the state setter reads faster than numpy arrays."""
+    return {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def permutation_chunks(seed: int, m: int, ends) -> Iterator[np.ndarray]:
@@ -92,20 +106,27 @@ def permutation_chunks(seed: int, m: int, ends) -> Iterator[np.ndarray]:
     chunk at a time and all from one Philox; a caller that stops iterating
     makes no further draws.
 
+    _key(seed, id) rounds both halves exactly when one of them is >= 2**63,
+    and each half's value depends only on itself and on which side of 2**63
+    the other lies.  So the test's keys are built in one pass from the two
+    halves _key gives the seed and the cached halves it gives each id.
     Before each draw the Philox state is reset to what Philox(key=) would
-    set up (counter 0, empty buffer) under the draw's _key; the setter copies
-    the dict in, so one dict serves every draw.  Each row is then shuffled in
-    place, which is all Generator.permutation(m) does to arange(m).
+    set up under the draw's key (`_fresh_state`); the setter copies the dict
+    in, so one dict serves every draw.  Each row is then shuffled in place,
+    which is all Generator.permutation(m) does to arange(m).
     """
+    seed = int(seed) & _MASK64
+    sides, *halves = _permutation_ids(ends[-1])
+    seed_halves = [int(_key(seed, i)[0]) for i in (0, 1 << 63)]  # by the id's side
+    keys = [(seed_halves[side], half) for side, half in zip(sides, halves[seed >> 63])]
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
-    state = bitgen.state  # a fresh Philox's: counter 0, empty buffer
-    ids = _permutation_ids(ends[-1])
+    state = _fresh_state(None)
     lo = 0
     for hi in ends:
         perms = np.tile(np.arange(m), (hi - lo, 1))
-        for row, index in zip(perms, ids[lo:hi]):
-            state["state"]["key"] = _key(seed, index)
+        for row, key in zip(perms, keys[lo:hi]):
+            state["state"]["key"] = key
             bitgen.state = state
             gen.shuffle(row)
         yield perms

@@ -13,7 +13,7 @@ from scipy.spatial.distance import pdist, squareform
 
 import mmdseg.kernel
 import mmdseg.mmd
-from mmdseg import ModelSpec, generate, prepare
+from mmdseg import AmocConfig, ModelSpec, generate, permutation_test, prepare
 from mmdseg.errors import ConfigurationError, DataError, DegenerateBandwidthError
 from mmdseg.kernel import as_dataset, median_heuristic, squared_distances
 
@@ -329,3 +329,25 @@ def test_a_permutation_test_holds_its_draws_in_scratch(R, stop):
     warm = "G = prepare(X)[1]; permutation_test(G[:100, :100], AmocConfig(R=3))"
     run = f"permutation_test(G, AmocConfig(R={R}), stop_on_accept={stop})"
     assert high_water_rise(1500, warm, run) <= 3 * mmdseg.mmd._SCRATCH_BYTES
+
+
+@needs_proc_status
+def test_a_screened_test_rechecks_within_its_scratch(monkeypatch):
+    # Entries in [0, 1] around a diagonal at their mean: not positive
+    # semidefinite, so every permuted curve dips below CLAMP_WARN_THRESHOLD
+    # and every draw is rechecked in float64.  A chunk of draws takes at most
+    # 1 MiB, and the float32 copy with one batch of recheck masks another
+    # (1.81 MiB in all, with per-draw rows); batches whose masks ignored the
+    # copy took it to 2.51 MiB.
+    block = "A = np.random.default_rng(0).uniform(size=(450, 450)); G = (A + A.T) / 2; np.fill_diagonal(G, 0.5)"
+    namespace = {"np": np}
+    exec(block, namespace)
+    rechecked, maxima = [], mmdseg.mmd.permuted_maxima
+    monkeypatch.setattr(mmdseg.mmd, "permuted_maxima",
+                        lambda G, p, delta: rechecked.append(len(p)) or maxima(G, p, delta))
+    with pytest.warns(RuntimeWarning, match="clamped"):
+        permutation_test(namespace["G"], AmocConfig(R=199))
+    assert sum(rechecked) == 199
+    warm = f"{block}; permutation_test(G[:100, :100], AmocConfig(R=3))"
+    run = "permutation_test(G, AmocConfig(R=199))"
+    assert high_water_rise(450, warm, run) <= 2.25 * mmdseg.mmd._SCRATCH_BYTES
