@@ -133,8 +133,6 @@ def permutation_test(
     Chunking changes no value, and every decision equals the full run's.
     """
     m = block.shape[0]
-    if not mmd.splittable(m, config.delta):
-        raise ConfigurationError(f"block of {m} observations is too short to test")
     tau_hat, T_n = mmd.rho_curve(block, config.delta)
 
     h = _accept_count(config) if stop_on_accept else config.R + 1

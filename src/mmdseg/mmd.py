@@ -9,6 +9,7 @@ with diagonal terms included.  The split statistic at split t of an ordered
 block of size n is rho(t) = t (n - t) / n^2 * d(first t, rest); its curve
 over all admissible t is computed with one prefix-sum sweep, O(n) per split
 and O(n^2) total, instead of recomputing the three block sums per split.
+Admissible splits trim max(ceil(n delta), MIN_SIDE) observations off each end.
 The same sweep over permuted blocks takes its row sums from a rank mask on
 the unpermuted matrix (`permuted_maxima`), or from a float32 copy of it with a
 certified error band per draw (`screened_maxima`).
@@ -17,7 +18,7 @@ certified error band per draw (`screened_maxima`).
 from __future__ import annotations
 
 import warnings
-from math import ceil, floor
+from math import ceil
 
 import numpy as np
 
@@ -38,7 +39,7 @@ _SCRATCH_BYTES = 1 << 20
 
 
 def _clamp_nonnegative(values: np.ndarray) -> np.ndarray:
-    low = np.min(values)
+    low = np.min(values, initial=np.inf)
     if low < CLAMP_WARN_THRESHOLD:
         warnings.warn(
             f"split statistic clamped from {low!r} to 0; cancellation beyond "
@@ -74,24 +75,24 @@ def _rho_from_sums(wl: np.ndarray, left_rows: np.ndarray) -> np.ndarray:
     return values
 
 
-def _split_bounds(n: int, delta: float) -> tuple[int, int]:
+def _trim(n: int, delta: float) -> int:
     if not 0.0 < delta < 0.5:
         raise ConfigurationError(f"delta must lie in (0, 1/2), got {delta}")
-    return max(ceil(n * delta), MIN_SIDE), min(floor(n * (1.0 - delta)), n - MIN_SIDE)
+    return max(ceil(n * delta), MIN_SIDE)
 
 
 def splittable(n: int, delta: float) -> bool:
-    """True when a block of n observations admits at least one tested split."""
-    t_min, t_max = _split_bounds(n, delta)
-    return t_min <= t_max
+    """True when n observations admit a split: 2 t <= n for admissible_range's trim t."""
+    return 2 * _trim(n, delta) <= n
 
 
 def admissible_range(n: int, delta: float) -> tuple[int, int]:
-    """Split bounds [max(ceil(n delta), MIN_SIDE), min(floor(n(1-delta)), n - MIN_SIDE)]."""
-    t_min, t_max = _split_bounds(n, delta)
-    if t_min > t_max:
-        raise ConfigurationError(f"admissible split range is empty for n={n}, delta={delta}")
-    return t_min, t_max
+    """Split bounds (t, n - t), t = max(ceil(n delta), MIN_SIDE): each end
+    leaves out t observations.  A block with 2 t > n is too short."""
+    t = _trim(n, delta)
+    if 2 * t > n:
+        raise ConfigurationError(f"block of {n} observations is too short at delta={delta}")
+    return t, n - t
 
 
 def rho_values(gram: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 from .amoc import AmocConfig, permutation_test
 from .errors import ConfigurationError
 from .kernel import as_dataset, check_bandwidth, gram_matrix, squared_distances
-from .mmd import rho_curve, splittable
+from .mmd import MIN_SIDE, rho_curve, splittable
 from .rng import TAG_PAIRTEST, TAG_SEGMENT, derive_seed
 
 
@@ -79,9 +79,9 @@ def prepare(data, h: float | None = None, k: int = 0):
     pass is made only once k supervised rounds are known to fit the data."""
     X = as_dataset(data)
     n = X.shape[0]
-    if k and n < 2 * (k + 1):
+    if k and n < (need := MIN_SIDE * (k + 1)):
         raise ConfigurationError(
-            f"a budget of {k} changepoints needs at least {2 * (k + 1)} observations, got {n}"
+            f"a budget of {k} changepoints needs at least {need} observations, got {n}"
         )
     if h is not None:
         h = check_bandwidth(h)  # before the O(n^2 p) pass, not after it

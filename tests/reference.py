@@ -12,7 +12,7 @@ so that they see the very draws the Monte Carlo harness hands to the
 detectors.
 """
 
-from math import ceil, floor
+from math import ceil
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -50,6 +50,15 @@ def naive_rho_values_blockwise(gram):
         d = wl / t**2 + wr / (n - t) ** 2 - 2.0 * cr / (t * (n - t))
         out[t - 1] = t * (n - t) / n**2 * d
     return out
+
+
+def kernel_scatter(gram, a, b):
+    """Within-segment kernel scatter C(a, b) = sum_{i in [a, b)} G_ii
+    - sum(G[a:b, a:b]) / (b - a): the least-squares cost of kernel
+    change-point detection (Harchaoui & Cappe 2007; Arlot, Celisse &
+    Harchaoui 2019)."""
+    block = gram[a:b, a:b]
+    return float(np.trace(block) - block.sum() / (b - a))
 
 
 def gathered_permutation_maxima(gram, perms, delta):
@@ -199,16 +208,15 @@ def separated_pools(rng, sizes, p=8, gap=4.0):
 
 def cusum_argmax(x, delta=0.05, min_side=2):
     """Smallest maximizer of the mean-change CUSUM n (S_t - t S_n / n)^2 / (t (n - t))
-    over the splits max(ceil(n delta), min_side) <= t <= min(floor(n (1 - delta)), n - min_side).
+    over the splits trim <= t <= n - trim, trim = max(ceil(n delta), min_side).
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     t = np.arange(1, n)
     s = np.cumsum(x)
     stat = n * (s[:-1] - t * s[-1] / n) ** 2 / (t * (n - t))
-    t_min = max(ceil(n * delta), min_side)
-    t_max = min(floor(n * (1.0 - delta)), n - min_side)
-    return t_min + int(np.argmax(stat[t_min - 1 : t_max]))
+    trim = max(ceil(n * delta), min_side)
+    return trim + int(np.argmax(stat[trim - 1 : n - trim]))
 
 
 def model1_shift_projection(data):

@@ -59,7 +59,7 @@ def test_statistic_matches_exhaustive_evaluation():
     G = random_gram(3, n=20)
     argmax_t, max_value = rho_curve(G, 0.05)
     naive = naive_rho_values_blockwise(G)
-    lo, hi = 2, 18  # ceil(1) floored to 2, min(floor(19), 18)
+    lo, hi = 2, 18  # the trim max(ceil(1), 2) = 2 off each end
     window = naive[lo - 1 : hi]
     assert max_value == pytest.approx(window.max(), abs=1e-10)
     assert argmax_t == lo + int(np.argmax(window))

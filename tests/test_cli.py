@@ -275,6 +275,17 @@ def test_detect_s_budget_and_csv_format(model8_csv, capsys):
     assert len(lines) == 3
 
 
+def test_detect_s_trims_both_ends_alike(tmp_path, capsys):
+    # --delta 0.3 leaves out 27 observations at each end of 90, so 63 = 90 - 27
+    # is the last admissible split
+    rng = np.random.default_rng(0)
+    path = tmp_path / "shift63.csv"
+    save_csv(np.vstack([np.zeros((63, 3)), np.full((27, 3), 4.0)]) + rng.normal(size=(90, 3)), path)
+    code, out, _ = run(capsys, "detect-s", str(path), "-K", "1", "--delta", "0.3")
+    assert code == 0
+    assert json.loads(out)["boundaries"] == [63]
+
+
 def test_detect_ss_rejects_crossed_bounds(model8_csv, capsys):
     code, _, err = run(
         capsys, "detect-ss", str(model8_csv), "--lower", "2", "--upper", "1"

@@ -1,9 +1,14 @@
+from math import ceil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmdseg import (
     AmocConfig,
+    ModelSpec,
+    detect_s,
+    generate,
     oracle_curve,
     permutation_test,
     prepare,
@@ -12,11 +17,12 @@ from mmdseg import (
 )
 import mmdseg.mmd
 from mmdseg.errors import ConfigurationError
-from mmdseg.mmd import admissible_range, permuted_maxima
+from mmdseg.mmd import admissible_range, permuted_maxima, splittable
 from mmdseg.rng import permutation_stream
 
 from reference import (
     gathered_permutation_maxima,
+    kernel_scatter,
     mixture_mmd,
     naive_mmd_groups,
     naive_rho_values,
@@ -101,10 +107,77 @@ def test_rho_curve_rejects_bad_delta():
 
 
 def test_rho_curve_empty_range_rejected():
-    # n=5, delta=0.45: t_min = max(ceil(2.25), 2) = 3 > t_max = min(floor(2.75), 3) = 2
+    # n=5, delta=0.45: the trim t = max(ceil(2.25), 2) = 3 leaves no split, 2 t > 5
     G = random_gram(4, n=5)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="too short"):
         rho_curve(G, 0.45)
+
+
+@pytest.mark.parametrize(
+    "delta", [0.01, 0.02, 0.05, 0.07, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.45, 0.49]
+)
+def test_admissible_range_trims_both_ends_alike(delta):
+    for n in range(1, 2001):
+        t = max(ceil(n * delta), 2)
+        assert splittable(n, delta) == (2 * t <= n)
+        if 2 * t <= n:
+            assert admissible_range(n, delta) == (t, n - t)
+        else:
+            with pytest.raises(ConfigurationError, match="too short"):
+                admissible_range(n, delta)
+
+
+def test_both_ends_leave_out_the_same_count():
+    # deltas at which floor(n (1 - delta)) and n - ceil(n delta) part ways
+    assert admissible_range(90, 0.3) == (27, 63)
+    assert admissible_range(100, 0.07) == (8, 92)
+
+
+def test_the_default_delta_keeps_the_two_formula_bounds():
+    # [max(ceil(n delta), 2), min(floor(n (1 - delta)), n - 2)], the range
+    # every golden file and benchmark fixture was recorded with
+    n = np.arange(1, 200_001)
+    lo = np.maximum(np.ceil(n * 0.05), 2).astype(int)
+    hi = np.minimum(np.floor(n * (1.0 - 0.05)), n - 2).astype(int)
+    empty = lo > hi
+    assert not any(splittable(int(k), 0.05) for k in n[empty])
+    got = [admissible_range(int(k), 0.05) for k in n[~empty]]
+    assert np.array_equal(got, np.column_stack((lo, hi))[~empty])
+
+
+def test_one_observation_has_an_empty_curve():
+    G = np.ones((1, 1))
+    assert rho_values(G).shape == (0,)
+    assert oracle_curve(G, (1,)).shape == (0,)
+
+
+# model -> segment lengths of a small draw from each population layout
+SCATTER_MODELS = {"8": (30, 30, 30), "2": (45, 45), "N1": (90,), "5": (45, 45)}
+
+
+@given(st.sampled_from(sorted(SCATTER_MODELS)), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_split_statistic_is_the_drop_in_kernel_scatter(model, seed):
+    # n rho(t) = C(0, n) - C(0, t) - C(t, n): kernel least squares (ROADMAP item 17)
+    G = prepare(generate(ModelSpec(model, SCATTER_MODELS[model], seed=seed)).data)[1]
+    n = G.shape[0]
+    total = kernel_scatter(G, 0, n)
+    drop = [total - kernel_scatter(G, 0, t) - kernel_scatter(G, t, n) for t in range(1, n)]
+    assert np.max(np.abs(n * rho_values(G) - drop)) <= 1e-10 * total
+
+
+@given(st.sampled_from(sorted(SCATTER_MODELS)), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_detect_s_at_one_change_minimizes_the_kernel_scatter(model, seed):
+    # so K = 1 is the kernel least-squares split over the admissible range,
+    # up to roundoff between near-tied splits
+    data = generate(ModelSpec(model, SCATTER_MODELS[model], seed=seed)).data
+    (tau,) = detect_s(data, 1).segmentation.boundaries
+    G = prepare(data)[1]
+    n = G.shape[0]
+    lo, hi = admissible_range(n, 0.05)
+    cost = np.array([kernel_scatter(G, 0, t) + kernel_scatter(G, t, n) for t in range(lo, hi + 1)])
+    assert cost[tau - lo] <= cost.min() * (1.0 + 1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
