@@ -14,6 +14,7 @@ import sys
 import time
 from dataclasses import asdict, fields
 
+from . import kernel
 from .amoc import AmocConfig
 from .benchmark import BenchmarkCell, run_benchmark
 from .dataio import (
@@ -101,9 +102,15 @@ _TEST_FIELDS = ("R", "alpha", "add_one")
 
 
 def _amoc_config(args) -> AmocConfig:
-    """The flags given; AmocConfig supplies every other field."""
+    """The flags given; AmocConfig supplies every other field.  ConfigurationError
+    for a given -R whose statistics (16 bytes per draw) exceed the memory available."""
     given = {f.name: getattr(args, f.name, None) for f in fields(AmocConfig)}
-    return AmocConfig(**{name: value for name, value in given.items() if value is not None})
+    config = AmocConfig(**{name: value for name, value in given.items() if value is not None})
+    available = kernel._available_memory() if given["R"] is not None else None
+    if available is not None and 16 * config.R > available:
+        raise ConfigurationError(f"-R {config.R} needs about {16 * config.R / 1e6:.3g} MB for the "
+                                 f"permutation statistics, {available / 1e6:.3g} MB available")
+    return config
 
 
 def _bandwidth(raw: str) -> float | None:

@@ -20,20 +20,16 @@ A seed in [2**64 - 1024, 2**64) with an id below 2**63 rounds to 2**64
 itself, which does not fit the key, so numpy warns on the cast.
 
 A permutation test's draws are all made in `permutation_chunks`, on one
-Philox whose key is reset for each draw to the `_key` that
-`permutation_stream` builds; every draw is the one
-`permutation_stream(seed, r)` gives.  Each draw has its own key, so draw r
-does not depend on how many draws are made or in which chunk it falls: a
-test that stops after L draws has made the first L draws of the full run.
-The test's keys come from _key applied to the seed once per side of 2**63
-and to each draw id once (cached per R), so a top seed's cast warns once
-per test.
+Philox re-keyed for each draw r with the `_key` of permutation_stream(seed,
+r), whose draw it makes.  So draw r does not depend on how many draws are
+made or in which chunk it falls: a test that stops after L draws has made
+the first L draws of the full run.  Keys are built per chunk, so a test
+holds none beyond its current chunk, and a top seed's cast warns once per test.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,12 +53,13 @@ def check_seed(seed: int) -> None:
         raise ConfigurationError(f"seed must lie in [0, 2**64), got {seed}")
 
 
-def mix64(*values: int) -> int:
-    """Fold integers into one 64-bit id with the splitmix64 finalizer."""
+def mix64(*values) -> int | np.ndarray:
+    """Fold integers into one 64-bit id with the splitmix64 finalizer.  The
+    last value may be a uint64 array: each element is folded in after the
+    others, giving the array of their ids."""
     acc = 0x9E3779B97F4A7C15
     for v in values:
-        acc = (acc + (int(v) & _MASK64)) & _MASK64
-        z = acc
+        z = acc = (acc + (v if isinstance(v, np.ndarray) else int(v) & _MASK64)) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         acc = z ^ (z >> 31)
@@ -84,15 +81,6 @@ def permutation_stream(seed: int, index: int) -> np.random.Generator:
     return stream(seed, TAG_PERMUTATION, index)
 
 
-@lru_cache(maxsize=None)
-def _permutation_ids(R: int) -> tuple[tuple[int, ...], ...]:
-    """Each draw id's side of 2**63 (id >> 63), then its key half beside a
-    seed below 2**63 and beside one above: the id, or rounded as _key rounds it."""
-    ids = [mix64(TAG_PERMUTATION, r) for r in range(1, R + 1)]
-    halves = (tuple(int(_key(s, i)[1]) for i in ids) for s in (0, 1 << 63))
-    return tuple(i >> 63 for i in ids), *halves
-
-
 def _fresh_state(key) -> dict:
     """Philox(key=key).state in plain ints (counter 0, empty buffer), which
     the state setter reads faster than numpy arrays."""
@@ -106,27 +94,29 @@ def permutation_chunks(seed: int, m: int, ends) -> Iterator[np.ndarray]:
     chunk at a time and all from one Philox; a caller that stops iterating
     makes no further draws.
 
-    _key(seed, id) rounds both halves exactly when one of them is >= 2**63,
-    and each half's value depends only on itself and on which side of 2**63
-    the other lies.  So the test's keys are built in one pass from the two
-    halves _key gives the seed and the cached halves it gives each id.
-    Before each draw the Philox state is reset to what Philox(key=) would
-    set up under the draw's key (`_fresh_state`); the setter copies the dict
-    in, so one dict serves every draw.  Each row is then shuffled in place,
+    _key(seed, id) rounds each half by itself and by which side of 2**63 the
+    other lies.  So a chunk's keys pair its ids (one mix64 call) with one of
+    the two halves _key gives the seed, and an id on the other side of 2**63
+    from the seed takes _key's float64 round trip; no draw r <= 10**8 has an
+    id in [2**64 - 1024, 2**64), where that trip would overflow the cast.
+    Each draw resets the Philox to Philox(key=)'s fresh state (`_fresh_state`,
+    one dict, which the setter copies in) and shuffles its row in place,
     which is all Generator.permutation(m) does to arange(m).
     """
     seed = int(seed) & _MASK64
-    sides, *halves = _permutation_ids(ends[-1])
     seed_halves = [int(_key(seed, i)[0]) for i in (0, 1 << 63)]  # by the id's side
-    keys = [(seed_halves[side], half) for side, half in zip(sides, halves[seed >> 63])]
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
     state = _fresh_state(None)
     lo = 0
     for hi in ends:
+        ids = mix64(TAG_PERMUTATION, np.arange(lo + 1, hi + 1, dtype=np.uint64))
+        sides = ids >> np.uint64(63)
+        rounded = sides != seed >> 63
+        ids[rounded] = ids[rounded].astype(np.float64).astype(np.uint64)
         perms = np.tile(np.arange(m), (hi - lo, 1))
-        for row, key in zip(perms, keys[lo:hi]):
-            state["state"]["key"] = key
+        for row, side, half in zip(perms, sides.tolist(), ids.tolist()):
+            state["state"]["key"] = (seed_halves[side], half)
             bitgen.state = state
             gen.shuffle(row)
         yield perms

@@ -6,18 +6,21 @@ the package internals it checks.  Two exceptions reuse package code on
 purpose.  The gathered permutation loop sweeps rho_curve over an np.ix_
 reordered copy per draw; it is the route the rank-mask engine replaced (and
 the one its near-tie recheck still takes), and tests/test_mmd.py holds
-rho_curve itself to the naive recomputations.  The
+rho_curve itself to the naive recomputations.  reference_detect runs the
+package's detectors with that loop in place of every permutation test.  The
 CUSUM oracles at the end take their samples from the package's generators,
 so that they see the very draws the Monte Carlo harness hands to the
 detectors.
 """
 
 from math import ceil
+from unittest.mock import patch
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from mmdseg import ModelSpec, generate, rho_curve
+import mmdseg.segment
+from mmdseg import AmocResult, ModelSpec, generate, rho_curve
 from mmdseg.rng import TAG_DATA, derive_seed, permutation_stream
 
 
@@ -66,16 +69,37 @@ def gathered_permutation_maxima(gram, perms, delta):
     return np.array([rho_curve(gram[np.ix_(p, p)], delta)[1] for p in perms])
 
 
-def gathered_p_value(gram, config):
-    """permutation_test(gram, config).p_value from the gathered per-draw loop,
-    with the same streams, statistic and exceedance rules."""
+def gathered_permutation_test(gram, config, stop_on_accept=False):
+    """permutation_test(gram, config) from the gathered per-draw loop over all
+    R draws of permutation_stream, with the same statistic, exceedance rules
+    and rejection rule: no chunks, no screen, and no early stop whatever
+    stop_on_accept says."""
     m = gram.shape[0]
-    T = rho_curve(gram, config.delta)[1]
+    tau_hat, T = rho_curve(gram, config.delta)
     perms = [permutation_stream(config.seed, r).permutation(m) for r in range(1, config.R + 1)]
     stats = gathered_permutation_maxima(gram, perms, config.delta)
     if config.add_one:
-        return (1 + int(np.count_nonzero(stats >= T))) / (config.R + 1)
-    return int(np.count_nonzero(stats > T)) / config.R
+        p = (1 + int(np.count_nonzero(stats >= T))) / (config.R + 1)
+    else:
+        p = int(np.count_nonzero(stats > T)) / config.R
+    return AmocResult(T, tau_hat, p, p < config.alpha and T > 0.0, stats)
+
+
+def stop_count(cfg):
+    """Smallest exceedance count h whose p-value over all R draws is >= alpha."""
+    h = 0
+    while (((1 + h) / (cfg.R + 1)) if cfg.add_one else h / cfg.R) < cfg.alpha:
+        h += 1
+    return h
+
+
+def reference_detect(algorithm, data, config, h=None, **budget):
+    """segment.detect(algorithm, data, config, h, **budget) with every
+    permutation test made by gathered_permutation_test: each decision the
+    full R-draw run makes, from draws that never pass through
+    rng.permutation_chunks."""
+    with patch.object(mmdseg.segment, "permutation_test", gathered_permutation_test):
+        return mmdseg.segment.detect(algorithm, data, config, h, **budget)
 
 
 def condensed_prepare(X, h=None):

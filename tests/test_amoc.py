@@ -29,7 +29,12 @@ from mmdseg.rng import (
     permutation_stream,
 )
 
-from reference import gathered_p_value, naive_rho_values_blockwise, separated_pools
+from reference import (
+    gathered_permutation_test,
+    naive_rho_values_blockwise,
+    separated_pools,
+    stop_count,
+)
 
 
 def random_gram(seed, n, p=6):
@@ -152,6 +157,32 @@ def test_permutations_equal_per_draw_streams(m):
             assert np.array_equal(got, per_draw[:R]), (seed, R)
 
 
+@settings(max_examples=50)
+@given(st.lists(st.integers(0, 2**40), min_size=1, max_size=20))
+def test_mix64_folds_a_uint64_array_as_each_element(rs):
+    ids = mix64(TAG_PERMUTATION, np.array(rs, dtype=np.uint64))
+    assert ids.dtype == np.uint64
+    assert ids.tolist() == [mix64(TAG_PERMUTATION, r) for r in rs]
+
+
+def test_a_chunk_past_draw_5000_equals_its_per_draw_streams():
+    # Each chunk's ids start at its own first draw, not at draw 1.
+    for seed in [0, 1, 2**63 - 1, 2**63, 9807252377232042866, 9807252377232042867,
+                 *_drawn_seeds()]:
+        per_draw = [permutation_stream(seed, r).permutation(4) for r in range(4991, 5011)]
+        chunks = permutation_chunks(seed, 4, (4990, 5010))
+        next(chunks)
+        assert np.array_equal(next(chunks), per_draw), seed
+
+
+def test_no_permutation_id_rounds_past_the_top_of_the_key():
+    # An id in [2**64 - 1024, 2**64) beside a seed below 2**63 rounds to
+    # 2**64, which the key's cast cannot hold.  No draw r <= 10**7 has one.
+    for lo in range(0, 10**7, 10**6):
+        ids = mix64(TAG_PERMUTATION, np.arange(lo + 1, lo + 10**6 + 1, dtype=np.uint64))
+        assert ids.max() < 2**64 - 1024
+
+
 def test_the_top_seeds_draw_as_their_per_draw_streams():
     # _drawn_seeds leaves these out: beside an id below 2**63 the seed rounds
     # to 2**64, and numpy warns on the cast, per draw for the per-draw
@@ -236,14 +267,6 @@ def test_permutation_test_builds_one_generator(monkeypatch):
     early = permutation_test(G, cfg, stop_on_accept=True)
     assert 20 < early.permutation_stats.size < cfg.R  # past the first chunk of 2h = 20
     assert len(built) == 1
-
-
-def stop_count(cfg):
-    """Smallest exceedance count h whose p-value over all R draws is >= alpha."""
-    h = 0
-    while (((1 + h) / (cfg.R + 1)) if cfg.add_one else h / cfg.R) < cfg.alpha:
-        h += 1
-    return h
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 8, 11, 16, 40, 100, 300])
@@ -416,7 +439,7 @@ def test_pvalues_equal_gathered_route_on_tie_heavy_blocks(m):
         G = random_gram(seed, n=m, p=3)
         for add_one in (False, True):
             cfg = AmocConfig(R=49, seed=seed, add_one=add_one)
-            assert permutation_test(G, cfg).p_value == gathered_p_value(G, cfg)
+            assert permutation_test(G, cfg).p_value == gathered_permutation_test(G, cfg).p_value
 
 
 def test_size_is_close_to_nominal_for_exchangeable_data():

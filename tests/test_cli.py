@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -813,6 +814,24 @@ def test_an_input_over_the_available_memory_exits_3_before_the_distance_pass(
     assert doc["kind"] == "data"
     assert doc["error"].startswith("input too large for memory: ")
     assert doc["error"].endswith(" MB for the 180 x 180 Gram matrix, 0.001 MB available")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="needs /proc/meminfo")
+@pytest.mark.parametrize("command", ["detect-u", "detect-ss", "detect-forward"])
+def test_a_permutation_count_beyond_the_available_memory_exits_2_at_once(
+        model8_csv, capsys, command):
+    # 16 bytes per draw for the statistics: far beyond any memory, so the run
+    # stops before the load instead of counting towards an accept for hours.
+    budget = {"detect-u": [], "detect-ss": ["--upper", "2"], "detect-forward": ["--lower", "1"]}
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, command, str(model8_csv), "-R", "99999999999999999999",
+                         *budget[command])
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["kind"] == "configuration"
+    assert re.fullmatch(r"-R 99999999999999999999 needs about 1\.6e\+15 MB for the permutation "
+                        r"statistics, \S+ MB available", doc["error"])
 
 
 # oracle-curve ---------------------------------------------------------------

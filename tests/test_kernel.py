@@ -332,6 +332,17 @@ def test_a_permutation_test_holds_its_draws_in_scratch(R, stop):
 
 
 @needs_proc_status
+def test_a_permutation_test_holds_no_key_per_draw():
+    # Five times the draws on a 40-row block: only the 8-byte statistics grow
+    # with R (16 bytes per draw while a chunk is appended).  A key list and an
+    # id cache held for all R draws took the rise from 4.8 to 12.4 MB.
+    warm = "G = prepare(X)[1]; permutation_test(G, AmocConfig(R=3))"
+    small, large = (high_water_rise(40, warm, f"permutation_test(G, AmocConfig(R={R}))")
+                    for R in (9_999, 49_999))
+    assert large - small <= 2 * 1024 * 1024
+
+
+@needs_proc_status
 def test_a_screened_test_rechecks_within_its_scratch(monkeypatch):
     # Entries in [0, 1] around a diagonal at their mean: not positive
     # semidefinite, so every permuted curve dips below CLAMP_WARN_THRESHOLD

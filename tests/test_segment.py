@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmdseg import (
     AmocConfig,
@@ -16,8 +17,10 @@ from mmdseg import (
     rho_curve,
 )
 from mmdseg.errors import ConfigurationError, DegenerateBandwidthError
+from mmdseg.segment import detect
+from mmdseg.simulate import POPULATIONS
 
-from reference import separated_pools
+from reference import reference_detect, separated_pools, stop_count
 
 
 CFG = AmocConfig(R=99, seed=42)
@@ -261,3 +264,37 @@ def test_forward_finds_remaining_boundary():
         fwd = detect_forward(data, 1, AmocConfig(R=99, seed=seed))
         hits += match(fwd.segmentation, (60, 120))
     assert hits >= 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    algorithm=st.sampled_from(["u", "s", "ss", "forward"]),
+    model=st.sampled_from(["N1", "1", "5", "8", "2"]),
+    n=st.integers(60, 150),
+    k=st.integers(1, 3),
+    R=st.sampled_from([19, 99]),
+    alpha=st.sampled_from([0.05, 0.2]),
+    add_one=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_decision_equals_the_full_gathered_run(algorithm, model, n, k, R, alpha,
+                                                     add_one, seed):
+    # Chunked keys, the float32 screen and early stops must leave every
+    # boundary, sweep, merge and decision of the full R-draw run, and every
+    # p-value of a test that drew all R.  A test that stopped on an accept
+    # after L draws reports the sequential p-value of the h-th exceedance.
+    parts = POPULATIONS[model]
+    data = generate(ModelSpec(model, [n // parts + (i < n % parts) for i in range(parts)],
+                              seed=seed)).data
+    config = AmocConfig(R=R, alpha=alpha, seed=seed, add_one=add_one)
+    budget = {"u": {}, "s": {"K": k}, "ss": {"K_l": k // 2, "K_u": k}, "forward": {"K_l": k}}
+    h = stop_count(config)
+    got = detect(algorithm, data, config, **budget[algorithm])
+    want = reference_detect(algorithm, data, config, **budget[algorithm])
+    assert got.segmentation == want.segmentation
+    assert len(got.trace) == len(want.trace)
+    for rec, ref in zip(got.trace, want.trace):
+        if rec["op"] == "test" and (L := rec["permutations_used"]) < R:
+            assert rec["p_value"] == ((1 + h) / (L + 1) if add_one else h / L)
+            rec, ref = ({**r, "p_value": None, "permutations_used": None} for r in (rec, ref))
+        assert rec == ref
