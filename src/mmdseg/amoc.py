@@ -77,9 +77,14 @@ def _p_value(exceedances: int, draws: int, add_one: bool) -> float:
 
 
 def _accept_count(config: AmocConfig) -> int:
-    """h: the smallest exceedance count whose p-value over all R draws is >= alpha."""
-    h = 0
-    while _p_value(h, config.R, config.add_one) < config.alpha:
+    """h: the smallest exceedance count whose p-value over all R draws is >= alpha,
+    ceil(alpha R) or, under add_one, ceil(alpha (R + 1)) - 1, at least 0; h
+    then moves until _p_value agrees, as the products round."""
+    R, alpha, add_one = config.R, config.alpha, config.add_one
+    h = max(int(np.ceil(alpha * (R + 1))) - 1 if add_one else int(np.ceil(alpha * R)), 0)
+    while h > 0 and _p_value(h - 1, R, add_one) >= alpha:
+        h -= 1
+    while _p_value(h, R, add_one) < alpha:
         h += 1
     return h
 

@@ -5,16 +5,16 @@ stored row-wise in an (n, p) array.  Distances use the scaled L2 norm
 sqrt((1/p) * sum (a_j - b_j)^2), the Riemann approximation of the L2[0, 1]
 norm, so the bandwidth and kernel values are grid-resolution independent.
 
-as_dataset validates the data; squared_distances makes the one distance
-pass into an (n, n) buffer and moves the pairs into both triangles.
-Between the pass and the move, median_heuristic reads the bandwidth from a
-copy of the pairs in the buffer's free half.  gram_matrix (at a checked
-bandwidth) then turns that same buffer into the Gram matrix.  A run peaks
-at that 8n^2-byte Gram, the rows, and 1 MiB (`mmd._SCRATCH_BYTES`) for each
-sweep buffer, chunk of rank masks (with a screened block's float32 copy beside
-them), and chunk of permutation draws with their ranks; only the near-tie
-recheck in `amoc.permutation_test` gathers an m x m float64 copy.
-`segment.prepare` chains them: it is the one public route to a Gram matrix.
+as_dataset validates the data; gram_of_rows makes the one distance pass
+into the front of an (n, n) buffer.  From a copy of the condensed pairs in
+the buffer's free half, median_heuristic reads the bandwidth; gram_matrix
+(at a checked bandwidth) turns the pairs into kernel values where they lie,
+and they are then moved into both triangles.  A run peaks at that 8n^2-byte
+Gram, the rows, and 1 MiB (`mmd._SCRATCH_BYTES`) for each chunk of rank masks
+(with a screened block's float32 copy beside them) and chunk of permutation
+draws with their ranks; a split-curve sweep takes a few rows of n floats, and
+only the near-tie recheck in `amoc.permutation_test` gathers an m x m float64
+copy.  `segment.prepare` is the one public route to a Gram matrix.
 
 The distance pass is scipy's compiled sqeuclidean kernel: `pdist` loads that
 one file at the first pass, not the 0.3-0.5 s import of scipy.spatial.
@@ -71,11 +71,6 @@ def _check_memory(n: int, p: int) -> None:
         )
 
 
-def _condensed_start(i: int, n: int) -> int:
-    """Index of pair (i, i + 1) in the condensed order of n observations."""
-    return i * n - i * (i + 1) // 2
-
-
 @functools.cache
 def _distance_pybind():
     """scipy.spatial._distance_pybind, loaded alone and kept out of sys.modules."""
@@ -95,39 +90,48 @@ def pdist(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _distance_pybind().pdist_sqeuclidean(X, out=out)
 
 
-def squared_distances(X: np.ndarray, h: float | None = None) -> tuple[np.ndarray, float]:
-    """(D, bandwidth): the symmetric (n, n) squared scaled L2 distances of
-    the rows of X, an array as_dataset has already validated, with exact
-    zeros on the diagonal, and h, or the median heuristic when h is None.
+def gram_of_rows(X: np.ndarray, h: float | None = None) -> tuple[float, np.ndarray]:
+    """(bandwidth, G): h, or the median heuristic when h is None, and the
+    symmetric (n, n) Gaussian Gram matrix of the rows of X, an array
+    as_dataset has already validated, with exact ones on the diagonal.
 
     This is the run's single O(n^2 p) distance pass: the median bandwidth
-    and the Gram matrix are both derived from it, and the Gram is made in
-    this same buffer.
+    and the kernel values are both derived from it in one n x n buffer.
     """
     n, p = X.shape
     if n < 2:
         raise DataError(f"need at least 2 observations, got {n}")
     _check_memory(n, p)
-    D = np.empty((n, n))
-    flat = D.reshape(-1)
+    G = np.empty((n, n))
+    flat = G.reshape(-1)
     pairs = n * (n - 1) // 2
-    pdist(X, out=flat[:pairs])
-    flat[:pairs] /= p
+    sq = flat[:pairs]
+    pdist(X, out=sq)
+    sq /= p
     if h is None:
         # Until the rows move, the back half of the buffer is free, and
         # 2 pairs = n(n - 1) <= n^2: the median partitions a copy there.
-        flat[pairs : 2 * pairs] = flat[:pairs]
+        flat[pairs : 2 * pairs] = sq
         h = median_heuristic(flat[pairs : 2 * pairs])
-    # pdist packs the strict upper triangle, row by row, at the front of the
-    # buffer.  Rows move last first: each destination lies at or after its
-    # source, so a row overwrites only values that have already moved.
+    gram_matrix(sq, h)
+    # pdist packs the strict upper triangle row by row, row i from pair
+    # i n - i (i + 1) / 2.  Rows move last first: each destination lies at or
+    # after its source, so a row overwrites only values that have moved.
     for i in reversed(range(n - 1)):
-        start = _condensed_start(i, n)
-        D[i, i + 1 :] = flat[start : start + n - 1 - i]
-    for i in range(1, n):
-        D[i, :i] = D[:i, i]  # the mirror image, in the lower triangle
-    np.fill_diagonal(D, 0.0)
-    return D, h
+        start = i * n - i * (i + 1) // 2
+        G[i, i + 1 :] = flat[start : start + n - 1 - i]
+    # The lower triangle mirrors the upper in w x w tiles, whose source and
+    # destination rows stay in cache (w = 64 and 256 were slower at n = 1000).
+    w = 128
+    lower = np.tri(w, k=-1, dtype=bool)
+    for c in range(0, n, w):
+        e = min(c + w, n)
+        for lo in range(e, n, w):
+            G[lo : lo + w, c:e] = G[c:e, lo : lo + w].T
+        tile = G[c:e, c:e]
+        np.copyto(tile, tile.T, where=lower[: e - c, : e - c])
+    np.fill_diagonal(G, 1.0)  # exp(-0)
+    return h, G
 
 
 def _in_kernel_range(h: float) -> bool:
@@ -164,15 +168,9 @@ def check_bandwidth(h) -> float:
     return h
 
 
-def gram_matrix(D: np.ndarray, h: float) -> np.ndarray:
-    """Symmetric (n, n) matrix of kernel evaluations with exact unit diagonal.
-
-    Consumes `D`, the squared distances from squared_distances: the kernel
-    values overwrite them in place, and D itself is returned.  Computed once
-    per run and shared read-only by every split statistic and permutation
-    sweep; permutations reorder it rather than recompute it.
-    """
-    np.negative(D, out=D)
-    D /= 2.0 * h * h
-    np.exp(D, out=D)
-    return D
+def gram_matrix(sq: np.ndarray, h: float) -> np.ndarray:
+    """Kernel values exp(-d / (2h^2)) of gram_of_rows' condensed squared
+    distances d in sq, in place; returns sq.  The Gram made from them is
+    shared read-only by every split statistic and permutation sweep."""
+    np.divide(sq, -2.0 * h * h, out=sq)  # -d / (2h^2), exactly
+    return np.exp(sq, out=sq)

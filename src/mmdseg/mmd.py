@@ -7,7 +7,7 @@ The two-sample statistic between index blocks A and B is the V-statistic
 
 with diagonal terms included.  The split statistic at split t of an ordered
 block of size n is rho(t) = t (n - t) / n^2 * d(first t, rest); its curve
-over all admissible t is computed with one prefix-sum sweep, O(n) per split
+over all admissible t comes from one sweep of running sums, O(n) per split
 and O(n^2) total, instead of recomputing the three block sums per split.
 Admissible splits trim max(ceil(n delta), MIN_SIDE) observations off each end.
 The same sweep over permuted blocks takes its row sums from a rank mask on
@@ -32,8 +32,8 @@ MIN_SIDE = 2
 # floating-point cancellation gone wrong rather than roundoff.
 CLAMP_WARN_THRESHOLD = -1e-9
 
-# Bytes of each scratch temporary: rho_values' prefix sums, permuted_maxima's
-# rank masks, screened_maxima's float32 copy with its rank masks, and
+# Bytes of each scratch temporary: permuted_maxima's rank masks,
+# screened_maxima's float32 copy with its rank masks, and
 # amoc.permutation_test's chunks of draws with their ranks.
 _SCRATCH_BYTES = 1 << 20
 
@@ -96,24 +96,22 @@ def admissible_range(n: int, delta: float) -> tuple[int, int]:
 
 
 def rho_values(gram: np.ndarray) -> np.ndarray:
-    """Split statistic t(n-t)/n^2 * d(first t, rest) for every t = 1..n-1.
+    """Split statistic t(n-t)/n^2 * d(first t, rest) for every t = 1..n-1
+    of a symmetric block, such as a Gram block or a gathered copy of one.
 
-    Row prefix sums are taken into one buffer of _SCRATCH_BYTES (or of one
-    row, if larger) that every block of rows reuses, so no n x n temporary
-    is made; each row's sum runs in the same order whatever the block size.
+    Symmetry makes row i's sums in column order column i's sums in row
+    order, so one running sum over the rows gives both: once rows 0..i are
+    added, col[i] is row i's sum through the diagonal, and after the last
+    row col holds every row total, in np.cumsum's order of additions.
     """
-    n = gram.shape[0]
-    row_prefix_diag = np.empty(n)  # sum of row i through column i
-    rows = np.empty(n)
-    step = min(max(1, _SCRATCH_BYTES // (8 * n)), n)
-    buffer = np.empty((step, n))
-    for lo in range(0, n, step):
-        block = gram[lo : lo + step]
-        cs = np.cumsum(block, axis=1, out=buffer[: block.shape[0]])
-        row_prefix_diag[lo : lo + step] = np.diagonal(cs, offset=lo)
-        rows[lo : lo + step] = cs[:, -1]
+    col = gram[0].copy()
+    row_prefix_diag = np.empty(gram.shape[0])  # sum of row i through column i
+    row_prefix_diag[0] = col[0]
+    for i, row in enumerate(gram[1:], 1):
+        col += row
+        row_prefix_diag[i] = col[i]
     wl = np.cumsum(2.0 * row_prefix_diag - np.diagonal(gram))
-    return _clamp_nonnegative(_rho_from_sums(wl, np.cumsum(rows)))
+    return _clamp_nonnegative(_rho_from_sums(wl, np.cumsum(col)))
 
 
 def rho_curve(gram: np.ndarray, delta: float) -> tuple[int, float]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .amoc import AmocConfig, permutation_test
 from .errors import ConfigurationError
-from .kernel import as_dataset, check_bandwidth, gram_matrix, squared_distances
+from .kernel import as_dataset, check_bandwidth, gram_of_rows
 from .mmd import MIN_SIDE, rho_curve, splittable
 from .rng import TAG_PAIRTEST, TAG_SEGMENT, derive_seed
 
@@ -85,8 +85,7 @@ def prepare(data, h: float | None = None, k: int = 0):
         )
     if h is not None:
         h = check_bandwidth(h)  # before the O(n^2 p) pass, not after it
-    D, bw = squared_distances(X, h)
-    return bw, gram_matrix(D, bw)
+    return gram_of_rows(X, h)
 
 
 def _detect(algorithm: str, data, config: AmocConfig, h, k: int, K_l: int = 0):

@@ -2,11 +2,13 @@
 
 Everything here recomputes results by brute force (explicit loops, per-split
 block sums, high-resolution quadrature) and deliberately shares no code with
-the package internals it checks.  Two exceptions reuse package code on
-purpose.  The gathered permutation loop sweeps rho_curve over an np.ix_
-reordered copy per draw; it is the route the rank-mask engine replaced (and
-the one its near-tie recheck still takes), and tests/test_mmd.py holds
-rho_curve itself to the naive recomputations.  reference_detect runs the
+the package internals it checks.  Three exceptions reuse package code on
+purpose.  chunked_rho_values is the row-cumsum sweep that rho_values'
+running column sums replaced, ending in the same mmd helpers, so the two
+must agree bit for bit.  The gathered permutation loop sweeps rho_curve over
+an np.ix_ reordered copy per draw; it is the route the rank-mask engine
+replaced (and the one its near-tie recheck still takes), and
+tests/test_mmd.py holds rho_curve itself to the naive recomputations.  reference_detect runs the
 package's detectors with that loop in place of every permutation test.  The
 CUSUM oracles at the end take their samples from the package's generators,
 so that they see the very draws the Monte Carlo harness hands to the
@@ -19,6 +21,7 @@ from unittest.mock import patch
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
+import mmdseg.mmd
 import mmdseg.segment
 from mmdseg import AmocResult, ModelSpec, generate, rho_curve
 from mmdseg.rng import TAG_DATA, derive_seed, permutation_stream
@@ -53,6 +56,24 @@ def naive_rho_values_blockwise(gram):
         d = wl / t**2 + wr / (n - t) ** 2 - 2.0 * cr / (t * (n - t))
         out[t - 1] = t * (n - t) / n**2 * d
     return out
+
+
+def chunked_rho_values(gram):
+    """rho_values by row prefix sums: np.cumsum over blocks of rows in one
+    buffer of mmd._SCRATCH_BYTES (or of one row, if larger), reading each
+    row's sum through the diagonal and its total from its cumsum."""
+    n = gram.shape[0]
+    row_prefix_diag = np.empty(n)
+    rows = np.empty(n)
+    step = min(max(1, mmdseg.mmd._SCRATCH_BYTES // (8 * n)), n)
+    buffer = np.empty((step, n))
+    for lo in range(0, n, step):
+        block = gram[lo : lo + step]
+        cs = np.cumsum(block, axis=1, out=buffer[: block.shape[0]])
+        row_prefix_diag[lo : lo + step] = np.diagonal(cs, offset=lo)
+        rows[lo : lo + step] = cs[:, -1]
+    wl = np.cumsum(2.0 * row_prefix_diag - np.diagonal(gram))
+    return mmdseg.mmd._clamp_nonnegative(mmdseg.mmd._rho_from_sums(wl, np.cumsum(rows)))
 
 
 def kernel_scatter(gram, a, b):

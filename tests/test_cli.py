@@ -794,7 +794,7 @@ def test_input_too_large_for_memory_is_data_error(model8_csv, capsys, monkeypatc
             "and data type float64"
         )
 
-    monkeypatch.setattr("mmdseg.segment.squared_distances", out_of_memory)
+    monkeypatch.setattr("mmdseg.segment.gram_of_rows", out_of_memory)
     code, out, err = run(capsys, "detect-s", str(model8_csv), "-K", "1")
     assert code == 3 and out == ""
     doc = json.loads(err)

@@ -15,19 +15,21 @@ import mmdseg.kernel
 import mmdseg.mmd
 from mmdseg import AmocConfig, ModelSpec, generate, permutation_test, prepare
 from mmdseg.errors import ConfigurationError, DataError, DegenerateBandwidthError
-from mmdseg.kernel import as_dataset, median_heuristic, squared_distances
+from mmdseg.kernel import as_dataset, median_heuristic
 
 from reference import condensed_prepare, gaussian_kernel, quadrature_l2
 
 
+def distances(X):
+    """The squared scaled L2 distances of the rows of X, one per pair in
+    condensed order: the values the package's distance pass turns into
+    kernel values."""
+    return mmdseg.kernel.pdist(X) / X.shape[1]
+
+
 def scaled_l2(a, b):
     """The package's scaled L2 distance between two curves."""
-    return float(np.sqrt(squared_distances(as_dataset(np.vstack([a, b])), 1.0)[0][0, 1]))
-
-
-def upper(D):
-    """The strict upper triangle of a square matrix, in condensed order."""
-    return D[np.triu_indices(D.shape[0], 1)]
+    return float(np.sqrt(distances(as_dataset(np.vstack([a, b])))[0]))
 
 
 def test_l2_identical_curves_is_zero():
@@ -76,8 +78,7 @@ def test_median_heuristic_odd_count():
 def test_median_heuristic_even_count_midpoint():
     # perfect ruler 0, 1, 4, 6: pairwise distances {1, 2, 3, 4, 5, 6}
     data = np.vstack([np.full(4, v) for v in (0.0, 1.0, 4.0, 6.0)])
-    D = squared_distances(as_dataset(data), 1.0)[0]
-    assert sorted(np.sqrt(upper(D)).round(12)) == [1, 2, 3, 4, 5, 6]
+    assert sorted(np.sqrt(distances(as_dataset(data))).round(12)) == [1, 2, 3, 4, 5, 6]
     assert prepare(data)[0] == pytest.approx(3.5)
 
 
@@ -96,7 +97,7 @@ def test_median_heuristic_is_numpy_median_bit_for_bit(n, model8):
         X = generate(ModelSpec("8", (n // 3, n // 3, n - 2 * (n // 3)))).data
     else:
         X = rng.normal(size=(n % 40 + 2, 5))
-    assert prepare(X)[0] == float(np.median(np.sqrt(upper(squared_distances(X, 1.0)[0]))))
+    assert prepare(X)[0] == float(np.median(np.sqrt(distances(X))))
 
 
 def test_median_heuristic_degenerate():
@@ -164,6 +165,10 @@ def _rows_with_repeats(rng, n, distinct, integer):
 
 
 @given(st.integers(2, 80), st.integers(1, 80), st.booleans(), st.integers(0, 2**32 - 1))
+@example(127, 127, False, 0)  # the mirror's 128-row tiles: one short of a tile,
+@example(128, 40, True, 1)  # one whole tile,
+@example(129, 129, False, 2)  # a tile and a row,
+@example(257, 60, True, 3)  # two tiles and a row
 @settings(max_examples=60, deadline=None)
 def test_prepare_equals_the_condensed_route_bit_for_bit(n, distinct, integer, seed):
     # Repeated rows put zero distances off the diagonal.
@@ -188,9 +193,9 @@ def test_prepare_equals_the_condensed_route_bit_for_bit_at_n_1000():
 @pytest.mark.parametrize("n", [600, 602, 1000])  # 179700, 180901, 499500 pairs
 def test_the_exact_median_on_heavy_ties(n):
     X = _rows_with_repeats(np.random.default_rng(n), n, 40, integer=True)
-    D, h = squared_distances(X)
-    assert len(np.unique(upper(D))) < 30
-    assert h == float(np.median(np.sqrt(upper(D))))
+    sq = distances(X)
+    assert len(np.unique(sq)) < 30
+    assert prepare(X)[0] == float(np.median(np.sqrt(sq)))
 
 
 def test_an_input_too_large_for_memory_stops_before_the_distance_pass(monkeypatch):
@@ -250,16 +255,16 @@ def test_a_missing_distance_kernel_names_the_file_it_looked_for(monkeypatch, tmp
     monkeypatch.setattr(mmdseg.kernel, "find_spec", lambda name: scipy_dir)
     mmdseg.kernel._distance_pybind.cache_clear()
     with pytest.raises(ImportError) as raised:
-        squared_distances(np.eye(3))
+        prepare(np.eye(3))
     path = tmp_path / "spatial" / "_distance_pybind"
     assert str(raised.value).startswith(f"scipy {scipy.__version__} has no {path}")
     monkeypatch.undo()  # the next pass finds the file again
-    assert squared_distances(np.eye(3))[1] == np.sqrt(2 / 3)
+    assert prepare(np.eye(3))[0] == np.sqrt(2 / 3)
 
 
 _HIGH_WATER_RISE = textwrap.dedent("""
     import numpy as np
-    from mmdseg import AmocConfig, detect_s, permutation_test, prepare
+    from mmdseg import AmocConfig, detect_s, permutation_test, prepare, rho_curve
 
     def high_water_mark():
         with open("/proc/self/status") as fh:
@@ -302,11 +307,20 @@ def test_prepare_peaks_at_one_n_by_n_buffer():
 
 @needs_proc_status
 def test_a_detection_peaks_at_its_gram():
-    # The sweeps of the supervised rounds work in mmd._SCRATCH_BYTES (1 MiB,
-    # 0.03 x 8n^2 here) on top of the Gram; a sweep buffer of 2^20 float64
-    # cells (8 MiB) would take the rise to 1.26 x 8n^2.
+    # The sweeps of the supervised rounds take a few rows of n floats on top
+    # of the Gram (a 1 MiB buffer of row prefix sums was 0.03 x 8n^2 here); a
+    # sweep buffer of 2^20 float64 cells (8 MiB) would take the rise to
+    # 1.26 x 8n^2.
     n = 2000
     assert high_water_rise(n, "detect_s(X[:100], 2)", "detect_s(X, 2)") <= 1.05 * 8 * n * n
+
+
+@needs_proc_status
+def test_a_split_curve_sweep_takes_a_few_rows():
+    # The running column sums hold a few rows of n floats (16 KB each here);
+    # the row prefix sums they replaced took a 1 MiB buffer.
+    warm = "G = prepare(X)[1]; rho_curve(G[:100, :100], 0.05)"
+    assert high_water_rise(2000, warm, "rho_curve(G, 0.05)") < mmdseg.mmd._SCRATCH_BYTES / 2
 
 
 @needs_proc_status

@@ -21,6 +21,7 @@ from mmdseg.mmd import admissible_range, permuted_maxima, splittable
 from mmdseg.rng import permutation_stream
 
 from reference import (
+    chunked_rho_values,
     gathered_permutation_maxima,
     kernel_scatter,
     mixture_mmd,
@@ -245,6 +246,16 @@ def test_permuted_maxima_match_gathered_route(m, R):
         rtol=0,
         atol=1e-12,
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 40, 300, 1000])
+def test_rho_values_equals_the_row_prefix_sums_bit_for_bit(n):
+    # On the block as given, a view that starts off the corner, a gathered
+    # reordered copy, and all ones (every sum exact).
+    G = random_gram(n, n=n + 9)
+    p = np.random.default_rng(n).permutation(n + 9)[:n]
+    for block in (G[:n, :n], G[9:, 9:], G[4 : 4 + n, 4 : 4 + n], G[np.ix_(p, p)], np.ones((n, n))):
+        assert rho_values(block).tobytes() == chunked_rho_values(block).tobytes()
 
 
 @pytest.mark.parametrize("m, R", [(40, 30), (300, 5), (1100, 2)])
