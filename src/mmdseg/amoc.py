@@ -22,14 +22,13 @@ import numpy as np
 
 from . import mmd
 from .errors import ConfigurationError
-from .rng import check_seed, permutation_chunks
+from .rng import check_integer, check_seed, permutation_chunks
 
-# permuted_maxima agrees with rho_curve on a reordered copy of the block to
-# well within this (1.3e-14 at most over m = 4..3000).  A draw closer than
-# this to the observed statistic is recomputed on that copy, so a draw that
-# ties T exactly is counted as the copy's roundoff counts it, and every
-# exceedance count equals the per-draw copy route's.  Twice this is also the
-# float32 screen's margin for float64 roundoff beyond its certified band.
+# permuted_maxima agrees with rho_curve on the reordered block to well within
+# this (1.3e-14 at most over m = 4..3000).  A draw closer than this to T is
+# recomputed by rho_curve in the draw's order, so a tie is counted as the
+# gathered per-draw route counts it.  Twice this is also the float32
+# screen's margin for float64 roundoff beyond its certified band.
 TIE_BAND = 1e-12
 
 
@@ -46,7 +45,7 @@ class AmocConfig:
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
             raise ConfigurationError(f"delta must lie in (0, 1/2), got {self.delta}")
-        if self.R < 1:
+        if check_integer("R", self.R) < 1:
             raise ConfigurationError(f"R must be >= 1, got {self.R}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
@@ -60,9 +59,9 @@ class AmocResult:
     tau_hat is the split index local to the block; a + tau_hat is the
     boundary in full-sequence coordinates.  permutation_stats holds the
     statistics of the draws made, in draw order: all R of them, or the first
-    L when the test stopped on an accept.  A draw that permutation_test
-    screened and did not recheck holds its screened value, certified to lie
-    on its float64 value's side of T_n: every count against T_n is exact.
+    L when the test stopped on an accept.  A rechecked draw holds its
+    reordered curve's maximum, any other its rank-mask maximum, float64 or
+    screened, on its float64 value's side of T_n: every count is exact.
     """
 
     T_n: float
@@ -112,23 +111,18 @@ def permutation_test(
     (config.seed, r), so results do not depend on evaluation order.  Draws
     come from `rng.permutation_chunks`, on one generator re-keyed per draw
     with the same keys `permutation_stream` uses.  Every draw's statistic
-    comes from rank-masked sums over the block, never from recomputed kernel
-    values: in float64 (`permuted_maxima`), or screened in float32.
+    comes from the block as it is, never from recomputed kernel values.
 
-    The screen applies when the block's entries lie in [0, 1], as a Gaussian
-    Gram's do, and its float32 copy (4 m^2 bytes) and one draw's mask (m^2)
-    fit in mmd._SCRATCH_BYTES, so m <= 457: the test makes that copy once,
-    and `mmd.screened_maxima` gives each draw one certified band.  A draw
-    whose screened maximum lies within band + 2 TIE_BAND of T_n, or whose
-    screened curve comes that close to mmd.CLAMP_WARN_THRESHOLD, is
-    recomputed by `permuted_maxima`, in batches whose masks fit beside the
-    copy ((_SCRATCH_BYTES - 4 m^2) / m^2 draws); no row sum's order depends
-    on the batch, so each gets the bits of any chunking.  Every other draw
-    lies in float64 more than TIE_BAND from T_n, on the screened side, and
-    clear of the warning.  Then every draw goes through the near-tie
-    recheck, so every count, p-value, decision and stop L is the float64
-    route's, and a clamp warning is given by each batch that holds a draw
-    the float64 route warns on, once, as each float64 chunk warns once.
+    Rank-masked sums give each draw's maximum in float64 (`permuted_maxima`)
+    or, when the block's entries lie in [0, 1] and its float32 copy (4 m^2
+    bytes) and one draw's mask (m^2) fit in mmd._SCRATCH_BYTES (m <= 457),
+    screened in float32 with a certified band (`mmd.screened_maxima`).  A
+    draw they cannot decide, within TIE_BAND of T_n in float64, or screened
+    within band + 2 TIE_BAND of T_n or of mmd.CLAMP_WARN_THRESHOLD, is
+    rechecked by `mmd.rho_curve` in the draw's order, which streams the
+    reordered rows with the gathered copy's bits.  So every count, p-value,
+    decision and stop L is the float64 route's, and each float64 chunk and
+    each rechecked draw whose curve dips gives one clamp warning.
 
     Draws come in the chunks of `_chunk_ends`, and the test stops at the draw
     L that brings the exceedance count to h.  By default h = R + 1, which no
@@ -148,18 +142,13 @@ def permutation_test(
     for perms in permutation_chunks(config.seed, m, _chunk_ends(config.R, h, m)) if h else ():
         if copy is None:
             chunk = mmd.permuted_maxima(block, perms, config.delta)
+            unsure = np.abs(chunk - T_n) <= TIE_BAND
         else:
             chunk, low, band = mmd.screened_maxima(block, copy, perms, config.delta)
-            unsure = np.flatnonzero((np.abs(chunk - T_n) <= band + 2 * TIE_BAND) | (
-                low <= mmd.CLAMP_WARN_THRESHOLD + band + 2 * TIE_BAND
-            ))
-            group = (mmd._SCRATCH_BYTES - copy.nbytes) // (m * m)  # masks beside the copy
-            for lo in range(0, unsure.size, group):
-                i = unsure[lo : lo + group]
-                chunk[i] = mmd.permuted_maxima(block, perms[i], config.delta)
-        for i in np.flatnonzero(np.abs(chunk - T_n) <= TIE_BAND):
-            p = perms[i]
-            chunk[i] = mmd.rho_curve(block[np.ix_(p, p)], config.delta)[1]
+            margin = band + 2 * TIE_BAND
+            unsure = (np.abs(chunk - T_n) <= margin) | (low <= mmd.CLAMP_WARN_THRESHOLD + margin)
+        for i in np.flatnonzero(unsure):
+            chunk[i] = mmd.rho_curve(block, config.delta, perms[i])[1]
         stats = np.concatenate((stats, chunk))
         hits = np.flatnonzero(stats >= T_n if config.add_one else stats > T_n)
         if hits.size >= h:

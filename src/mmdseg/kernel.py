@@ -12,9 +12,8 @@ the buffer's free half, median_heuristic reads the bandwidth; gram_matrix
 and they are then moved into both triangles.  A run peaks at that 8n^2-byte
 Gram, the rows, and 1 MiB (`mmd._SCRATCH_BYTES`) for each chunk of rank masks
 (with a screened block's float32 copy beside them) and chunk of permutation
-draws with their ranks; a split-curve sweep takes a few rows of n floats, and
-only the near-tie recheck in `amoc.permutation_test` gathers an m x m float64
-copy.  `segment.prepare` is the one public route to a Gram matrix.
+draws with their ranks, with no exception: a sweep, reordered or not, takes a
+few rows of n floats.  `segment.prepare` is the one public route to a Gram.
 
 The distance pass is scipy's compiled sqeuclidean kernel: `pdist` loads that
 one file at the first pass, not the 0.3-0.5 s import of scipy.spatial.

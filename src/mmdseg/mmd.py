@@ -10,9 +10,9 @@ block of size n is rho(t) = t (n - t) / n^2 * d(first t, rest); its curve
 over all admissible t comes from one sweep of running sums, O(n) per split
 and O(n^2) total, instead of recomputing the three block sums per split.
 Admissible splits trim max(ceil(n delta), MIN_SIDE) observations off each end.
-The same sweep over permuted blocks takes its row sums from a rank mask on
-the unpermuted matrix (`permuted_maxima`), or from a float32 copy of it with a
-certified error band per draw (`screened_maxima`).
+A permuted block's sweep streams its reordered rows (an `order`), or takes
+its row sums from rank masks on the matrix as it is, in float64
+(`permuted_maxima`) or screened in float32 (`screened_maxima`).
 """
 
 from __future__ import annotations
@@ -95,30 +95,34 @@ def admissible_range(n: int, delta: float) -> tuple[int, int]:
     return t, n - t
 
 
-def rho_values(gram: np.ndarray) -> np.ndarray:
+def rho_values(gram: np.ndarray, order=None) -> np.ndarray:
     """Split statistic t(n-t)/n^2 * d(first t, rest) for every t = 1..n-1
-    of a symmetric block, such as a Gram block or a gathered copy of one.
+    of a symmetric block, such as a Gram block, or of gram[np.ix_(order, order)].
 
     Symmetry makes row i's sums in column order column i's sums in row
     order, so one running sum over the rows gives both: once rows 0..i are
     added, col[i] is row i's sum through the diagonal, and after the last
-    row col holds every row total, in np.cumsum's order of additions.
+    row col holds every row total, in np.cumsum's order of additions.  The
+    reordered rows gram[i].take(order), i in order, come one at a time, with
+    no copy made: the copy's bits in O(n) memory.
     """
-    col = gram[0].copy()
-    row_prefix_diag = np.empty(gram.shape[0])  # sum of row i through column i
+    rows = iter(gram) if order is None else (gram[i].take(order) for i in order)
+    diag = np.diagonal(gram) if order is None else np.diagonal(gram)[order]
+    col = next(rows).copy()
+    row_prefix_diag = np.empty(diag.shape[0])  # sum of row i through column i
     row_prefix_diag[0] = col[0]
-    for i, row in enumerate(gram[1:], 1):
+    for i, row in enumerate(rows, 1):
         col += row
         row_prefix_diag[i] = col[i]
-    wl = np.cumsum(2.0 * row_prefix_diag - np.diagonal(gram))
+    wl = np.cumsum(2.0 * row_prefix_diag - diag)
     return _clamp_nonnegative(_rho_from_sums(wl, np.cumsum(col)))
 
 
-def rho_curve(gram: np.ndarray, delta: float) -> tuple[int, float]:
-    """(argmax_t, max_value) of the split curve over the admissible range;
-    argmax_t is the smallest maximizing split."""
+def rho_curve(gram: np.ndarray, delta: float, order=None) -> tuple[int, float]:
+    """(argmax_t, max_value) of the split curve rho_values(gram, order) over
+    the admissible range; argmax_t is the smallest maximizing split."""
     t_min, t_max = admissible_range(gram.shape[0], delta)
-    values = rho_values(gram)[t_min - 1 : t_max]
+    values = rho_values(gram, order)[t_min - 1 : t_max]
     i = int(np.argmax(values))  # first occurrence = smallest t
     return t_min + i, float(values[i])
 
@@ -158,12 +162,11 @@ def _masked_sums(gram: np.ndarray, perms: np.ndarray, sums: np.ndarray, mask_byt
 
 
 def permuted_maxima(gram: np.ndarray, perms, delta: float) -> np.ndarray:
-    """rho_curve(gram[np.ix_(p, p)], delta)[1] for each row p of perms.
+    """rho_curve(gram, delta, p)[1], to roundoff, for each row p of perms.
 
     The curves come from rank-mask sums over gram (`_masked_sums`), each
-    chunk's masks within _SCRATCH_BYTES.  The sums run in another order
-    than rho_curve's, so the maxima agree with it to roundoff, not bit for
-    bit; a draw's maximum is the same whatever the other draws passed.
+    chunk's masks within _SCRATCH_BYTES, in another order than rho_curve's;
+    a draw's maximum is the same whatever the other draws passed.
     """
     perms = np.asarray(perms, dtype=np.intp)
     t_min, t_max = admissible_range(gram.shape[0], delta)

@@ -29,6 +29,7 @@ holds none beyond its current chunk, and a top seed's cast warns once per test.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 
 import numpy as np
@@ -47,9 +48,18 @@ TAG_DATA = 0x44415441  # "DATA"
 TAG_ALGO = 0x414C474F  # "ALGO"
 
 
+def check_integer(name: str, value) -> int:
+    """operator.index(value): numpy integers pass, and a float raises
+    ConfigurationError instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_seed(seed: int) -> None:
     """Raise ConfigurationError unless seed is an integer in [0, 2**64)."""
-    if not 0 <= int(seed) <= _MASK64:
+    if not 0 <= check_integer("seed", seed) <= _MASK64:
         raise ConfigurationError(f"seed must lie in [0, 2**64), got {seed}")
 
 

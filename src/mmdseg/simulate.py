@@ -24,7 +24,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .rng import TAG_SIMULATE, check_seed, stream
+from .rng import TAG_SIMULATE, check_integer, check_seed, stream
 from .segment import Segmentation
 
 DEFAULT_GRID_SIZE = 128
@@ -41,9 +41,8 @@ class ModelSpec:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "segment_lengths", tuple(int(m) for m in self.segment_lengths)
-        )
+        lengths = tuple(check_integer("segment length", m) for m in self.segment_lengths)
+        object.__setattr__(self, "segment_lengths", lengths)
         object.__setattr__(self, "params", dict(self.params))
         want = POPULATIONS.get(self.model_id)
         if want is None:
@@ -55,7 +54,7 @@ class ModelSpec:
             )
         if any(m < 1 for m in self.segment_lengths):
             raise ConfigurationError("segment lengths must be positive")
-        if self.grid_size < 2:
+        if check_integer("grid_size", self.grid_size) < 2:
             raise ConfigurationError(f"grid_size must be >= 2, got {self.grid_size}")
         check_seed(self.seed)
         unknown = set(self.params) - ({"c"} if self.model_id in PARAMETRIC_MODELS else set())

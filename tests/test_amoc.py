@@ -56,6 +56,25 @@ def test_config_validation():
     AmocConfig(seed=2**64 - 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: AmocConfig(seed=v),
+        lambda v: AmocConfig(R=v),
+        lambda v: ModelSpec("8", (12, 12, 12), seed=v),
+        lambda v: ModelSpec("8", (12, 12, 12), grid_size=v),
+        lambda v: ModelSpec("8", (12, v, 12)),
+    ],
+)
+def test_integer_settings_reject_what_int_would_truncate(build):
+    # int() would run seed 1.9 as seed 1 and a segment length of 20.7 as 20,
+    # and grid_size 2.5 would draw a 3-point grid; numpy integers pass.
+    for value in (20.7, 2.5, np.float64(3.0), "3"):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            build(value)
+    assert build(np.int64(20)) == build(20)
+
+
 def test_statistic_zero_on_constant_data():
     assert rho_curve(np.ones((30, 30)), 0.05) == (2, 0.0)  # smallest admissible split
 
@@ -408,8 +427,9 @@ def test_the_float32_screen_is_certified_and_changes_no_count(model, m, seed):
 def test_the_screen_rechecks_every_draw_the_float64_route_warns_on(monkeypatch):
     # A block with entries in [0, 1] that is not positive semidefinite: some
     # permuted curves dip below CLAMP_WARN_THRESHOLD, which only the float64
-    # route warns about.  The screen rechecks every such draw, in batches
-    # that each warn once, as a chunk of the float64 route does.
+    # route warns about.  The screen rechecks every such draw on its
+    # reordered curve (rho_curve with the draw as order), and each rechecked
+    # draw whose curve dips warns once.
     A = np.random.default_rng(0).uniform(size=(30, 30))
     A = (A + A.T) / 2
     np.fill_diagonal(A, 1.0)
@@ -424,13 +444,19 @@ def test_the_screen_rechecks_every_draw_the_float64_route_warns_on(monkeypatch):
     _, observed = clamp_warnings(lambda: rho_curve(A, cfg.delta))
     perms = next(permutation_chunks(cfg.seed, 30, (cfg.R,)))
     dips = {tuple(p) for p in perms if clamp_warnings(lambda: permuted_maxima(A, [p], cfg.delta))[1]}
-    calls = []
-    monkeypatch.setattr(mmdseg.mmd, "permuted_maxima",
-                        lambda G, p, delta: calls.append({*map(tuple, p)}) or permuted_maxima(G, p, delta))
+    rechecked, curve = [], mmdseg.mmd.rho_curve
+
+    def counting_curve(G, delta, order=None):
+        if order is not None:
+            rechecked.append(tuple(order))
+        return curve(G, delta, order)
+
+    monkeypatch.setattr(mmdseg.mmd, "rho_curve", counting_curve)
     got, warned = clamp_warnings(lambda: permutation_test(A, cfg))
     monkeypatch.undo()
-    assert 0 < len(dips) < cfg.R and dips <= set().union(*calls)
-    assert warned == observed + sum(bool(call & dips) for call in calls)
+    assert 0 < len(dips) < cfg.R and dips <= set(rechecked)
+    assert len(rechecked) == len(set(rechecked))  # each draw rechecked once
+    assert warned == observed + sum(p in dips for p in rechecked)
     with patch.object(mmdseg.mmd, "_SCRATCH_BYTES", 5 * 30 * 30 - 1):  # the float64 route
         want, _ = clamp_warnings(lambda: permutation_test(A, cfg))
     assert got.p_value == want.p_value and got.T_n == want.T_n > 0.0

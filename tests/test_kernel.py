@@ -360,19 +360,37 @@ def test_a_permutation_test_holds_no_key_per_draw():
 def test_a_screened_test_rechecks_within_its_scratch(monkeypatch):
     # Entries in [0, 1] around a diagonal at their mean: not positive
     # semidefinite, so every permuted curve dips below CLAMP_WARN_THRESHOLD
-    # and every draw is rechecked in float64.  A chunk of draws takes at most
-    # 1 MiB, and the float32 copy with one batch of recheck masks another
-    # (1.81 MiB in all, with per-draw rows); batches whose masks ignored the
-    # copy took it to 2.51 MiB.
+    # and every draw is rechecked on its reordered curve.  A chunk of draws
+    # takes at most 1 MiB and the float32 copy with its masks another, and a
+    # recheck streams a few rows (1.88 MiB in all); batches of float64 masks
+    # beside the copy and an m x m gather per near tie rose 1.75 MiB, and
+    # batches whose masks ignored the copy 2.51 MiB.
     block = "A = np.random.default_rng(0).uniform(size=(450, 450)); G = (A + A.T) / 2; np.fill_diagonal(G, 0.5)"
     namespace = {"np": np}
     exec(block, namespace)
-    rechecked, maxima = [], mmdseg.mmd.permuted_maxima
-    monkeypatch.setattr(mmdseg.mmd, "permuted_maxima",
-                        lambda G, p, delta: rechecked.append(len(p)) or maxima(G, p, delta))
+    rechecked, curve = [], mmdseg.mmd.rho_curve
+
+    def counting_curve(G, delta, order=None):
+        if order is not None:
+            rechecked.append(tuple(order))
+        return curve(G, delta, order)
+
+    monkeypatch.setattr(mmdseg.mmd, "rho_curve", counting_curve)
     with pytest.warns(RuntimeWarning, match="clamped"):
         permutation_test(namespace["G"], AmocConfig(R=199))
-    assert sum(rechecked) == 199
+    assert len(set(rechecked)) == len(rechecked) == 199
     warm = f"{block}; permutation_test(G[:100, :100], AmocConfig(R=3))"
     run = "permutation_test(G, AmocConfig(R=199))"
     assert high_water_rise(450, warm, run) <= 2.25 * mmdseg.mmd._SCRATCH_BYTES
+
+
+@needs_proc_status
+def test_a_forced_recheck_of_every_draw_streams_its_rows():
+    # With TIE_BAND = 1 every draw of a 1500-row test is rechecked on its
+    # reordered curve, which streams one row at a time: the rise stays
+    # within the bound of a test whose draws are all decided by rank masks.
+    # A gathered 1500 x 1500 copy per recheck rose 18.2 MiB.
+    warm = ("G = prepare(X)[1]; permutation_test(G[:100, :100], AmocConfig(R=3)); "
+            "import mmdseg.amoc; mmdseg.amoc.TIE_BAND = 1.0")
+    run = "permutation_test(G, AmocConfig(R=9))"
+    assert high_water_rise(1500, warm, run) <= 3 * mmdseg.mmd._SCRATCH_BYTES

@@ -18,7 +18,7 @@ from mmdseg import (
 import mmdseg.mmd
 from mmdseg.errors import ConfigurationError
 from mmdseg.mmd import admissible_range, permuted_maxima, splittable
-from mmdseg.rng import permutation_stream
+from mmdseg.rng import permutation_chunks, permutation_stream
 
 from reference import (
     chunked_rho_values,
@@ -251,11 +251,30 @@ def test_permuted_maxima_match_gathered_route(m, R):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 40, 300, 1000])
 def test_rho_values_equals_the_row_prefix_sums_bit_for_bit(n):
     # On the block as given, a view that starts off the corner, a gathered
-    # reordered copy, and all ones (every sum exact).
+    # reordered copy, all ones (every sum exact), and duplicated rows.  Each
+    # block reordered by an order streams the gathered copy's bits, in
+    # rho_values, in rho_curve, and in a clamp warning's value.
     G = random_gram(n, n=n + 9)
     p = np.random.default_rng(n).permutation(n + 9)[:n]
-    for block in (G[:n, :n], G[9:, 9:], G[4 : 4 + n, 4 : 4 + n], G[np.ix_(p, p)], np.ones((n, n))):
+    twins = np.arange(n) // 2
+    orders = (np.arange(n), np.arange(n)[::-1], next(permutation_chunks(n, n, (1,)))[0])
+    for block in (G[:n, :n], G[9:, 9:], G[4 : 4 + n, 4 : 4 + n], G[np.ix_(p, p)], np.ones((n, n)),
+                  G[np.ix_(twins, twins)]):
         assert rho_values(block).tobytes() == chunked_rho_values(block).tobytes()
+        for q in orders:
+            gathered = block[np.ix_(q, q)]
+            assert np.array_equal(rho_values(block, order=q), rho_values(gathered))
+            if splittable(n, 0.05):
+                assert rho_curve(block, 0.05, q) == rho_curve(gathered, 0.05)
+    A = np.random.default_rng(n).uniform(size=(n, n))
+    A = (A + A.T) / 2
+    np.fill_diagonal(A, 0.0)  # entries in [0, 1], not positive semidefinite
+    for q in orders[1:] if n > 1 else ():  # one observation has no split
+        with pytest.warns(RuntimeWarning, match="clamped") as streamed:
+            rho_values(A, order=q)
+        with pytest.warns(RuntimeWarning, match="clamped") as gathered:
+            rho_values(A[np.ix_(q, q)])
+        assert [str(w.message) for w in streamed] == [str(w.message) for w in gathered]
 
 
 @pytest.mark.parametrize("m, R", [(40, 30), (300, 5), (1100, 2)])

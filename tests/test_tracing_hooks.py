@@ -20,6 +20,7 @@ import pytest
 
 import mmdseg.benchmark
 import mmdseg.cli
+import mmdseg.segment
 from mmdseg import AmocConfig, BenchmarkCell, ModelSpec, generate
 from mmdseg.dataio import save_csv
 
@@ -100,3 +101,17 @@ def test_permutation_test_spans_note_the_draws_the_detector_made(
     else:
         expected = [49 for rec in trace if rec["op"] == "pair_test"]
     assert drawn == expected != []
+
+
+def test_the_tracer_sees_each_recheck_with_its_block_size(tracing):
+    # A draw the fast routes cannot decide is rechecked by rho_curve with the
+    # draw as its order, which the tracer notes as a permuted call of m rows.
+    data = generate(ModelSpec("8", (12, 12, 12))).data
+    with traced(tracing) as tracer:
+        result = mmdseg.segment.detect_ss(data, 0, 6, config=AmocConfig(R=49))
+    blocks = [c - a for a, c in (rec["block"] for rec in result.trace if rec["op"] == "pair_test")]
+    tests = [i for i, _ in spans_named(tracer, "amoc.permutation_test")]
+    assert len(tests) == len(blocks)
+    size = dict(zip(tests, blocks))
+    rechecks = [span for _, span in spans_named(tracer, "mmd.rho_curve") if span[5]["m"] is not None]
+    assert rechecks and all(span[5]["m"] == size[span[3]] for span in rechecks)
