@@ -12,6 +12,13 @@ smallest count whose full-run p-value is >= alpha, no later draw can bring
 p below alpha.  Such a test reports the Besag-Clifford (1991) sequential
 p-value h / L after L draws, itself a valid p-value and never below alpha,
 and its decision is the full run's on every input.
+
+Each draw's statistic comes from the block as it is, by the cheapest route
+that can place it against T exactly as the float64 route would: a certified
+low-rank bound for strong-signal tests at 150 <= m <= 256, a certified
+float32 screen on blocks with entries in [0, 1] up to m = 457, float64 rank
+masks otherwise, and a recheck on the draw's reordered curve for any draw
+the others leave undecided.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from . import mmd
 from .errors import ConfigurationError
-from .rng import check_integer, check_seed, permutation_chunks
+from .rng import check_integer, check_real, check_seed, permutation_chunks
 
 # permuted_maxima agrees with rho_curve on the reordered block to well within
 # this (1.3e-14 at most over m = 4..3000).  A draw closer than this to T is
@@ -30,6 +37,10 @@ from .rng import check_integer, check_seed, permutation_chunks
 # gathered per-draw route counts it.  Twice this is also the float32
 # screen's margin for float64 roundoff beyond its certified band.
 TIE_BAND = 1e-12
+
+# The low-rank tier is built only when the first chunk's largest draw lies
+# below this share of T_n, and its slack must fit in the rest.
+_TIER_GATE = 0.8
 
 
 @dataclass(frozen=True)
@@ -43,12 +54,14 @@ class AmocConfig:
     add_one: bool = False  # opt-in (1 + #{T^(r) >= T}) / (R + 1) variant
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 0.5:
+        if not 0.0 < check_real("delta", self.delta) < 0.5:
             raise ConfigurationError(f"delta must lie in (0, 1/2), got {self.delta}")
         if check_integer("R", self.R) < 1:
             raise ConfigurationError(f"R must be >= 1, got {self.R}")
-        if not 0.0 < self.alpha < 1.0:
+        if not 0.0 < check_real("alpha", self.alpha) < 1.0:
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not isinstance(self.add_one, (bool, np.bool_)):
+            raise ConfigurationError(f"add_one must be a bool, got {self.add_one!r}")
         check_seed(self.seed)
 
 
@@ -60,8 +73,10 @@ class AmocResult:
     boundary in full-sequence coordinates.  permutation_stats holds the
     statistics of the draws made, in draw order: all R of them, or the first
     L when the test stopped on an accept.  A rechecked draw holds its
-    reordered curve's maximum, any other its rank-mask maximum, float64 or
-    screened, on its float64 value's side of T_n: every count is exact.
+    reordered curve's maximum, a draw the low-rank tier decided its max q
+    (`mmd.low_rank_maxima`), any other its rank-mask maximum, float64 or
+    screened; each lies on its float64 value's side of T_n: every count is
+    exact.
     """
 
     T_n: float
@@ -101,6 +116,22 @@ def _chunk_ends(R: int, h: int, m: int) -> list[int]:
     return ends
 
 
+def _decide(block, copy, perms, T_n, delta) -> np.ndarray:
+    """Each draw's rank-mask maximum, in float64 or screened over the float32
+    copy when there is one; a draw they cannot place against T_n (screened:
+    or against mmd.CLAMP_WARN_THRESHOLD) is rechecked on its reordered curve."""
+    if copy is None:
+        chunk = mmd.permuted_maxima(block, perms, delta)
+        unsure = np.abs(chunk - T_n) <= TIE_BAND
+    else:
+        chunk, low, band = mmd.screened_maxima(block, copy, perms, delta)
+        margin = band + 2 * TIE_BAND
+        unsure = (np.abs(chunk - T_n) <= margin) | (low <= mmd.CLAMP_WARN_THRESHOLD + margin)
+    for i in np.flatnonzero(unsure):
+        chunk[i] = mmd.rho_curve(block, delta, perms[i])[1]
+    return chunk
+
+
 def permutation_test(
     block: np.ndarray, config: AmocConfig, stop_on_accept: bool = False
 ) -> AmocResult:
@@ -124,6 +155,17 @@ def permutation_test(
     decision and stop L is the float64 route's, and each float64 chunk and
     each rechecked draw whose curve dips gives one clamp warning.
 
+    The low-rank tier goes in front of the screen on screened blocks with
+    150 <= m and 16 m^2 <= mmd._SCRATCH_BYTES (m <= 256).  Their first chunk
+    is 2 _accept_count(config) draws with or without stop_on_accept, so a full
+    and an early-stopping run see the same first chunk.  When its largest
+    draw M1 lies below _TIER_GATE T_n, `mmd.low_rank_bound` takes the
+    smallest K whose slack fits under _TIER_GATE T_n - M1, and only if the
+    block has a Cholesky factor.  Each later draw whose max q lies below the
+    bound's threshold is decided below T_n - 2 TIE_BAND, with no float64 curve
+    made; any other goes to the screen.  A decided draw could not have
+    warned: the Cholesky factor keeps every exact curve above about -(m+1) u.
+
     Draws come in the chunks of `_chunk_ends`, and the test stops at the draw
     L that brings the exceedance count to h.  By default h = R + 1, which no
     count reaches, so all R draws are made.  With stop_on_accept h is
@@ -137,18 +179,25 @@ def permutation_test(
     h = _accept_count(config) if stop_on_accept else config.R + 1
     screen = 5 * m * m <= mmd._SCRATCH_BYTES and 0.0 <= block.min() and block.max() <= 1.0
     copy = block.astype(np.float32) if screen else None
+    # np.linalg.cholesky's copy and factor fit the budget (16 m^2 bytes);
+    # below 150 rows the tier saved no time
+    tier = screen and 150 <= m and 16 * m * m <= mmd._SCRATCH_BYTES
+    ends = _chunk_ends(config.R, h, m)
+    if tier:  # an early-stopping run's first chunk, in every run
+        ends = sorted({_chunk_ends(config.R, _accept_count(config), m)[0], *ends})
+    bound = None
     stats, hits = np.empty(0), np.empty(0, dtype=np.intp)
     # h = 0: even no exceedance gives p >= alpha, so the test accepts undrawn
-    for perms in permutation_chunks(config.seed, m, _chunk_ends(config.R, h, m)) if h else ():
-        if copy is None:
-            chunk = mmd.permuted_maxima(block, perms, config.delta)
-            unsure = np.abs(chunk - T_n) <= TIE_BAND
+    for perms in permutation_chunks(config.seed, m, ends) if h else ():
+        if bound is None:
+            chunk = _decide(block, copy, perms, T_n, config.delta)
         else:
-            chunk, low, band = mmd.screened_maxima(block, copy, perms, config.delta)
-            margin = band + 2 * TIE_BAND
-            unsure = (np.abs(chunk - T_n) <= margin) | (low <= mmd.CLAMP_WARN_THRESHOLD + margin)
-        for i in np.flatnonzero(unsure):
-            chunk[i] = mmd.rho_curve(block, config.delta, perms[i])[1]
+            chunk = mmd.low_rank_maxima(bound[0], perms, config.delta)
+            rest = chunk >= bound[1]  # not decided below T_n
+            if rest.any():
+                chunk[rest] = _decide(block, copy, perms[rest], T_n, config.delta)
+        if tier and stats.size == 0 and (budget := _TIER_GATE * T_n - chunk.max()) > 0:
+            bound = mmd.low_rank_bound(block, config.delta, T_n - 2 * TIE_BAND, budget)
         stats = np.concatenate((stats, chunk))
         hits = np.flatnonzero(stats >= T_n if config.add_one else stats > T_n)
         if hits.size >= h:

@@ -29,6 +29,7 @@ from importlib.util import find_spec, module_from_spec, spec_from_loader
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DegenerateBandwidthError
+from .rng import check_real
 
 
 def as_dataset(data) -> np.ndarray:
@@ -161,7 +162,7 @@ def median_heuristic(sq: np.ndarray) -> float:
 def check_bandwidth(h) -> float:
     """A fixed bandwidth h as a float; ConfigurationError unless it is in the
     kernel's range, as median_heuristic requires of the median."""
-    h = float(h)
+    h = check_real("bandwidth", h)
     if not _in_kernel_range(h):
         raise ConfigurationError(f"bandwidth must be positive with 2h^2 finite, got {h}")
     return h

@@ -12,7 +12,10 @@ and O(n^2) total, instead of recomputing the three block sums per split.
 Admissible splits trim max(ceil(n delta), MIN_SIDE) observations off each end.
 A permuted block's sweep streams its reordered rows (an `order`), or takes
 its row sums from rank masks on the matrix as it is, in float64
-(`permuted_maxima`) or screened in float32 (`screened_maxima`).
+(`permuted_maxima`) or screened in float32 (`screened_maxima`).  A
+strong-signal block's draws can also be bounded from a certified low-rank
+factor of the centered Gram in O(K m) each (`low_rank_bound`,
+`low_rank_maxima`), with no O(m^2) sweep.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from math import ceil
 import numpy as np
 
 from .errors import ConfigurationError
+from .rng import TAG_BASIS, stream
 
 # Both sides of any tested split keep at least this many observations, on
 # top of the delta exclusion; recursion on short segments must terminate.
@@ -36,6 +40,9 @@ CLAMP_WARN_THRESHOLD = -1e-9
 # screened_maxima's float32 copy with its rank masks, and
 # amoc.permutation_test's chunks of draws with their ranks.
 _SCRATCH_BYTES = 1 << 20
+
+# Columns of the low-rank tier's subspace basis: the widest W it builds.
+_RANK = 8
 
 
 def _clamp_nonnegative(values: np.ndarray) -> np.ndarray:
@@ -225,3 +232,139 @@ def screened_maxima(gram: np.ndarray, copy: np.ndarray, perms, delta: float):
         minima[draws] = values.min(axis=1)
         bands[draws] = 3.0 * gamma + np.abs(W[:, -1] - left_rows[:, -1]) / (m - 1)
     return maxima, minima, bands
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u) for float64, u = 2^-53."""
+    return n * 2.0**-53 / (1.0 - n * 2.0**-53)
+
+
+def _centered_product(gram: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """C V for the centered C = H gram H, H = I - 1 1^T / m, with no m x m temporary."""
+    Z = gram @ (V - V.mean(axis=0))
+    Z -= Z.mean(axis=0)
+    return Z
+
+
+def _orthonormalize(Q: np.ndarray) -> np.ndarray:
+    """Q's columns orthonormalized in place, in order, by Gram-Schmidt applied twice."""
+    for k in range(Q.shape[1]):
+        q = Q[:, k]
+        for _ in range(2):
+            q -= Q[:, :k] @ (Q[:, :k].T @ q)
+        q /= np.sqrt(q @ q)
+    return Q
+
+
+def low_rank_bound(gram: np.ndarray, delta: float, target: float, budget: float):
+    """(W, below) such that every draw p with low_rank_maxima(W, [p], delta) <
+    below has an exact split curve below target at every admissible t, or None.
+
+    A draw's curve is rho(t) = t (m-t) / m^2 v^T C v, with v = 1_L / t -
+    1_R / (m-t) in draw order and C = H gram H (1^T v = 0, so C may replace
+    gram).  For any m x K matrix W and E = C - W W^T, |v^T E v| <= ||E||_F
+    |v|^2 and |v|^2 = m / (t (m-t)), so rho(t) lies within ||E||_F / m of
+    t (m-t) / m^2 |W^T v|^2.  That equals q(t) = sum_k P_k(t)^2 / (t (m-t)),
+    P_k the prefix sums of W's column k in draw order, when 1^T W = 0.  And
+    ||E||_F^2 = ||C||_F^2 - 2 tr(W^T C W) + ||W^T W||_F^2 for any W, with
+    ||C||_F^2 = ||gram||_F^2 - (2/m) |gram 1|^2 + (1^T gram 1)^2 / m^2.  So
+    neither W's departure from orthonormality nor how well it captures C
+    can make the bound fail; they only loosen it.
+
+    W comes from randomized subspace iteration (Halko, Martinsson & Tropp
+    2011, SIAM Review 53): Q orthonormalizes C^3 Y for a fixed Philox start
+    Y of _RANK columns, B = Q^T C Q, and K is the smallest width whose
+    estimated slack sqrt(||C||_F^2 - ||B[:K, :K]||_F^2) / m is below budget.
+    Then W = Q[:, :K] L with L L^T = B[:K, :K] (Cholesky), so W W^T is the
+    Rayleigh-Ritz compression of C onto Q's first K columns and q needs no
+    weights.  None comes back when no K <= _RANK passes, or when gram or
+    B[:K, :K] has no Cholesky factor.  A completed Cholesky of gram shows it
+    positive semidefinite up to (m+1) u |R^T| |R| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 10.1), and with entries in
+    [0, 1] that is gamma_{m+1} per entry; since |v|_1 = 2, no draw's exact
+    curve then falls below about -gamma_{m+1}, far above CLAMP_WARN_THRESHOLD.
+    So a draw this decides would not have warned on the float64 route either.
+
+    Roundoff, with u = 2^-53 and gamma_n = n u / (1 - n u):
+      - ||E||_F^2.  Its three terms are at most 4 ||gram||_F^2, 2 m ||W||_F^2
+        (||gram||_2 <= m) and ||W||_F^4, and each is computed within
+        5 gamma_{m^2 + 4m} of its size (sums of at most m^2 products, the
+        centering included), so 20 gamma_{m^2 + 4m} (||gram||_F^2 +
+        m ||W||_F^2 + ||W||_F^4) is added under the root before the
+        cancellation, and 4u on the slack covers the root and the division.
+      - 1^T W.  The centering leaves s_k = 1^T w_k with |s_k| <= sigma_k =
+        |fl(s_k)| + gamma_m omega_k, omega_k = sum_i |W_ik|.  The exact
+        t (m-t) / m^2 |W^T v|^2 is sum_k (P_k - t s_k / m)^2 / (t (m-t)),
+        within sum_k sigma_k (2 omega_k + sigma_k) / (m t_min) of q(t), as
+        |P_k| <= omega_k and m - t >= t_min.
+      - q.  Each prefix sum errs by at most gamma_m omega_k, which moves q by
+        at most 3 gamma_m sum_k omega_k^2 / (t_min (m - t_min)); squaring,
+        adding K terms and dividing by the exact t (m-t) err by gamma_{K+1}
+        of q.  below takes gamma_{K+6} there, which also covers the four
+        roundings that form it.
+    On Gaussian-kernel blocks at m <= 256 they took 2e-9 off the threshold
+    in all, against slacks of 0.02 to 0.07.
+    """
+    m = gram.shape[0]
+    t_min = admissible_range(m, delta)[0]
+    rows = gram.sum(axis=1)
+    total, frob = rows.sum(), np.einsum("ij,ij->", gram, gram)
+    norm_c = frob - 2.0 * (rows @ rows) / m + total * total / (m * m)
+    Y = stream(0, TAG_BASIS).standard_normal((m, _RANK))
+    for _ in range(3):  # power steps
+        Y = _centered_product(gram, Y)
+    Q = _orthonormalize(Y)  # centered columns stay centered, to roundoff
+    B = Q.T @ _centered_product(gram, Q)
+    captured = np.diagonal(np.cumsum(np.cumsum(B * B, axis=0), axis=1))  # ||B[:K, :K]||_F^2
+    fits = np.flatnonzero(np.sqrt(np.maximum(norm_c - captured, 0.0)) / m < budget)
+    if fits.size == 0:
+        return None
+    K = fits[0] + 1
+    try:
+        np.linalg.cholesky(gram)
+        W = Q[:, :K] @ np.linalg.cholesky(B[:K, :K])
+    except np.linalg.LinAlgError:
+        return None
+    centered = W - W.mean(axis=0)
+    WtW = W.T @ W
+    w2 = np.trace(WtW)
+    residual = norm_c - 2.0 * np.vdot(centered, gram @ centered) + np.vdot(WtW, WtW)
+    residual += 20.0 * _gamma(m * m + 4 * m) * (frob + m * w2 + w2 * w2)
+    slack = np.sqrt(max(residual, 0.0)) / m * (1.0 + 2.0**-51)
+    omega = np.abs(W).sum(axis=0)
+    sigma = np.abs(W.sum(axis=0)) + _gamma(m) * omega
+    centering = np.sum(sigma * (2.0 * omega + sigma)) / (m * t_min)
+    prefix = 3.0 * _gamma(m) * np.sum(omega * omega) / (t_min * (m - t_min))
+    return W, (target - slack - centering - prefix) * (1.0 - _gamma(K + 6))
+
+
+def low_rank_maxima(W: np.ndarray, perms, delta: float) -> np.ndarray:
+    """max over the admissible range of q(t) = sum_k P_k(t)^2 / (t (m-t)) for
+    each row p of perms, P_k the prefix sums of W[p, k] (`low_rank_bound`).
+
+    Each chunk of draws gathers W^T in draw order, K prefix sums per draw
+    within half of _SCRATCH_BYTES, and adds the K squares one column of W at
+    a time with no BLAS call: a draw's value does not depend on the other
+    draws passed or on the BLAS thread count.
+    """
+    perms = np.asarray(perms, dtype=np.intp)
+    m, K = W.shape
+    t_min, t_max = admissible_range(m, delta)
+    t = np.arange(t_min, t_max + 1, dtype=np.float64)
+    span = t * (m - t)
+    Wt = np.ascontiguousarray(W.T)
+    out = np.empty(perms.shape[0])
+    step = max(1, _SCRATCH_BYTES // (16 * K * t_max))  # draws per chunk
+    for lo in range(0, perms.shape[0], step):
+        order = perms[lo : lo + step, :t_max].T
+        P = np.empty((K, *order.shape))
+        for k in range(K):
+            Wt[k].take(order, out=P[k])
+        np.cumsum(P, axis=1, out=P)
+        P = P[:, t_min - 1 :]
+        q = np.square(P[0])
+        for k in range(1, K):
+            q += np.square(P[k], out=P[k])
+        q /= span[:, None]
+        out[lo : lo + step] = q.max(axis=0)
+    return out

@@ -29,6 +29,7 @@ holds none beyond its current chunk, and a top seed's cast warns once per test.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from collections.abc import Iterator
 
@@ -46,6 +47,7 @@ TAG_PAIRTEST = 0x50414952  # "PAIR"
 TAG_SIMULATE = 0x53494D55  # "SIMU"
 TAG_DATA = 0x44415441  # "DATA"
 TAG_ALGO = 0x414C474F  # "ALGO"
+TAG_BASIS = 0x42415349  # "BASI": the low-rank tier's subspace start
 
 
 def check_integer(name: str, value) -> int:
@@ -55,6 +57,14 @@ def check_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_real(name: str, value) -> float:
+    """float(value) for a real number, numpy's included; ConfigurationError
+    for anything else, such as a string float() would parse."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_seed(seed: int) -> None:

@@ -28,7 +28,7 @@ from .amoc import AmocConfig, permutation_test
 from .errors import ConfigurationError
 from .kernel import as_dataset, check_bandwidth, gram_of_rows
 from .mmd import MIN_SIDE, rho_curve, splittable
-from .rng import TAG_PAIRTEST, TAG_SEGMENT, derive_seed
+from .rng import TAG_PAIRTEST, TAG_SEGMENT, check_integer, derive_seed
 
 
 @dataclass(frozen=True)
@@ -235,8 +235,9 @@ def check_budget(algorithm: str, K=None, K_l=None, K_u=None) -> dict:
     missing = [name for name, value in budget.items() if value is None]
     if missing:
         raise ConfigurationError(f"algorithm {algorithm!r} needs {', '.join(missing)}")
-    for name, value in budget.items():
+    for name in budget:
         low = 0 if name == "K_l" else 1
+        value = budget[name] = check_integer(name, budget[name])
         if value < low:
             raise ConfigurationError(f"{name} must be >= {low}, got {value}")
     if algorithm == "ss" and K_l > K_u:

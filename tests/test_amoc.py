@@ -3,12 +3,16 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mmdseg.amoc
 import mmdseg.mmd
 from mmdseg import (
     AmocConfig,
+    BenchmarkCell,
+    detect_forward,
+    detect_s,
+    detect_ss,
     detect_u,
     generate,
     permutation_test,
@@ -64,15 +68,45 @@ def test_config_validation():
         lambda v: ModelSpec("8", (12, 12, 12), seed=v),
         lambda v: ModelSpec("8", (12, 12, 12), grid_size=v),
         lambda v: ModelSpec("8", (12, v, 12)),
+        lambda v: BenchmarkCell(ModelSpec("8", (12, 12, 12)), "s", K=v),
+        lambda v: BenchmarkCell(ModelSpec("8", (12, 12, 12)), "ss", K_l=v, K_u=30),
+        lambda v: BenchmarkCell(ModelSpec("8", (12, 12, 12)), "ss", K_u=v),
+        lambda v: BenchmarkCell(ModelSpec("8", (12, 12, 12)), "forward", K_l=v),
     ],
 )
 def test_integer_settings_reject_what_int_would_truncate(build):
     # int() would run seed 1.9 as seed 1 and a segment length of 20.7 as 20,
-    # and grid_size 2.5 would draw a 3-point grid; numpy integers pass.
+    # and grid_size 2.5 would draw a 3-point grid; a budget of 2.5 failed
+    # in range() mid-run.  numpy integers pass.
     for value in (20.7, 2.5, np.float64(3.0), "3"):
         with pytest.raises(ConfigurationError, match="must be an integer"):
             build(value)
     assert build(np.int64(20)) == build(20)
+
+
+def test_real_and_switch_settings_reject_other_types():
+    # detect_s(X, 2.5) and its kin raised TypeError in range(); add_one="no"
+    # ran the add-one p-value, delta="0.1" raised TypeError, and a bandwidth
+    # of "0.5" ran as 0.5.
+    X = np.random.default_rng(0).normal(size=(40, 3))
+    cfg = AmocConfig(R=19)
+    for run in (lambda: detect_s(X, 2.5), lambda: detect_ss(X, 0, 2.5, cfg),
+                lambda: detect_forward(X, 1.5, cfg)):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            run()
+    for value in ("0.1", None, [0.1]):
+        for name in ("delta", "alpha"):
+            with pytest.raises(ConfigurationError, match="must be a real number"):
+                AmocConfig(**{name: value})
+    for value in ("0.5", "abc", [0.5]):
+        with pytest.raises(ConfigurationError, match="must be a real number"):
+            prepare(X, value)
+    for value in ("no", 0, None):
+        with pytest.raises(ConfigurationError, match="must be a bool"):
+            AmocConfig(add_one=value)
+    assert AmocConfig(delta=np.float64(0.1), alpha=np.float32(0.25), add_one=np.True_) == \
+        AmocConfig(delta=0.1, alpha=0.25, add_one=True)
+    assert prepare(X, np.float64(0.5))[0] == prepare(X, 0.5)[0] == 0.5
 
 
 def test_statistic_zero_on_constant_data():
@@ -288,7 +322,7 @@ def test_permutation_test_builds_one_generator(monkeypatch):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("m", [4, 5, 6, 8, 11, 16, 40, 100, 300])
+@pytest.mark.parametrize("m", [4, 5, 6, 8, 11, 16, 40, 100, 200, 300])
 def test_early_accept_keeps_every_decision(m):
     # Null blocks accept (most stop early), shifted ones reject; short blocks
     # are tie-heavy.  The early run must be the full run cut at the h-th
@@ -398,11 +432,14 @@ def test_chunk_ends_rise_to_R_in_chunks_within_the_budget(R, h, m, budget):
     m=st.integers(4, 457),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(model="8", m=256, seed=1)
+@example(model="2", m=200, seed=0)
 def test_the_float32_screen_is_certified_and_changes_no_count(model, m, seed):
     # Every block up to m = 457 is screened at the default budget.  Each
     # screened maximum lies within its band of the float64 value, and the test
     # counts, stops and decides as the float64 route (no screen below 5 m^2
-    # bytes) does.
+    # bytes, and so no low-rank tier) does.  The two explicit examples build
+    # the tier's bound in all four runs; random ones rarely do.
     k = POPULATIONS[model]
     lengths = [m // k + (i < m % k) for i in range(k)]
     G = prepare(generate(ModelSpec(model, lengths, seed=seed)).data)[1]
@@ -425,14 +462,21 @@ def test_the_float32_screen_is_certified_and_changes_no_count(model, m, seed):
 
 
 def test_the_screen_rechecks_every_draw_the_float64_route_warns_on(monkeypatch):
-    # A block with entries in [0, 1] that is not positive semidefinite: some
+    # Blocks with entries in [0, 1] that are not positive semidefinite: some
     # permuted curves dip below CLAMP_WARN_THRESHOLD, which only the float64
     # route warns about.  The screen rechecks every such draw on its
     # reordered curve (rho_curve with the draw as order), and each rechecked
-    # draw whose curve dips warns once.
-    A = np.random.default_rng(0).uniform(size=(30, 30))
-    A = (A + A.T) / 2
-    np.fill_diagonal(A, 1.0)
+    # draw whose curve dips warns once.  The second block has a strong split
+    # and an eigenvalue near -0.11 that the low-rank tier's slack hides (K = 1
+    # passes its gate), so the tier would decide draws that dip, unwarned;
+    # its Cholesky check keeps it off.
+    uniform = np.random.default_rng(0).uniform(size=(30, 30))
+    uniform = (uniform + uniform.T) / 2
+    np.fill_diagonal(uniform, 1.0)
+    side = np.where(np.arange(200) < 100, 1.0, -1.0)
+    N = np.random.default_rng(0).uniform(-0.01, 0.01, size=(200, 200))
+    split = 0.5 + 0.4 * np.outer(side, side) + (N + N.T) / 2
+    np.fill_diagonal(split, 0.9)
     cfg = AmocConfig(R=49)
 
     def clamp_warnings(f):
@@ -441,26 +485,29 @@ def test_the_screen_rechecks_every_draw_the_float64_route_warns_on(monkeypatch):
             out = f()
         return out, sum("clamped" in str(w.message) for w in caught)
 
-    _, observed = clamp_warnings(lambda: rho_curve(A, cfg.delta))
-    perms = next(permutation_chunks(cfg.seed, 30, (cfg.R,)))
-    dips = {tuple(p) for p in perms if clamp_warnings(lambda: permuted_maxima(A, [p], cfg.delta))[1]}
-    rechecked, curve = [], mmdseg.mmd.rho_curve
+    for A in (uniform, split):
+        m = A.shape[0]
+        _, observed = clamp_warnings(lambda: rho_curve(A, cfg.delta))
+        perms = next(permutation_chunks(cfg.seed, m, (cfg.R,)))
+        dips = {tuple(p) for p in perms
+                if clamp_warnings(lambda: permuted_maxima(A, [p], cfg.delta))[1]}
+        rechecked, curve = [], mmdseg.mmd.rho_curve
 
-    def counting_curve(G, delta, order=None):
-        if order is not None:
-            rechecked.append(tuple(order))
-        return curve(G, delta, order)
+        def counting_curve(G, delta, order=None):
+            if order is not None:
+                rechecked.append(tuple(order))
+            return curve(G, delta, order)
 
-    monkeypatch.setattr(mmdseg.mmd, "rho_curve", counting_curve)
-    got, warned = clamp_warnings(lambda: permutation_test(A, cfg))
-    monkeypatch.undo()
-    assert 0 < len(dips) < cfg.R and dips <= set(rechecked)
-    assert len(rechecked) == len(set(rechecked))  # each draw rechecked once
-    assert warned == observed + sum(p in dips for p in rechecked)
-    with patch.object(mmdseg.mmd, "_SCRATCH_BYTES", 5 * 30 * 30 - 1):  # the float64 route
-        want, _ = clamp_warnings(lambda: permutation_test(A, cfg))
-    assert got.p_value == want.p_value and got.T_n == want.T_n > 0.0
-    assert np.array_equal(got.permutation_stats > got.T_n, want.permutation_stats > want.T_n)
+        monkeypatch.setattr(mmdseg.mmd, "rho_curve", counting_curve)
+        got, warned = clamp_warnings(lambda: permutation_test(A, cfg))
+        monkeypatch.undo()
+        assert 0 < len(dips) < cfg.R and dips <= set(rechecked)
+        assert len(rechecked) == len(set(rechecked))  # each draw rechecked once
+        assert warned == observed + sum(p in dips for p in rechecked)
+        with patch.object(mmdseg.mmd, "_SCRATCH_BYTES", 5 * m * m - 1):  # the float64 route
+            want, _ = clamp_warnings(lambda: permutation_test(A, cfg))
+        assert got.p_value == want.p_value and got.T_n == want.T_n > 0.0
+        assert np.array_equal(got.permutation_stats > got.T_n, want.permutation_stats > want.T_n)
 
 
 @pytest.mark.xfail(

@@ -334,15 +334,24 @@ def test_a_permutation_test_adds_at_most_its_scratch():
 
 
 @needs_proc_status
-@pytest.mark.parametrize("R, stop", [(199, False), (999, False), (999, True)])
-def test_a_permutation_test_holds_its_draws_in_scratch(R, stop):
+@pytest.mark.parametrize(
+    "n, rows, R, stop",
+    [(1500, "X", 199, False), (1500, "X", 999, False), (1500, "X", 999, True),
+     (256, "generate(ModelSpec('8', (86, 85, 85))).data", 199, False)],
+    ids=["199-False", "999-False", "999-True", "199-tier"],
+)
+def test_a_permutation_test_holds_its_draws_in_scratch(n, rows, R, stop):
     # A chunk of draws with their ranks fits in the budget, and so does a rank
     # mask; with per-draw rows and the allocator's slack the rise is 2.5 MiB.
     # One (R, m) block of draws and ranks at once took it to 3.96 MiB
     # (R = 199), 15.4 MiB (R = 999) and 4.8 MiB (R = 999, stopping early).
-    warm = "G = prepare(X)[1]; permutation_test(G[:100, :100], AmocConfig(R=3))"
+    # A model-8 block at the low-rank tier's cap (m = 256) also builds its
+    # bound: the Cholesky check's copy and factor (16 m^2 bytes), LAPACK's
+    # first call and the prefix sums within half the budget.
+    warm = ("from mmdseg import ModelSpec, generate; "
+            f"G = prepare({rows})[1]; permutation_test(G[:100, :100], AmocConfig(R=3))")
     run = f"permutation_test(G, AmocConfig(R={R}), stop_on_accept={stop})"
-    assert high_water_rise(1500, warm, run) <= 3 * mmdseg.mmd._SCRATCH_BYTES
+    assert high_water_rise(n, warm, run) <= 3 * mmdseg.mmd._SCRATCH_BYTES
 
 
 @needs_proc_status

@@ -17,8 +17,15 @@ from mmdseg import (
 )
 import mmdseg.mmd
 from mmdseg.errors import ConfigurationError
-from mmdseg.mmd import admissible_range, permuted_maxima, splittable
+from mmdseg.mmd import (
+    admissible_range,
+    low_rank_bound,
+    low_rank_maxima,
+    permuted_maxima,
+    splittable,
+)
 from mmdseg.rng import permutation_chunks, permutation_stream
+from mmdseg.simulate import POPULATIONS
 
 from reference import (
     chunked_rho_values,
@@ -311,3 +318,33 @@ def test_the_scratch_budget_changes_no_permutation_test_bit(m, monkeypatch):
             assert got.reject == want.reject
             assert got.permutation_stats.size == want.permutation_stats.size
             assert np.array_equal(got.permutation_stats > got.T_n, want.permutation_stats > want.T_n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(["8", "2", "5", "N1"]),
+    m=st.integers(150, 256),
+    seed=st.integers(0, 2**32 - 1),
+    share=st.sampled_from([np.inf, 1.0, 0.3]),
+)
+def test_the_low_rank_bound_is_certified(model, m, seed, share):
+    # For every draw, max q lies within ||C - W W^T||_F / m of the float64
+    # maximum (that slack taken here from the dense centered Gram), the
+    # bound leaves at least that much below T, and every draw it decides
+    # lies below T on the float64 route.  share of T is the slack budget,
+    # which sets K (1 at an infinite budget).
+    k = POPULATIONS[model]
+    lengths = [m // k + (i < m % k) for i in range(k)]
+    G = prepare(generate(ModelSpec(model, lengths, seed=seed)).data)[1]
+    T = rho_curve(G, 0.05)[1]
+    bound = low_rank_bound(G, 0.05, T, share * T)
+    if bound is None:  # no K <= mmd._RANK fits the budget
+        return
+    W, below = bound
+    H = np.eye(m) - 1.0 / m
+    slack = np.linalg.norm(H @ G @ H - W @ W.T) / m
+    assert T - below >= slack
+    perms = next(permutation_chunks(seed, m, (49,)))
+    q, exact = low_rank_maxima(W, perms, 0.05), permuted_maxima(G, perms, 0.05)
+    assert np.all(np.abs(q - exact) <= slack * (1 + 1e-9) + 1e-12)
+    assert np.all(exact[q < below] < T)
