@@ -14,11 +14,12 @@ p-value h / L after L draws, itself a valid p-value and never below alpha,
 and its decision is the full run's on every input.
 
 Each draw's statistic comes from the block as it is, by the cheapest route
-that can place it against T exactly as the float64 route would: a certified
-low-rank bound for strong-signal tests at 150 <= m <= 256, a certified
-float32 screen on blocks with entries in [0, 1] up to m = 457, float64 rank
-masks otherwise, and a recheck on the draw's reordered curve for any draw
-the others leave undecided.
+that can place it against T exactly as the gathered per-draw route would: a
+certified low-rank bound for strong-signal tests at 150 <= m <= 256, rank
+masks over the block's float32 copy for blocks with entries in [0, 1] up to
+m = 457 or over the block itself otherwise, each with a certified band, and
+a recheck on the draw's reordered curve for any draw the others leave
+undecided.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from . import mmd
 from .errors import ConfigurationError
 from .rng import check_integer, check_real, check_seed, permutation_chunks
 
-# permuted_maxima agrees with rho_curve on the reordered block to well within
-# this (1.3e-14 at most over m = 4..3000).  A draw closer than this to T is
-# recomputed by rho_curve in the draw's order, so a tie is counted as the
-# gathered per-draw route counts it.  Twice this is also the float32
-# screen's margin for float64 roundoff beyond its certified band.
+# Relative to A, the block's largest |entry|: twice this times A is the
+# margin for float64 roundoff beyond mmd.masked_maxima's certified band (the
+# float64 masked and reordered maxima of Gram blocks agree within 1.3e-14 at
+# m = 4..3000).  A draw within band + margin of T_n is recomputed by
+# rho_curve in the draw's order, so a tie is counted as the gathered
+# per-draw route counts it, at any entry scale.
 TIE_BAND = 1e-12
 
 # The low-rank tier is built only when the first chunk's largest draw lies
@@ -74,9 +76,9 @@ class AmocResult:
     statistics of the draws made, in draw order: all R of them, or the first
     L when the test stopped on an accept.  A rechecked draw holds its
     reordered curve's maximum, a draw the low-rank tier decided its max q
-    (`mmd.low_rank_maxima`), any other its rank-mask maximum, float64 or
-    screened; each lies on its float64 value's side of T_n: every count is
-    exact.
+    (`mmd.low_rank_maxima`), any other its rank-mask maximum, in float64 or
+    over the float32 copy; each lies on its reordered curve's side of T_n:
+    every count is exact.
     """
 
     T_n: float
@@ -116,17 +118,14 @@ def _chunk_ends(R: int, h: int, m: int) -> list[int]:
     return ends
 
 
-def _decide(block, copy, perms, T_n, delta) -> np.ndarray:
-    """Each draw's rank-mask maximum, in float64 or screened over the float32
-    copy when there is one; a draw they cannot place against T_n (screened:
-    or against mmd.CLAMP_WARN_THRESHOLD) is rechecked on its reordered curve."""
-    if copy is None:
-        chunk = mmd.permuted_maxima(block, perms, delta)
-        unsure = np.abs(chunk - T_n) <= TIE_BAND
-    else:
-        chunk, low, band = mmd.screened_maxima(block, copy, perms, delta)
-        margin = band + 2 * TIE_BAND
-        unsure = (np.abs(chunk - T_n) <= margin) | (low <= mmd.CLAMP_WARN_THRESHOLD + margin)
+def _decide(block, sums, scale, perms, T_n, delta) -> np.ndarray:
+    """Each draw's rank-mask maximum over sums (the block or its float32
+    copy); a draw whose maximum lies within band + 2 TIE_BAND scale of T_n,
+    or whose minimum lies that close to mmd.CLAMP_WARN_THRESHOLD, is
+    rechecked on its reordered curve."""
+    chunk, low, band = mmd.masked_maxima(block, sums, perms, delta, scale)
+    margin = band + 2 * TIE_BAND * scale
+    unsure = (np.abs(chunk - T_n) <= margin) | (low <= mmd.CLAMP_WARN_THRESHOLD + margin)
     for i in np.flatnonzero(unsure):
         chunk[i] = mmd.rho_curve(block, delta, perms[i])[1]
     return chunk
@@ -144,16 +143,18 @@ def permutation_test(
     with the same keys `permutation_stream` uses.  Every draw's statistic
     comes from the block as it is, never from recomputed kernel values.
 
-    Rank-masked sums give each draw's maximum in float64 (`permuted_maxima`)
-    or, when the block's entries lie in [0, 1] and its float32 copy (4 m^2
-    bytes) and one draw's mask (m^2) fit in mmd._SCRATCH_BYTES (m <= 457),
-    screened in float32 with a certified band (`mmd.screened_maxima`).  A
-    draw they cannot decide, within TIE_BAND of T_n in float64, or screened
-    within band + 2 TIE_BAND of T_n or of mmd.CLAMP_WARN_THRESHOLD, is
+    Rank-masked sums give each draw's maximum, minimum and certified band
+    (`mmd.masked_maxima`), taken over the block's float32 copy when its
+    entries lie in [0, 1] and the copy (4 m^2 bytes) and one draw's mask
+    (m^2) fit in mmd._SCRATCH_BYTES (m <= 457), over the block itself
+    otherwise.  The band scales with A, the block's largest |entry| (from
+    the block.min() and block.max() the screen check takes), and so does
+    the margin 2 TIE_BAND A.  A draw whose maximum lies within band + margin
+    of T_n, or whose minimum lies that close to mmd.CLAMP_WARN_THRESHOLD, is
     rechecked by `mmd.rho_curve` in the draw's order, which streams the
     reordered rows with the gathered copy's bits.  So every count, p-value,
-    decision and stop L is the float64 route's, and each float64 chunk and
-    each rechecked draw whose curve dips gives one clamp warning.
+    decision and stop L is the gathered route's at any entry scale, and each
+    rechecked draw whose curve dips gives one clamp warning.
 
     The low-rank tier goes in front of the screen on screened blocks with
     150 <= m and 16 m^2 <= mmd._SCRATCH_BYTES (m <= 256).  Their first chunk
@@ -162,9 +163,10 @@ def permutation_test(
     draw M1 lies below _TIER_GATE T_n, `mmd.low_rank_bound` takes the
     smallest K whose slack fits under _TIER_GATE T_n - M1, and only if the
     block has a Cholesky factor.  Each later draw whose max q lies below the
-    bound's threshold is decided below T_n - 2 TIE_BAND, with no float64 curve
-    made; any other goes to the screen.  A decided draw could not have
-    warned: the Cholesky factor keeps every exact curve above about -(m+1) u.
+    bound's threshold is decided below T_n - 2 TIE_BAND A, with no float64
+    curve made; any other goes to the rank masks.  A decided draw could not
+    have warned: the Cholesky factor keeps every exact curve above about
+    -(m+1) u.
 
     Draws come in the chunks of `_chunk_ends`, and the test stops at the draw
     L that brings the exceedance count to h.  By default h = R + 1, which no
@@ -177,8 +179,10 @@ def permutation_test(
     tau_hat, T_n = mmd.rho_curve(block, config.delta)
 
     h = _accept_count(config) if stop_on_accept else config.R + 1
-    screen = 5 * m * m <= mmd._SCRATCH_BYTES and 0.0 <= block.min() and block.max() <= 1.0
-    copy = block.astype(np.float32) if screen else None
+    low, high = block.min(), block.max()
+    scale = max(high, -low)  # A, with no m x m temporary
+    screen = 5 * m * m <= mmd._SCRATCH_BYTES and 0.0 <= low and high <= 1.0
+    sums = block.astype(np.float32) if screen else block
     # np.linalg.cholesky's copy and factor fit the budget (16 m^2 bytes);
     # below 150 rows the tier saved no time
     tier = screen and 150 <= m and 16 * m * m <= mmd._SCRATCH_BYTES
@@ -190,14 +194,14 @@ def permutation_test(
     # h = 0: even no exceedance gives p >= alpha, so the test accepts undrawn
     for perms in permutation_chunks(config.seed, m, ends) if h else ():
         if bound is None:
-            chunk = _decide(block, copy, perms, T_n, config.delta)
+            chunk = _decide(block, sums, scale, perms, T_n, config.delta)
         else:
             chunk = mmd.low_rank_maxima(bound[0], perms, config.delta)
             rest = chunk >= bound[1]  # not decided below T_n
             if rest.any():
-                chunk[rest] = _decide(block, copy, perms[rest], T_n, config.delta)
+                chunk[rest] = _decide(block, sums, scale, perms[rest], T_n, config.delta)
         if tier and stats.size == 0 and (budget := _TIER_GATE * T_n - chunk.max()) > 0:
-            bound = mmd.low_rank_bound(block, config.delta, T_n - 2 * TIE_BAND, budget)
+            bound = mmd.low_rank_bound(block, config.delta, T_n - 2 * TIE_BAND * scale, budget)
         stats = np.concatenate((stats, chunk))
         hits = np.flatnonzero(stats >= T_n if config.add_one else stats > T_n)
         if hits.size >= h:

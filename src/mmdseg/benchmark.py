@@ -17,7 +17,7 @@ import numpy as np
 from .amoc import AmocConfig
 from .errors import ConfigurationError
 from .metrics import hausdorff, match, subset_match, superset_match
-from .rng import TAG_ALGO, TAG_DATA, check_seed, derive_seed
+from .rng import TAG_ALGO, TAG_DATA, check_integer, check_seed, derive_seed
 from .segment import check_budget, detect
 from .simulate import ModelSpec, generate
 
@@ -88,6 +88,8 @@ class BenchmarkReport:
 def run_benchmark(cells, replications: int, seed: int = 0, workers: int = 1) -> BenchmarkReport:
     """Estimate success rates for every cell over `replications` rounds, on
     min(workers, jobs, usable CPUs) processes: in this process when that is 1."""
+    replications = check_integer("replications", replications)
+    workers = check_integer("workers", workers)
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
     if workers < 1:

@@ -10,10 +10,12 @@ into the front of an (n, n) buffer.  From a copy of the condensed pairs in
 the buffer's free half, median_heuristic reads the bandwidth; gram_matrix
 (at a checked bandwidth) turns the pairs into kernel values where they lie,
 and they are then moved into both triangles.  A run peaks at that 8n^2-byte
-Gram, the rows, and 1 MiB (`mmd._SCRATCH_BYTES`) for each chunk of rank masks
-(with a screened block's float32 copy beside them) and chunk of permutation
-draws with their ranks, with no exception: a sweep, reordered or not, takes a
-few rows of n floats.  `segment.prepare` is the one public route to a Gram.
+Gram, the rows, and 1 MiB (`mmd._SCRATCH_BYTES`) for each chunk of
+`mmd.masked_maxima`'s rank masks (in either precision; a screened block's
+float32 copy counts within it) and chunk of permutation draws with their
+ranks, with no exception: a sweep, reordered or not, takes a few rows of n
+floats, and a block's largest |entry| comes from its min() and max(), with
+no n x n temporary.  `segment.prepare` is the one public route to a Gram.
 
 The distance pass is scipy's compiled sqeuclidean kernel: `pdist` loads that
 one file at the first pass, not the 0.3-0.5 s import of scipy.spatial.

@@ -11,8 +11,8 @@ over all admissible t comes from one sweep of running sums, O(n) per split
 and O(n^2) total, instead of recomputing the three block sums per split.
 Admissible splits trim max(ceil(n delta), MIN_SIDE) observations off each end.
 A permuted block's sweep streams its reordered rows (an `order`), or takes
-its row sums from rank masks on the matrix as it is, in float64
-(`permuted_maxima`) or screened in float32 (`screened_maxima`).  A
+its row sums from rank masks on the matrix as it is or on its float32 copy,
+with a certified band on each draw's curve (`masked_maxima`).  A
 strong-signal block's draws can also be bounded from a certified low-rank
 factor of the centered Gram in O(K m) each (`low_rank_bound`,
 `low_rank_maxima`), with no O(m^2) sweep.
@@ -36,9 +36,9 @@ MIN_SIDE = 2
 # floating-point cancellation gone wrong rather than roundoff.
 CLAMP_WARN_THRESHOLD = -1e-9
 
-# Bytes of each scratch temporary: permuted_maxima's rank masks,
-# screened_maxima's float32 copy with its rank masks, and
-# amoc.permutation_test's chunks of draws with their ranks.
+# Bytes of each scratch temporary: masked_maxima's rank masks (with a
+# float32 copy beside them), and amoc.permutation_test's chunks of draws
+# with their ranks.
 _SCRATCH_BYTES = 1 << 20
 
 # Columns of the low-rank tier's subspace basis: the widest W it builds.
@@ -134,27 +134,67 @@ def rho_curve(gram: np.ndarray, delta: float, order=None) -> tuple[int, float]:
     return t_min + i, float(values[i])
 
 
-def _masked_sums(gram: np.ndarray, perms: np.ndarray, sums: np.ndarray, mask_bytes: int):
-    """Yield (draws, wl, left_rows): the _rho_from_sums prefix sums of gram
-    reordered by each draw of perms[draws], for chunks of _SCRATCH_BYTES // m^2
-    draws (at least one).
+def _gamma(n: int, u: float = 2.0**-53) -> float:
+    """Higham's gamma_n = n u / (1 - n u), for float64's u = 2^-53 by default."""
+    return n * u / (1.0 - n * u)
+
+
+def masked_maxima(gram: np.ndarray, sums: np.ndarray, perms, delta: float, scale: float):
+    """(maxima, minima, bands) of the split curve of gram reordered by each
+    row p of perms: its maximum over the admissible range (clamped at 0, with
+    no warning), its unclamped minimum over every t, and a band that bounds
+    the curve's error at every t.  scale is at least every |gram| entry.
 
     No reordered copy of the Gram matrix is built.  With r the inverse of a
     permutation p, the strict-lower row sums of the reordered matrix are
-    S[a] = sum_b gram[a, b] [r_b < r_a] on the matrix as it is, so one
-    rank mask per draw replaces the m x m gather and its cumulative sum.
-    Those sums are taken over `sums`, gram itself or a float32 copy of it,
-    in sums' dtype; the diagonal and the full row sums always come from
-    gram.  A chunk's bool masks span as many rows as mask_bytes holds (at
-    least one); no row sum's order depends on the chunk or the span.
+    S[a] = sum_b gram[a, b] [r_b < r_a] on the matrix as it is, so one rank
+    mask per draw replaces the m x m gather and its cumulative sum.  They are
+    taken over `sums`, gram itself or its float32 copy, in sums' dtype, in
+    chunks of _SCRATCH_BYTES // m^2 draws (at least one); the diagonal and
+    the full row sums always come from gram.  A chunk's masks span as many
+    rows as the budget holds: all of _SCRATCH_BYTES over gram, half of what
+    a copy leaves of it (mc-bounded's peak RSS rose 0.6 MB with all of it).
+    No row sum's order depends on the chunk or the span, so a draw's values
+    are the same whatever the other draws passed.
+
+    The band.  Each term of a masked row sum has |term| <= scale and carries
+    relative error at most u, sums' unit roundoff, so in any summation order
+    the sum errs by at most gamma = gamma_{m+1} of its terms' absolute sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2).
+    Only within_left carries that error e(t): cross = left_rows - within_left
+    and within_right = total - 2 left_rows + within_left, with left_rows and
+    total from gram's row sums, so rho(t) moves by e(t) ((m-t)/t + t/(m-t)
+    + 2) / m^2 = e(t) / (t (m-t)).  Two bounds hold, with W(t) the exact
+    within-left sum of absolute values:
+      - |e(t)| <= gamma W(t), from the rows before t;
+      - |e(t)| <= |E| + gamma (W(m) - W(t)), from the rows at t and after:
+        the whole within-left sum is the block total for every draw, so its
+        error E = e(m) is known, and e(t) = E minus those rows' error.
+    W(t) <= scale t^2 and W(m) - W(t) <= scale (m^2 - t^2).  For t <= m/2
+    the first bound moves rho(t) by at most gamma scale t / (m-t) <= gamma
+    scale; for t > m/2 the second moves it by at most |E| / (t (m-t)) +
+    gamma scale (m+t) / t < |E| / (m-1) + 3 gamma scale, since t (m-t) >=
+    m - 1.  So band = 3 gamma scale + |E| / (m-1).  (With the first bound
+    alone, a float32 band near t = m - 1 outgrows the curve itself at m = 300.)
+
+    So a draw's exact maximum lies within its band of maxima, and its curve
+    falls below CLAMP_WARN_THRESHOLD only if its minimum comes within its band
+    of that threshold, up to the float64 roundoff of the rest of the sweep
+    (and, in float32, 2^-150 per entry below the normal range), which the
+    caller's margin covers.
     """
+    perms = np.asarray(perms, dtype=np.intp)
     m = gram.shape[0]
+    t_min, t_max = admissible_range(m, delta)
     ranks = np.empty(perms.shape, dtype=np.min_scalar_type(m))  # narrow: faster masks
     np.put_along_axis(ranks, perms, np.arange(m), axis=1)
     diag = np.diagonal(gram)
     rows = gram.sum(axis=1)
+    gamma = _gamma(m + 1, np.finfo(sums.dtype).eps / 2)
     step = max(1, _SCRATCH_BYTES // (m * m))  # draws per chunk
+    mask_bytes = _SCRATCH_BYTES if sums is gram else (_SCRATCH_BYTES - sums.nbytes) // 2
     span = min(max(1, mask_bytes // (step * m)), m)  # mask rows per einsum
+    maxima, minima, bands = np.empty((3, perms.shape[0]))
     for lo in range(0, perms.shape[0], step):
         draws = slice(lo, lo + step)
         p, r = perms[draws], ranks[draws]
@@ -165,78 +205,13 @@ def _masked_sums(gram: np.ndarray, perms: np.ndarray, sums: np.ndarray, mask_byt
             np.einsum("cab,ab->ca", r[:, None, :] < r[:, q, None], sums[q], out=lower[:, q])
         # wl_rows[c, i] = 2 lower[c, p[c, i]] + diag[p[c, i]], read from the flat array
         wl_rows = (2.0 * lower + diag).ravel().take(p + m * np.arange(len(p))[:, None])
-        yield draws, np.cumsum(wl_rows, axis=1), np.cumsum(rows.take(p), axis=1)
-
-
-def permuted_maxima(gram: np.ndarray, perms, delta: float) -> np.ndarray:
-    """rho_curve(gram, delta, p)[1], to roundoff, for each row p of perms.
-
-    The curves come from rank-mask sums over gram (`_masked_sums`), each
-    chunk's masks within _SCRATCH_BYTES, in another order than rho_curve's;
-    a draw's maximum is the same whatever the other draws passed.
-    """
-    perms = np.asarray(perms, dtype=np.intp)
-    t_min, t_max = admissible_range(gram.shape[0], delta)
-    out = np.empty(perms.shape[0])
-    for draws, wl, left_rows in _masked_sums(gram, perms, gram, _SCRATCH_BYTES):
-        values = _clamp_nonnegative(_rho_from_sums(wl, left_rows))
-        out[draws] = values[:, t_min - 1 : t_max].max(axis=1)
-    return out
-
-
-def screened_maxima(gram: np.ndarray, copy: np.ndarray, perms, delta: float):
-    """(maxima, minima, bands) of each row p of perms, from the mask sums of
-    `_masked_sums` over copy, the float32 copy of a gram with entries in [0, 1].
-
-    Every term of a masked row sum is >= 0 and is rounded to float32 with
-    relative error at most u = 2^-24, so in any summation order the sum errs
-    by at most gamma = (m+1)u / (1 - (m+1)u) of itself (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 4.2).  Only within_left
-    carries that error e(t): cross = left_rows - within_left and within_right
-    = total - 2 left_rows + within_left, with left_rows and total exact, so
-    rho(t) moves by e(t) ((m-t)/t + t/(m-t) + 2) / m^2 = e(t) / (t (m-t)).
-    Two bounds hold, with W(t) the exact within-left sum:
-      - |e(t)| <= gamma W(t), from the rows before t;
-      - |e(t)| <= |E| + gamma (total - W(t)), from the rows at t and after:
-        W(m) = total for every draw, so the whole sum's error E = e(m) is
-        known, and e(t) = E minus those rows' error.
-    The screen takes only blocks with entries in [0, 1], so W(t) <= t^2 and
-    total - W(t) <= m^2 - t^2.  For t <= m/2 the first bound moves rho(t) by
-    at most gamma t / (m-t) <= gamma; for t > m/2 the second moves it by at
-    most |E| / (t (m-t)) + gamma (m+t) / t < |E| / (m-1) + 3 gamma, since
-    t (m-t) >= m - 1.  So one number per draw, band = 3 gamma + |E| / (m-1),
-    bounds the error at every t.  (With the first bound alone, a band near
-    t = m - 1 outgrows the curve itself at m = 300.)
-
-    maxima are the screened curves' maxima over the admissible range (as
-    permuted_maxima clamps, with no warning), minima their unclamped minima
-    over every t, and bands each draw's band.  So a draw's float64 maximum
-    lies within its band of its screened one, and its float64 curve falls
-    below CLAMP_WARN_THRESHOLD only if its screened minimum comes within its
-    band of that threshold, up to float64 roundoff (and 2^-150 per entry
-    below float32's normal range), which the caller's margin covers.
-    Each einsum's masks take half of what the copy leaves of _SCRATCH_BYTES,
-    so the copy and masks stay within (_SCRATCH_BYTES + 4 m^2) / 2, below the
-    float64 route's masks: with all of it, mc-bounded's peak RSS rose 0.6 MB.
-    """
-    perms = np.asarray(perms, dtype=np.intp)
-    m = gram.shape[0]
-    t_min, t_max = admissible_range(m, delta)
-    u = 2.0**-24  # float32's unit roundoff
-    gamma = (m + 1) * u / (1.0 - (m + 1) * u)
-    maxima, minima, bands = np.empty((3, perms.shape[0]))
-    mask_bytes = (_SCRATCH_BYTES - copy.nbytes) // 2
-    for draws, W, left_rows in _masked_sums(gram, perms, copy, mask_bytes):
-        values = _rho_from_sums(W, left_rows)
+        wl = np.cumsum(wl_rows, axis=1)
+        left_rows = np.cumsum(rows.take(p), axis=1)
+        values = _rho_from_sums(wl, left_rows)
         maxima[draws] = np.maximum(values[:, t_min - 1 : t_max].max(axis=1), 0.0)
         minima[draws] = values.min(axis=1)
-        bands[draws] = 3.0 * gamma + np.abs(W[:, -1] - left_rows[:, -1]) / (m - 1)
+        bands[draws] = 3.0 * gamma * scale + np.abs(wl[:, -1] - left_rows[:, -1]) / (m - 1)
     return maxima, minima, bands
-
-
-def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u) for float64, u = 2^-53."""
-    return n * 2.0**-53 / (1.0 - n * 2.0**-53)
 
 
 def _centered_product(gram: np.ndarray, V: np.ndarray) -> np.ndarray:

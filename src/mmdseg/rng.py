@@ -51,18 +51,20 @@ TAG_BASIS = 0x42415349  # "BASI": the low-rank tier's subspace start
 
 
 def check_integer(name: str, value) -> int:
-    """operator.index(value): numpy integers pass, and a float raises
-    ConfigurationError instead of being truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    """operator.index(value): numpy integers pass, and a float or a bool
+    raises ConfigurationError instead of being truncated or run as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def check_real(name: str, value) -> float:
     """float(value) for a real number, numpy's included; ConfigurationError
-    for anything else, such as a string float() would parse."""
-    if not isinstance(value, numbers.Real):
+    for anything else, such as a bool or a string float() would parse."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{name} must be a real number, got {value!r}")
     return float(value)
 

@@ -29,7 +29,7 @@ from mmdseg import (
 )
 from mmdseg.benchmark import RATES, run_replication
 from mmdseg.cli import main
-from mmdseg.mmd import admissible_range, permuted_maxima
+from mmdseg.mmd import admissible_range, masked_maxima
 from mmdseg.simulate import _bb_sample
 from mmdseg.rng import derive_seed, stream
 
@@ -290,7 +290,7 @@ def test_c10_determinism_and_permutation_reuse(tmp_path):
         X = rng.normal(size=(n, 5))
         h, G = prepare(X)
         perm = rng.permutation(n)
-        reused = permuted_maxima(G, [perm], 0.05)[0]
+        reused = masked_maxima(G, G, [perm], 0.05, 1.0)[0][0]
         physical = rho_curve(prepare(X[perm], h)[1], 0.05)[1]
         worst = max(worst, abs(reused - physical))
     ok = identical and worst < 1e-12

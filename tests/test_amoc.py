@@ -21,7 +21,7 @@ from mmdseg import (
     rho_curve,
 )
 from mmdseg.amoc import _accept_count, _chunk_ends
-from mmdseg.mmd import permuted_maxima, screened_maxima, splittable
+from mmdseg.mmd import masked_maxima, splittable
 from mmdseg.simulate import POPULATIONS
 from mmdseg.errors import ConfigurationError
 from mmdseg.rng import (
@@ -34,6 +34,7 @@ from mmdseg.rng import (
 )
 
 from reference import (
+    gathered_permutation_maxima,
     gathered_permutation_test,
     naive_rho_values_blockwise,
     separated_pools,
@@ -77,8 +78,8 @@ def test_config_validation():
 def test_integer_settings_reject_what_int_would_truncate(build):
     # int() would run seed 1.9 as seed 1 and a segment length of 20.7 as 20,
     # and grid_size 2.5 would draw a 3-point grid; a budget of 2.5 failed
-    # in range() mid-run.  numpy integers pass.
-    for value in (20.7, 2.5, np.float64(3.0), "3"):
+    # in range() mid-run; True ran as 1.  numpy integers pass.
+    for value in (20.7, 2.5, np.float64(3.0), "3", True, np.True_):
         with pytest.raises(ConfigurationError, match="must be an integer"):
             build(value)
     assert build(np.int64(20)) == build(20)
@@ -87,20 +88,22 @@ def test_integer_settings_reject_what_int_would_truncate(build):
 def test_real_and_switch_settings_reject_other_types():
     # detect_s(X, 2.5) and its kin raised TypeError in range(); add_one="no"
     # ran the add-one p-value, delta="0.1" raised TypeError, and a bandwidth
-    # of "0.5" ran as 0.5.
+    # of "0.5" ran as 0.5, and one of True as 1.0.
     X = np.random.default_rng(0).normal(size=(40, 3))
     cfg = AmocConfig(R=19)
     for run in (lambda: detect_s(X, 2.5), lambda: detect_ss(X, 0, 2.5, cfg),
                 lambda: detect_forward(X, 1.5, cfg)):
         with pytest.raises(ConfigurationError, match="must be an integer"):
             run()
-    for value in ("0.1", None, [0.1]):
+    for value in ("0.1", None, [0.1], True, np.True_):
         for name in ("delta", "alpha"):
             with pytest.raises(ConfigurationError, match="must be a real number"):
                 AmocConfig(**{name: value})
-    for value in ("0.5", "abc", [0.5]):
+    for value in ("0.5", "abc", [0.5], True):
         with pytest.raises(ConfigurationError, match="must be a real number"):
             prepare(X, value)
+    with pytest.raises(ConfigurationError, match="must be a real number"):
+        detect_u(X, cfg, h=True)
     for value in ("no", 0, None):
         with pytest.raises(ConfigurationError, match="must be a bool"):
             AmocConfig(add_one=value)
@@ -181,7 +184,7 @@ def test_permutation_reuse_equals_physical_permutation():
     for seed in range(20):
         perm = permutation_stream(seed, 1).permutation(28)
         physical = rho_curve(prepare(X[perm], h)[1], 0.05)[1]
-        assert permuted_maxima(G, [perm], 0.05)[0] == pytest.approx(physical, abs=1e-12)
+        assert masked_maxima(G, G, [perm], 0.05, 1.0)[0][0] == pytest.approx(physical, abs=1e-12)
         # the test's one value may be screened, but lies on the physical copy's side of T
         reused = permutation_test(G, AmocConfig(R=1, seed=seed))
         assert (reused.permutation_stats[0] > reused.T_n) == (physical > reused.T_n)
@@ -385,20 +388,17 @@ def test_a_test_that_cannot_reject_accepts_at_once():
 
 def test_a_test_with_h_zero_accepts_before_any_draw(monkeypatch):
     calls = []
-    chunks, maxima = mmdseg.amoc.permutation_chunks, mmdseg.mmd.permuted_maxima
-    screen = mmdseg.mmd.screened_maxima
+    chunks, maxima = mmdseg.amoc.permutation_chunks, mmdseg.mmd.masked_maxima
     monkeypatch.setattr(mmdseg.amoc, "permutation_chunks",
                         lambda *a: calls.append("chunks") or chunks(*a))
-    monkeypatch.setattr(mmdseg.mmd, "permuted_maxima",
+    monkeypatch.setattr(mmdseg.mmd, "masked_maxima",
                         lambda *a: calls.append("maxima") or maxima(*a))
-    monkeypatch.setattr(mmdseg.mmd, "screened_maxima",
-                        lambda *a: calls.append("screen") or screen(*a))
     G = prepare(separated_pools(np.random.default_rng(0), (20, 20)))[1]
     early = permutation_test(G, AmocConfig(R=19, add_one=True), stop_on_accept=True)
     assert calls == []
     assert early.p_value == 1.0 and early.permutation_stats.size == 0 and not early.reject
     permutation_test(G, AmocConfig(R=19, add_one=True))  # a full run still draws
-    assert calls == ["chunks", "screen"]  # every draw lies far below T: none rechecked
+    assert calls == ["chunks", "maxima"]  # every draw lies far below T: none rechecked
 
 
 def test_chunk_ends_at_the_default_budget():
@@ -436,17 +436,17 @@ def test_chunk_ends_rise_to_R_in_chunks_within_the_budget(R, h, m, budget):
 @example(model="2", m=200, seed=0)
 def test_the_float32_screen_is_certified_and_changes_no_count(model, m, seed):
     # Every block up to m = 457 is screened at the default budget.  Each
-    # screened maximum lies within its band of the float64 value, and the test
-    # counts, stops and decides as the float64 route (no screen below 5 m^2
-    # bytes, and so no low-rank tier) does.  The two explicit examples build
-    # the tier's bound in all four runs; random ones rarely do.
+    # screened maximum lies within its band of the gathered route's, and the
+    # test counts, stops and decides as the float64 route (no screen below
+    # 5 m^2 bytes, and so no low-rank tier) does.  The two explicit examples
+    # build the tier's bound in all four runs; random ones rarely do.
     k = POPULATIONS[model]
     lengths = [m // k + (i < m % k) for i in range(k)]
     G = prepare(generate(ModelSpec(model, lengths, seed=seed)).data)[1]
     R = 49
     perms = next(permutation_chunks(seed, m, (R,)))
-    screened, _, bands = screened_maxima(G, G.astype(np.float32), perms, 0.05)
-    assert np.all(np.abs(screened - permuted_maxima(G, perms, 0.05)) <= bands)
+    screened, _, bands = masked_maxima(G, G.astype(np.float32), perms, 0.05, 1.0)
+    assert np.all(np.abs(screened - gathered_permutation_maxima(G, perms, 0.05)) <= bands)
     for add_one in (False, True):
         cfg = AmocConfig(R=R, seed=seed, add_one=add_one)
         for stop in (False, True):
@@ -463,13 +463,13 @@ def test_the_float32_screen_is_certified_and_changes_no_count(model, m, seed):
 
 def test_the_screen_rechecks_every_draw_the_float64_route_warns_on(monkeypatch):
     # Blocks with entries in [0, 1] that are not positive semidefinite: some
-    # permuted curves dip below CLAMP_WARN_THRESHOLD, which only the float64
-    # route warns about.  The screen rechecks every such draw on its
-    # reordered curve (rho_curve with the draw as order), and each rechecked
-    # draw whose curve dips warns once.  The second block has a strong split
-    # and an eigenvalue near -0.11 that the low-rank tier's slack hides (K = 1
-    # passes its gate), so the tier would decide draws that dip, unwarned;
-    # its Cholesky check keeps it off.
+    # permuted curves dip below CLAMP_WARN_THRESHOLD, as the gathered route
+    # shows.  The screen rechecks every such draw on its reordered curve
+    # (rho_curve with the draw as order), and each rechecked draw whose curve
+    # dips warns once, on the float64 route too.  The second block has a
+    # strong split and an eigenvalue near -0.11 that the low-rank tier's
+    # slack hides (K = 1 passes its gate), so the tier would decide draws
+    # that dip, unwarned; its Cholesky check keeps it off.
     uniform = np.random.default_rng(0).uniform(size=(30, 30))
     uniform = (uniform + uniform.T) / 2
     np.fill_diagonal(uniform, 1.0)
@@ -490,22 +490,25 @@ def test_the_screen_rechecks_every_draw_the_float64_route_warns_on(monkeypatch):
         _, observed = clamp_warnings(lambda: rho_curve(A, cfg.delta))
         perms = next(permutation_chunks(cfg.seed, m, (cfg.R,)))
         dips = {tuple(p) for p in perms
-                if clamp_warnings(lambda: permuted_maxima(A, [p], cfg.delta))[1]}
-        rechecked, curve = [], mmdseg.mmd.rho_curve
+                if clamp_warnings(lambda: gathered_permutation_maxima(A, [p], cfg.delta))[1]}
+        assert 0 < len(dips) < cfg.R
+        results = []
+        for budget in (mmdseg.mmd._SCRATCH_BYTES, 5 * m * m - 1):  # screened; float64
+            rechecked, curve = [], mmdseg.mmd.rho_curve
 
-        def counting_curve(G, delta, order=None):
-            if order is not None:
-                rechecked.append(tuple(order))
-            return curve(G, delta, order)
+            def counting_curve(G, delta, order=None):
+                if order is not None:
+                    rechecked.append(tuple(order))
+                return curve(G, delta, order)
 
-        monkeypatch.setattr(mmdseg.mmd, "rho_curve", counting_curve)
-        got, warned = clamp_warnings(lambda: permutation_test(A, cfg))
-        monkeypatch.undo()
-        assert 0 < len(dips) < cfg.R and dips <= set(rechecked)
-        assert len(rechecked) == len(set(rechecked))  # each draw rechecked once
-        assert warned == observed + sum(p in dips for p in rechecked)
-        with patch.object(mmdseg.mmd, "_SCRATCH_BYTES", 5 * m * m - 1):  # the float64 route
-            want, _ = clamp_warnings(lambda: permutation_test(A, cfg))
+            monkeypatch.setattr(mmdseg.mmd, "rho_curve", counting_curve)
+            monkeypatch.setattr(mmdseg.mmd, "_SCRATCH_BYTES", budget)
+            results.append(clamp_warnings(lambda: permutation_test(A, cfg)))
+            monkeypatch.undo()
+            assert dips <= set(rechecked)
+            assert len(rechecked) == len(set(rechecked))  # each draw rechecked once
+            assert results[-1][1] == observed + sum(p in dips for p in rechecked)  # warnings
+        (got, _), (want, _) = results
         assert got.p_value == want.p_value and got.T_n == want.T_n > 0.0
         assert np.array_equal(got.permutation_stats > got.T_n, want.permutation_stats > want.T_n)
 
@@ -521,13 +524,20 @@ def test_distinct_seeds_give_distinct_permutation_streams():
     assert not np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("m", range(4, 17))
-def test_pvalues_equal_gathered_route_on_tie_heavy_blocks(m):
+@pytest.mark.parametrize(
+    "m, scale",
+    # explicit ids keep the unscaled blocks' names
+    [pytest.param(m, s, id=f"{m}" if s == 1 else f"{m}-{s:g}")
+     for s in (1, 1e4, 1e6) for m in range(4, 17)],
+)
+def test_pvalues_equal_gathered_route_on_tie_heavy_blocks(m, scale):
     # With 2-observation sides a short block has few distinct splits, so many
     # draws tie T exactly (a third of them at m = 4); each must be counted as
-    # the gathered per-draw route counts it.
+    # the gathered per-draw route counts it.  Scaled blocks skip the screen,
+    # and the float64 route's margin must grow with their entries: an
+    # absolute 1e-12 miscounted ties at 1e4 and 1e6.
     for seed in range(4):
-        G = random_gram(seed, n=m, p=3)
+        G = random_gram(seed, n=m, p=3) * scale
         for add_one in (False, True):
             cfg = AmocConfig(R=49, seed=seed, add_one=add_one)
             assert permutation_test(G, cfg).p_value == gathered_permutation_test(G, cfg).p_value

@@ -97,6 +97,18 @@ def test_run_benchmark_is_deterministic_and_validates():
         BenchmarkCell(model=ModelSpec("N4", (24,)), algorithm="s")  # K missing
 
 
+def test_run_benchmark_rejects_counts_that_are_not_integers():
+    # replications=2.5 and workers=1.5 or 2.0 raised TypeError, and
+    # replications=True ran once, reported as True.
+    cell = BenchmarkCell(model=ModelSpec("N4", (24,)), algorithm="u", config=AmocConfig(R=9))
+    for kwargs in ({"replications": 2.5}, {"replications": True}, {"replications": "2"},
+                   {"replications": 1, "workers": 1.5}, {"replications": 1, "workers": 2.0},
+                   {"replications": 1, "workers": True}):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            run_benchmark([cell], **kwargs)
+    assert run_benchmark([cell], np.int64(2), workers=np.int64(1)).replications == 2
+
+
 POOL_CELLS = [
     BenchmarkCell(model=ModelSpec("N4", (24,)), algorithm="u", config=AmocConfig(R=9)),
     BenchmarkCell(model=ModelSpec("1", (12, 12)), algorithm="s", K=1),

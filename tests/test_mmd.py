@@ -16,12 +16,13 @@ from mmdseg import (
     rho_values,
 )
 import mmdseg.mmd
+from mmdseg.amoc import TIE_BAND
 from mmdseg.errors import ConfigurationError
 from mmdseg.mmd import (
     admissible_range,
     low_rank_bound,
     low_rank_maxima,
-    permuted_maxima,
+    masked_maxima,
     splittable,
 )
 from mmdseg.rng import permutation_chunks, permutation_stream
@@ -214,7 +215,8 @@ def test_rho_curve_reindexing_equals_physical_permutation():
     gathered = G[np.ix_(perm, perm)]
     assert np.max(np.abs(rho_values(gathered) - rho_values(G_physical))) < 1e-12
     assert rho_curve(gathered, 0.05)[0] == rho_curve(G_physical, 0.05)[0]
-    assert abs(permuted_maxima(G, [perm], 0.05)[0] - rho_curve(G_physical, 0.05)[1]) < 1e-12
+    reused = masked_maxima(G, G, [perm], 0.05, 1.0)[0][0]
+    assert abs(reused - rho_curve(G_physical, 0.05)[1]) < 1e-12
 
 
 def test_rho_curve_two_population_shape():
@@ -248,11 +250,25 @@ def test_permuted_maxima_match_gathered_route(m, R):
     G = random_gram(m, n=m)
     perms = np.array([permutation_stream(m, r).permutation(m) for r in range(1, R + 1)])
     np.testing.assert_allclose(
-        permuted_maxima(G, perms, 0.05),
+        masked_maxima(G, G, perms, 0.05, 1.0)[0],
         gathered_permutation_maxima(G, perms, 0.05),
         rtol=0,
         atol=1e-12,
     )
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize("m", [458, 1024, 1100])  # past the screen; one draw per chunk; two spans
+def test_float64_masked_maxima_lie_within_their_band(m, scale):
+    # Over the block itself, each maximum lies within its band plus the
+    # 2 TIE_BAND A margin of the gathered route's, A the largest |entry|: 1 on
+    # a Gram block, 1e6 on the same block scaled.
+    G = random_gram(m, n=m) * scale
+    A = np.abs(G).max()
+    perms = np.array([permutation_stream(m, r).permutation(m) for r in range(1, 6)])
+    maxima, _, bands = masked_maxima(G, G, perms, 0.05, A)
+    gap = np.abs(maxima - gathered_permutation_maxima(G, perms, 0.05))
+    assert np.all(gap <= bands + 2 * TIE_BAND * A)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 40, 300, 1000])
@@ -287,12 +303,16 @@ def test_rho_values_equals_the_row_prefix_sums_bit_for_bit(n):
 @pytest.mark.parametrize("m, R", [(40, 30), (300, 5), (1100, 2)])
 @pytest.mark.parametrize("budget", [1, 1000])  # one row per chunk and per span; uneven ones
 def test_the_scratch_budget_changes_no_bit(m, R, budget, monkeypatch):
+    # Over the block and over its float32 copy: maxima, minima and bands.
     G = random_gram(m, n=m)
     perms = np.array([permutation_stream(m, r).permutation(m) for r in range(1, R + 1)])
-    curve, maxima = rho_values(G), permuted_maxima(G, perms, 0.05)
+    routes = (G, G.astype(np.float32))
+    curve = rho_values(G)
+    masked = [masked_maxima(G, sums, perms, 0.05, 1.0) for sums in routes]
     monkeypatch.setattr(mmdseg.mmd, "_SCRATCH_BYTES", budget)
     assert np.array_equal(rho_values(G), curve)
-    assert np.array_equal(permuted_maxima(G, perms, 0.05), maxima)
+    for sums, want in zip(routes, masked):
+        assert np.array_equal(masked_maxima(G, sums, perms, 0.05, 1.0), want)
 
 
 @pytest.mark.parametrize("m", [40, 300, 1100])
@@ -345,6 +365,6 @@ def test_the_low_rank_bound_is_certified(model, m, seed, share):
     slack = np.linalg.norm(H @ G @ H - W @ W.T) / m
     assert T - below >= slack
     perms = next(permutation_chunks(seed, m, (49,)))
-    q, exact = low_rank_maxima(W, perms, 0.05), permuted_maxima(G, perms, 0.05)
+    q, exact = low_rank_maxima(W, perms, 0.05), gathered_permutation_maxima(G, perms, 0.05)
     assert np.all(np.abs(q - exact) <= slack * (1 + 1e-9) + 1e-12)
     assert np.all(exact[q < below] < T)
