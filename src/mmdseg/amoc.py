@@ -15,11 +15,10 @@ and its decision is the full run's on every input.
 
 Each draw's statistic comes from the block as it is, by the cheapest route
 that can place it against T exactly as the gathered per-draw route would: a
-certified low-rank bound for strong-signal tests at 150 <= m <= 256, rank
-masks over the block's float32 copy for blocks with entries in [0, 1] up to
-m = 457 or over the block itself otherwise, each with a certified band, and
-a recheck on the draw's reordered curve for any draw the others leave
-undecided.
+low-rank bound for strong-signal tests on vouched PSD blocks of m >= 150,
+rank masks over the block's float32 copy (entries in [0, 1], m <= 457) or
+over the block itself, each certified, and a recheck on the draw's
+reordered curve for any draw the others leave undecided.
 """
 
 from __future__ import annotations
@@ -32,12 +31,9 @@ from . import mmd
 from .errors import ConfigurationError
 from .rng import check_integer, check_real, check_seed, permutation_chunks
 
-# Relative to A, the block's largest |entry|: twice this times A is the
-# margin for float64 roundoff beyond mmd.masked_maxima's certified band (the
-# float64 masked and reordered maxima of Gram blocks agree within 1.3e-14 at
-# m = 4..3000).  A draw within band + margin of T_n is recomputed by
-# rho_curve in the draw's order, so a tie is counted as the gathered
-# per-draw route counts it, at any entry scale.
+# 2 TIE_BAND A, A the block's largest |entry|, covers float64 roundoff beyond
+# mmd.masked_maxima's band (masked and reordered Gram-block maxima agree within
+# 1.3e-14 at m = 4..3000); a draw that close to T_n is recomputed in its order.
 TIE_BAND = 1e-12
 
 # The low-rank tier is built only when the first chunk's largest draw lies
@@ -73,12 +69,10 @@ class AmocResult:
 
     tau_hat is the split index local to the block; a + tau_hat is the
     boundary in full-sequence coordinates.  permutation_stats holds the
-    statistics of the draws made, in draw order: all R of them, or the first
-    L when the test stopped on an accept.  A rechecked draw holds its
-    reordered curve's maximum, a draw the low-rank tier decided its max q
-    (`mmd.low_rank_maxima`), any other its rank-mask maximum, in float64 or
-    over the float32 copy; each lies on its reordered curve's side of T_n:
-    every count is exact.
+    statistics of the draws made, in draw order: all R, or the first L when
+    the test stopped on an accept.  Each is its reordered curve's maximum (a
+    rechecked draw), its max q (low-rank) or its rank-mask maximum, and lies
+    on its reordered curve's side of T_n, so every count is exact.
     """
 
     T_n: float
@@ -119,10 +113,9 @@ def _chunk_ends(R: int, h: int, m: int) -> list[int]:
 
 
 def _decide(block, sums, scale, perms, T_n, delta) -> np.ndarray:
-    """Each draw's rank-mask maximum over sums (the block or its float32
-    copy); a draw whose maximum lies within band + 2 TIE_BAND scale of T_n,
-    or whose minimum lies that close to mmd.CLAMP_WARN_THRESHOLD, is
-    rechecked on its reordered curve."""
+    """Each draw's rank-mask maximum over sums (the block or its float32 copy),
+    or its reordered curve's maximum where the first lies within band + 2
+    TIE_BAND scale of T_n or its minimum that close to CLAMP_WARN_THRESHOLD."""
     chunk, low, band = mmd.masked_maxima(block, sums, perms, delta, scale)
     margin = band + 2 * TIE_BAND * scale
     unsure = (np.abs(chunk - T_n) <= margin) | (low <= mmd.CLAMP_WARN_THRESHOLD + margin)
@@ -132,41 +125,35 @@ def _decide(block, sums, scale, perms, T_n, delta) -> np.ndarray:
 
 
 def permutation_test(
-    block: np.ndarray, config: AmocConfig, stop_on_accept: bool = False
+    block: np.ndarray, config: AmocConfig, stop_on_accept: bool = False, psd: bool = False
 ) -> AmocResult:
     """Exact permutation test on a block of the Gram matrix, e.g. the view
     gram[a:c, a:c]; tau_hat is local to the block.
 
     Permutation r is drawn from the deterministic stream keyed by
-    (config.seed, r), so results do not depend on evaluation order.  Draws
-    come from `rng.permutation_chunks`, on one generator re-keyed per draw
-    with the same keys `permutation_stream` uses.  Every draw's statistic
-    comes from the block as it is, never from recomputed kernel values.
+    (config.seed, r) (`rng.permutation_chunks`), so results do not depend on
+    evaluation order.  Every draw's statistic comes from the block as it is.
 
     Rank-masked sums give each draw's maximum, minimum and certified band
-    (`mmd.masked_maxima`), taken over the block's float32 copy when its
-    entries lie in [0, 1] and the copy (4 m^2 bytes) and one draw's mask
-    (m^2) fit in mmd._SCRATCH_BYTES (m <= 457), over the block itself
-    otherwise.  The band scales with A, the block's largest |entry| (from
-    the block.min() and block.max() the screen check takes), and so does
-    the margin 2 TIE_BAND A.  A draw whose maximum lies within band + margin
-    of T_n, or whose minimum lies that close to mmd.CLAMP_WARN_THRESHOLD, is
-    rechecked by `mmd.rho_curve` in the draw's order, which streams the
-    reordered rows with the gathered copy's bits.  So every count, p-value,
-    decision and stop L is the gathered route's at any entry scale, and each
-    rechecked draw whose curve dips gives one clamp warning.
+    (`mmd.masked_maxima`), over the block's float32 copy when its entries
+    lie in [0, 1] and the copy (4 m^2 bytes) and one draw's mask (m^2) fit
+    in mmd._SCRATCH_BYTES (m <= 457), over the block itself otherwise.  The
+    band and the margin 2 TIE_BAND A scale with A, the block's largest
+    |entry|.  A draw whose maximum lies within band + margin of T_n, or whose
+    minimum lies that close to mmd.CLAMP_WARN_THRESHOLD, is rechecked by
+    `mmd.rho_curve` in the draw's order, with the gathered copy's bits.  So
+    every count, p-value, decision and stop L is the gathered route's at any
+    entry scale, and each rechecked draw whose curve dips warns once.
 
-    The low-rank tier goes in front of the screen on screened blocks with
-    150 <= m and 16 m^2 <= mmd._SCRATCH_BYTES (m <= 256).  Their first chunk
-    is 2 _accept_count(config) draws with or without stop_on_accept, so a full
-    and an early-stopping run see the same first chunk.  When its largest
-    draw M1 lies below _TIER_GATE T_n, `mmd.low_rank_bound` takes the
-    smallest K whose slack fits under _TIER_GATE T_n - M1, and only if the
-    block has a Cholesky factor.  Each later draw whose max q lies below the
-    bound's threshold is decided below T_n - 2 TIE_BAND A, with no float64
-    curve made; any other goes to the rank masks.  A decided draw could not
-    have warned: the Cholesky factor keeps every exact curve above about
-    -(m+1) u.
+    psd vouches that block is a principal block of a Gram that
+    `kernel.gram_of_rows` certifies to 1e-10 (`segment`'s are): no exact curve
+    lies below -1e-10.  Then at m >= 150 the low-rank tier goes in front of
+    the rank masks.  Its first chunk is 2 _accept_count(config) draws, with or
+    without stop_on_accept.  When that chunk's largest draw M1 lies below
+    _TIER_GATE T_n, `mmd.low_rank_bound` takes the smallest K whose slack
+    fits under _TIER_GATE T_n - M1, and each later draw whose max q lies below
+    its threshold is decided below T_n - 2 TIE_BAND A with no float64 curve
+    (none could have warned); any other goes to the rank masks.
 
     Draws come in the chunks of `_chunk_ends`, and the test stops at the draw
     L that brings the exceedance count to h.  By default h = R + 1, which no
@@ -183,9 +170,7 @@ def permutation_test(
     scale = max(high, -low)  # A, with no m x m temporary
     screen = 5 * m * m <= mmd._SCRATCH_BYTES and 0.0 <= low and high <= 1.0
     sums = block.astype(np.float32) if screen else block
-    # np.linalg.cholesky's copy and factor fit the budget (16 m^2 bytes);
-    # below 150 rows the tier saved no time
-    tier = screen and 150 <= m and 16 * m * m <= mmd._SCRATCH_BYTES
+    tier = psd and 150 <= m  # below 150 rows the tier saved no time
     ends = _chunk_ends(config.R, h, m)
     if tier:  # an early-stopping run's first chunk, in every run
         ends = sorted({_chunk_ends(config.R, _accept_count(config), m)[0], *ends})

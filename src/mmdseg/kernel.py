@@ -10,12 +10,10 @@ into the front of an (n, n) buffer.  From a copy of the condensed pairs in
 the buffer's free half, median_heuristic reads the bandwidth; gram_matrix
 (at a checked bandwidth) turns the pairs into kernel values where they lie,
 and they are then moved into both triangles.  A run peaks at that 8n^2-byte
-Gram, the rows, and 1 MiB (`mmd._SCRATCH_BYTES`) for each chunk of
-`mmd.masked_maxima`'s rank masks (in either precision; a screened block's
-float32 copy counts within it) and chunk of permutation draws with their
-ranks, with no exception: a sweep, reordered or not, takes a few rows of n
-floats, and a block's largest |entry| comes from its min() and max(), with
-no n x n temporary.  `segment.prepare` is the one public route to a Gram.
+Gram, the rows, and 1 MiB (`mmd._SCRATCH_BYTES`) for each chunk of draws
+with their ranks and for their rank masks or low-rank prefix sums, a
+screened block's float32 copy included: a sweep, reordered or not, takes a
+few rows of n floats.  `segment.prepare` is the one public route to a Gram.
 
 The distance pass is scipy's compiled sqeuclidean kernel: `pdist` loads that
 one file at the first pass, not the 0.3-0.5 s import of scipy.spatial.
@@ -99,6 +97,18 @@ def gram_of_rows(X: np.ndarray, h: float | None = None) -> tuple[float, np.ndarr
 
     This is the run's single O(n^2 p) distance pass: the median bandwidth
     and the kernel values are both derived from it in one n x n buffer.
+
+    Each entry lies within eps(p) = gamma_{p+4} / (e (1 - gamma_{p+4})) + 4u
+    (u = 2^-53, gamma_n = n u / (1 - n u); 6e-15 at p = 128) of the Gaussian
+    Gram of the rows at h* with 2 h*^2 = fl(2 h^2), which is positive
+    semidefinite (Schoenberg 1938, Trans. AMS 44).  pdist sums p terms
+    (a - b)^2 >= 0, so with the two divisions the exponent x errs by
+    gamma_{p+4} x (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 3.1), moving e^-x by gamma / (e (1 - gamma)) at most, as
+    y e^-y <= 1/e; exp adds 2 ulp (numpy's float64 exp: 0.69 at most), 4u;
+    underflowing squares and quotients add 2^-1073 / (2h^2), below 2^-73 at
+    2h^2 >= 2^-1000.  So no split curve t (m-t) / m^2 v^T G v (|v|_1 = 2) of
+    a principal block, in any order, falls below -eps(p).
     """
     n, p = X.shape
     if n < 2:

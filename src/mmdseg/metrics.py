@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .rng import check_integer
 from .segment import Segmentation
 
 
 def _boundaries(seg) -> np.ndarray:
-    if isinstance(seg, Segmentation):
-        return np.asarray(seg.boundaries, dtype=np.int64)
-    return np.sort(np.asarray(list(seg), dtype=np.int64))
+    bs = seg.boundaries if isinstance(seg, Segmentation) else seg
+    return np.sort(np.array([check_integer("boundary", b) for b in bs], dtype=np.int64))
 
 
 def match(est, truth) -> bool:

@@ -11,11 +11,10 @@ over all admissible t comes from one sweep of running sums, O(n) per split
 and O(n^2) total, instead of recomputing the three block sums per split.
 Admissible splits trim max(ceil(n delta), MIN_SIDE) observations off each end.
 A permuted block's sweep streams its reordered rows (an `order`), or takes
-its row sums from rank masks on the matrix as it is or on its float32 copy,
-with a certified band on each draw's curve (`masked_maxima`).  A
-strong-signal block's draws can also be bounded from a certified low-rank
-factor of the centered Gram in O(K m) each (`low_rank_bound`,
-`low_rank_maxima`), with no O(m^2) sweep.
+its row sums from rank masks on the block or its float32 copy, with a
+certified band per draw (`masked_maxima`); a strong-signal block's draws can
+be bounded from a low-rank factor of the centered Gram in O(K m) each, with
+no O(m^2) sweep (`low_rank_bound`, `low_rank_maxima`).
 """
 
 from __future__ import annotations
@@ -153,9 +152,8 @@ def masked_maxima(gram: np.ndarray, sums: np.ndarray, perms, delta: float, scale
     chunks of _SCRATCH_BYTES // m^2 draws (at least one); the diagonal and
     the full row sums always come from gram.  A chunk's masks span as many
     rows as the budget holds: all of _SCRATCH_BYTES over gram, half of what
-    a copy leaves of it (mc-bounded's peak RSS rose 0.6 MB with all of it).
-    No row sum's order depends on the chunk or the span, so a draw's values
-    are the same whatever the other draws passed.
+    a copy leaves of it.  No row sum's order depends on the chunk or the
+    span, so a draw's values are the same whatever the other draws passed.
 
     The band.  Each term of a masked row sum has |term| <= scale and carries
     relative error at most u, sums' unit roundoff, so in any summation order
@@ -174,8 +172,7 @@ def masked_maxima(gram: np.ndarray, sums: np.ndarray, perms, delta: float, scale
     the first bound moves rho(t) by at most gamma scale t / (m-t) <= gamma
     scale; for t > m/2 the second moves it by at most |E| / (t (m-t)) +
     gamma scale (m+t) / t < |E| / (m-1) + 3 gamma scale, since t (m-t) >=
-    m - 1.  So band = 3 gamma scale + |E| / (m-1).  (With the first bound
-    alone, a float32 band near t = m - 1 outgrows the curve itself at m = 300.)
+    m - 1.  So band = 3 gamma scale + |E| / (m-1).
 
     So a draw's exact maximum lies within its band of maxima, and its curve
     falls below CLAMP_WARN_THRESHOLD only if its minimum comes within its band
@@ -248,17 +245,13 @@ def low_rank_bound(gram: np.ndarray, delta: float, target: float, budget: float)
 
     W comes from randomized subspace iteration (Halko, Martinsson & Tropp
     2011, SIAM Review 53): Q orthonormalizes C^3 Y for a fixed Philox start
-    Y of _RANK columns, B = Q^T C Q, and K is the smallest width whose
-    estimated slack sqrt(||C||_F^2 - ||B[:K, :K]||_F^2) / m is below budget.
-    Then W = Q[:, :K] L with L L^T = B[:K, :K] (Cholesky), so W W^T is the
-    Rayleigh-Ritz compression of C onto Q's first K columns and q needs no
-    weights.  None comes back when no K <= _RANK passes, or when gram or
-    B[:K, :K] has no Cholesky factor.  A completed Cholesky of gram shows it
-    positive semidefinite up to (m+1) u |R^T| |R| (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 10.1), and with entries in
-    [0, 1] that is gamma_{m+1} per entry; since |v|_1 = 2, no draw's exact
-    curve then falls below about -gamma_{m+1}, far above CLAMP_WARN_THRESHOLD.
-    So a draw this decides would not have warned on the float64 route either.
+    Y of _RANK columns, B = Q^T C Q, K is the smallest width whose estimated
+    slack sqrt(||C||_F^2 - ||B[:K, :K]||_F^2) / m is below budget, and W =
+    Q[:, :K] L with L L^T = B[:K, :K] (Cholesky): W W^T is the Rayleigh-Ritz
+    compression of C, so q needs no weights.  None comes back when no
+    K <= _RANK passes or B[:K, :K] has no Cholesky factor.  All this holds
+    for any symmetric gram with entries in [-1, 1]; whether a decided draw
+    could have warned is the caller's to know (amoc.permutation_test).
 
     Roundoff, with u = 2^-53 and gamma_n = n u / (1 - n u):
       - ||E||_F^2.  Its three terms are at most 4 ||gram||_F^2, 2 m ||W||_F^2
@@ -277,8 +270,8 @@ def low_rank_bound(gram: np.ndarray, delta: float, target: float, budget: float)
         adding K terms and dividing by the exact t (m-t) err by gamma_{K+1}
         of q.  below takes gamma_{K+6} there, which also covers the four
         roundings that form it.
-    On Gaussian-kernel blocks at m <= 256 they took 2e-9 off the threshold
-    in all, against slacks of 0.02 to 0.07.
+    On model-8 Gram blocks at m = 256 to 3000 they took 2e-9 to 3e-7 off
+    the threshold, against slacks near 0.03.
     """
     m = gram.shape[0]
     t_min = admissible_range(m, delta)[0]
@@ -296,7 +289,6 @@ def low_rank_bound(gram: np.ndarray, delta: float, target: float, budget: float)
         return None
     K = fits[0] + 1
     try:
-        np.linalg.cholesky(gram)
         W = Q[:, :K] @ np.linalg.cholesky(B[:K, :K])
     except np.linalg.LinAlgError:
         return None
@@ -317,10 +309,11 @@ def low_rank_maxima(W: np.ndarray, perms, delta: float) -> np.ndarray:
     """max over the admissible range of q(t) = sum_k P_k(t)^2 / (t (m-t)) for
     each row p of perms, P_k the prefix sums of W[p, k] (`low_rank_bound`).
 
-    Each chunk of draws gathers W^T in draw order, K prefix sums per draw
-    within half of _SCRATCH_BYTES, and adds the K squares one column of W at
-    a time with no BLAS call: a draw's value does not depend on the other
-    draws passed or on the BLAS thread count.
+    Each chunk of draws gathers W^T in draw order, K prefix sums per draw in
+    half of what a screened block's float32 copy (4 m^2 bytes where 5 m^2 <=
+    _SCRATCH_BYTES) leaves of _SCRATCH_BYTES, and adds the K squares in place
+    with no BLAS call: a draw's value does not depend on the other draws
+    passed or on the BLAS thread count.
     """
     perms = np.asarray(perms, dtype=np.intp)
     m, K = W.shape
@@ -329,17 +322,19 @@ def low_rank_maxima(W: np.ndarray, perms, delta: float) -> np.ndarray:
     span = t * (m - t)
     Wt = np.ascontiguousarray(W.T)
     out = np.empty(perms.shape[0])
-    step = max(1, _SCRATCH_BYTES // (16 * K * t_max))  # draws per chunk
+    copy = 4 * m * m if 5 * m * m <= _SCRATCH_BYTES else 0
+    step = max(1, (_SCRATCH_BYTES - copy) // (16 * K * t_max))  # draws per chunk
     for lo in range(0, perms.shape[0], step):
         order = perms[lo : lo + step, :t_max].T
         P = np.empty((K, *order.shape))
         for k in range(K):
-            Wt[k].take(order, out=P[k])
+            Wt[k].take(order, out=P[k], mode="clip")  # unbuffered; order is in range
         np.cumsum(P, axis=1, out=P)
         P = P[:, t_min - 1 :]
-        q = np.square(P[0])
+        q = np.square(P[0], out=P[0])
         for k in range(1, K):
             q += np.square(P[k], out=P[k])
         q /= span[:, None]
         out[lo : lo + step] = q.max(axis=0)
+        del P, q  # freed before the next chunk's P, not beside it
     return out

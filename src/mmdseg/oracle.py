@@ -20,11 +20,12 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .mmd import _clamp_nonnegative
+from .rng import check_integer
 
 
 def oracle_curve(gram: np.ndarray, segment_lengths) -> np.ndarray:
     """Labeled curve over every split r = 1..n-1, for any number of pools."""
-    sizes = tuple(int(s) for s in segment_lengths)
+    sizes = tuple(check_integer("pool size", s) for s in segment_lengths)
     n = gram.shape[0]
     if any(s < 1 for s in sizes):
         raise ConfigurationError(f"pool sizes must be positive, got {sizes}")

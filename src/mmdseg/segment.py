@@ -30,6 +30,9 @@ from .kernel import as_dataset, check_bandwidth, gram_of_rows
 from .mmd import MIN_SIDE, rho_curve, splittable
 from .rng import TAG_PAIRTEST, TAG_SEGMENT, check_integer, derive_seed
 
+# The widest grid where gram_of_rows' certificate is within 1e-10 (at 2h^2 >= 2^-1000)
+PSD_GRID = 2**21
+
 
 @dataclass(frozen=True)
 class Segmentation:
@@ -44,7 +47,8 @@ class Segmentation:
     boundaries: tuple[int, ...]
 
     def __post_init__(self):
-        bs = tuple(int(b) for b in self.boundaries)
+        object.__setattr__(self, "n", check_integer("n", self.n))
+        bs = tuple(check_integer("boundary", b) for b in self.boundaries)
         if any(not 0 < b < self.n for b in bs):
             raise ConfigurationError(f"boundaries {bs} must lie in (0, {self.n})")
         if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
@@ -90,15 +94,17 @@ def prepare(data, h: float | None = None, k: int = 0):
 
 def _detect(algorithm: str, data, config: AmocConfig, h, k: int, K_l: int = 0):
     """k supervised rounds, then the algorithm's refinement of their blocks."""
-    bw, gram = prepare(data, h, k)
+    X = as_dataset(data)
+    bw, gram = prepare(X, h, k)
+    psd = X.shape[1] <= PSD_GRID and 2.0 * bw * bw >= 2.0**-1000
     n = gram.shape[0]
     trace: list[dict] = []
     boundaries = _supervised_boundaries(gram, k, config.delta, trace)
     if algorithm == "ss":
-        _merge_insignificant(gram, config, boundaries, K_l, trace)
+        _merge_insignificant(gram, config, boundaries, K_l, trace, psd)
     elif algorithm != "s":
         for a, b in Segmentation(n, boundaries).blocks:
-            _recurse_u(gram, config, a, b, boundaries, trace)
+            _recurse_u(gram, config, a, b, boundaries, trace, psd)
     return DetectionResult(algorithm, Segmentation(n, tuple(sorted(boundaries))), trace, bw)
 
 
@@ -149,7 +155,7 @@ def pair_seed(config: AmocConfig, stage: int, pair: int) -> int:
     return derive_seed(config.seed, TAG_PAIRTEST, stage, pair)
 
 
-def _merge_insignificant(gram, config, boundaries, K_l, trace):
+def _merge_insignificant(gram, config, boundaries, K_l, trace, psd):
     """Bonferroni-gated backward merging of the K_u supervised boundaries.
 
     Stage m tests all K_u - m + 1 adjacent block pairs; if every p-value is
@@ -164,7 +170,8 @@ def _merge_insignificant(gram, config, boundaries, K_l, trace):
         level = config.alpha / (K_u - m + 1)
         p_values = []
         for i, ((a, _), (_, c)) in enumerate(zip(blocks, blocks[1:])):
-            res = permutation_test(gram[a:c, a:c], replace(config, seed=pair_seed(config, m, i)))
+            res = permutation_test(gram[a:c, a:c], replace(config, seed=pair_seed(config, m, i)),
+                                   psd=psd)
             p_values.append(res.p_value)
             trace.append(
                 {"op": "pair_test", "stage": m, "pair": i, "block": [a, c],
@@ -182,7 +189,7 @@ def _merge_insignificant(gram, config, boundaries, K_l, trace):
     trace.append({"op": "stop", "stage": K_u - K_l + 1, "reason": "lower_bound_reached"})
 
 
-def _recurse_u(gram, config, start, stop, boundaries, trace):
+def _recurse_u(gram, config, start, stop, boundaries, trace, psd):
     if not splittable(stop - start, config.delta):
         trace.append({"op": "skip", "block": [start, stop], "reason": "too_short"})
         return
@@ -190,7 +197,7 @@ def _recurse_u(gram, config, start, stop, boundaries, trace):
     # Only the decision steers the recursion, so an accepting test may stop
     # early; its reported p-value is then the sequential one (see amoc).
     res = permutation_test(gram[start:stop, start:stop], replace(config, seed=seed),
-                           stop_on_accept=True)
+                           stop_on_accept=True, psd=psd)
     b = start + res.tau_hat
     trace.append(
         {
@@ -206,8 +213,8 @@ def _recurse_u(gram, config, start, stop, boundaries, trace):
     if res.reject:
         boundaries.append(b)
         trace.append({"op": "split", "block": [start, stop], "boundary": b})
-        _recurse_u(gram, config, start, b, boundaries, trace)
-        _recurse_u(gram, config, b, stop, boundaries, trace)
+        _recurse_u(gram, config, start, b, boundaries, trace, psd)
+        _recurse_u(gram, config, b, stop, boundaries, trace, psd)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .rng import TAG_SIMULATE, check_integer, check_seed, stream
+from .rng import TAG_SIMULATE, check_integer, check_real, check_seed, stream
 from .segment import Segmentation
 
 DEFAULT_GRID_SIZE = 128
@@ -63,7 +63,7 @@ class ModelSpec:
         if self.model_id in PARAMETRIC_MODELS:
             if "c" not in self.params:
                 raise ConfigurationError(f"model {self.model_id} requires param c")
-            c = float(self.params["c"])
+            c = check_real("c", self.params["c"])
             if not math.isfinite(c):
                 raise ConfigurationError(f"model {self.model_id} needs a finite c, got {c}")
             if self.model_id == "M1" and c < 0:

@@ -90,11 +90,11 @@ def gathered_permutation_maxima(gram, perms, delta):
     return np.array([rho_curve(gram[np.ix_(p, p)], delta)[1] for p in perms])
 
 
-def gathered_permutation_test(gram, config, stop_on_accept=False):
+def gathered_permutation_test(gram, config, stop_on_accept=False, psd=False):
     """permutation_test(gram, config) from the gathered per-draw loop over all
     R draws of permutation_stream, with the same statistic, exceedance rules
-    and rejection rule: no chunks, no screen, and no early stop whatever
-    stop_on_accept says."""
+    and rejection rule: no chunks, no screen, no low-rank tier whatever psd
+    says, and no early stop whatever stop_on_accept says."""
     m = gram.shape[0]
     tau_hat, T = rho_curve(gram, config.delta)
     perms = [permutation_stream(config.seed, r).permutation(m) for r in range(1, config.R + 1)]
@@ -104,6 +104,15 @@ def gathered_permutation_test(gram, config, stop_on_accept=False):
     else:
         p = int(np.count_nonzero(stats > T)) / config.R
     return AmocResult(T, tau_hat, p, p < config.alpha and T > 0.0, stats)
+
+
+def certificate_error(p):
+    """eps(p) = gamma_{p+4} / (e (1 - gamma_{p+4})) + 4u, the bound that
+    kernel.gram_of_rows' docstring derives on each Gram entry's distance
+    from the exact Gaussian Gram, with u = 2^-53 and gamma_n = n u / (1 - n u)."""
+    u = 2.0**-53
+    gamma = (p + 4) * u / (1 - (p + 4) * u)
+    return gamma / (np.e * (1 - gamma)) + 4 * u
 
 
 def stop_count(cfg):

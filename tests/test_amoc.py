@@ -17,6 +17,9 @@ from mmdseg import (
     generate,
     permutation_test,
     ModelSpec,
+    Segmentation,
+    match,
+    oracle_curve,
     prepare,
     rho_curve,
 )
@@ -73,22 +76,40 @@ def test_config_validation():
         lambda v: BenchmarkCell(ModelSpec("8", (12, 12, 12)), "ss", K_l=v, K_u=30),
         lambda v: BenchmarkCell(ModelSpec("8", (12, 12, 12)), "ss", K_u=v),
         lambda v: BenchmarkCell(ModelSpec("8", (12, 12, 12)), "forward", K_l=v),
+        lambda v: Segmentation(v, (7,)),
+        lambda v: Segmentation(40, (7, v)),
     ],
 )
 def test_integer_settings_reject_what_int_would_truncate(build):
     # int() would run seed 1.9 as seed 1 and a segment length of 20.7 as 20,
     # and grid_size 2.5 would draw a 3-point grid; a budget of 2.5 failed
-    # in range() mid-run; True ran as 1.  numpy integers pass.
+    # in range() mid-run; True ran as 1.  Segmentation(10, (2.5, 7.9)) held
+    # (2, 7), and Segmentation(10.5, (2,)) a last block ending at 10.5.
+    # numpy integers pass.
     for value in (20.7, 2.5, np.float64(3.0), "3", True, np.True_):
         with pytest.raises(ConfigurationError, match="must be an integer"):
             build(value)
     assert build(np.int64(20)) == build(20)
 
 
+def test_boundaries_and_pool_sizes_reject_what_int_would_truncate():
+    # match([3], [2.9]) read 2.9 as 2 and matched, and oracle_curve read
+    # pool sizes (2.9, 1.1) as (2, 1), then said they do not sum to n = 4.
+    for value in (2.9, np.float64(3.0), "3", True, np.True_):
+        with pytest.raises(ConfigurationError, match="boundary must be an integer"):
+            match([3], [value])
+        with pytest.raises(ConfigurationError, match="pool size must be an integer"):
+            oracle_curve(np.eye(4), (value, 1))
+    assert match([np.int64(3)], np.array([2])) and not match([3], [np.int64(1)])
+    assert np.array_equal(oracle_curve(np.eye(4), (np.int64(3), 1)), oracle_curve(np.eye(4), (3, 1)))
+
+
 def test_real_and_switch_settings_reject_other_types():
     # detect_s(X, 2.5) and its kin raised TypeError in range(); add_one="no"
     # ran the add-one p-value, delta="0.1" raised TypeError, and a bandwidth
-    # of "0.5" ran as 0.5, and one of True as 1.0.
+    # of "0.5" ran as 0.5, and one of True as 1.0.  A model strength c of
+    # "1" was stored as a string, True ran as 1.0, and "x" and None ended in
+    # a bare ValueError and TypeError.
     X = np.random.default_rng(0).normal(size=(40, 3))
     cfg = AmocConfig(R=19)
     for run in (lambda: detect_s(X, 2.5), lambda: detect_ss(X, 0, 2.5, cfg),
@@ -104,6 +125,11 @@ def test_real_and_switch_settings_reject_other_types():
             prepare(X, value)
     with pytest.raises(ConfigurationError, match="must be a real number"):
         detect_u(X, cfg, h=True)
+    for value in ("1", True, "x", None):
+        with pytest.raises(ConfigurationError, match="c must be a real number"):
+            ModelSpec("M1", (20, 20), params={"c": value})
+    assert ModelSpec("M1", (20, 20), params={"c": np.float64(1)}) == \
+        ModelSpec("M1", (20, 20), params={"c": 1.0})
     for value in ("no", 0, None):
         with pytest.raises(ConfigurationError, match="must be a bool"):
             AmocConfig(add_one=value)
@@ -438,8 +464,9 @@ def test_the_float32_screen_is_certified_and_changes_no_count(model, m, seed):
     # Every block up to m = 457 is screened at the default budget.  Each
     # screened maximum lies within its band of the gathered route's, and the
     # test counts, stops and decides as the float64 route (no screen below
-    # 5 m^2 bytes, and so no low-rank tier) does.  The two explicit examples
-    # build the tier's bound in all four runs; random ones rarely do.
+    # 5 m^2 bytes) with no low-rank tier does.  The screened side vouches for
+    # its Gram block: the two explicit examples build the tier's bound in all
+    # four of its runs; random ones rarely do.
     k = POPULATIONS[model]
     lengths = [m // k + (i < m % k) for i in range(k)]
     G = prepare(generate(ModelSpec(model, lengths, seed=seed)).data)[1]
@@ -450,7 +477,7 @@ def test_the_float32_screen_is_certified_and_changes_no_count(model, m, seed):
     for add_one in (False, True):
         cfg = AmocConfig(R=R, seed=seed, add_one=add_one)
         for stop in (False, True):
-            got = permutation_test(G, cfg, stop_on_accept=stop)
+            got = permutation_test(G, cfg, stop_on_accept=stop, psd=True)
             with patch.object(mmdseg.mmd, "_SCRATCH_BYTES", 5 * m * m - 1):
                 want = permutation_test(G, cfg, stop_on_accept=stop)
             assert (got.T_n, got.tau_hat) == (want.T_n, want.tau_hat)
@@ -469,7 +496,8 @@ def test_the_screen_rechecks_every_draw_the_float64_route_warns_on(monkeypatch):
     # dips warns once, on the float64 route too.  The second block has a
     # strong split and an eigenvalue near -0.11 that the low-rank tier's
     # slack hides (K = 1 passes its gate), so the tier would decide draws
-    # that dip, unwarned; its Cholesky check keeps it off.
+    # that dip, unwarned; no test on entries alone can see that, so the
+    # tier runs only on blocks a caller vouches for (psd), and these get none.
     uniform = np.random.default_rng(0).uniform(size=(30, 30))
     uniform = (uniform + uniform.T) / 2
     np.fill_diagonal(uniform, 1.0)

@@ -17,7 +17,7 @@ from mmdseg import AmocConfig, ModelSpec, generate, permutation_test, prepare
 from mmdseg.errors import ConfigurationError, DataError, DegenerateBandwidthError
 from mmdseg.kernel import as_dataset, median_heuristic
 
-from reference import condensed_prepare, gaussian_kernel, quadrature_l2
+from reference import certificate_error, condensed_prepare, gaussian_kernel, quadrature_l2
 
 
 def distances(X):
@@ -49,6 +49,25 @@ def test_l2_sine_matches_high_resolution_quadrature():
     expected = quadrature_l2(lambda s: np.sin(2 * np.pi * s), lambda s: 0.0 * s)
     assert value == pytest.approx(expected, abs=1e-3)
     assert expected == pytest.approx(1 / np.sqrt(2), abs=1e-4)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="longdouble is float64 here")
+@pytest.mark.parametrize("p", [1, 3, 128, 1000])
+def test_every_gram_entry_lies_within_the_certificate(p):
+    # gram_of_rows' docstring bounds each entry's distance from the exact
+    # Gaussian Gram at the same float64 2h^2 by eps(p): checked against a
+    # longdouble recomputation on plain, shrunk and stretched rows and on
+    # rows with 30 near-duplicates, whose kernel values lie near 1.
+    rng = np.random.default_rng(p)
+    X = rng.normal(size=(40, p))
+    near = np.vstack([X, X[:30] + 1e-9 * rng.normal(size=(30, p))])
+    for rows in (X, X * 1e-3, X * 1e3, near):
+        h, G = prepare(rows)
+        exact = rows.astype(np.longdouble)
+        two_h2 = np.longdouble(2.0 * h * h)
+        for i, row in enumerate(exact):
+            kernel = np.exp(-((exact - row) ** 2).sum(axis=1) / p / two_h2)
+            assert np.max(np.abs(G[i] - kernel)) <= certificate_error(p)
 
 
 def test_l2_rejects_non_finite():
@@ -335,22 +354,25 @@ def test_a_permutation_test_adds_at_most_its_scratch():
 
 @needs_proc_status
 @pytest.mark.parametrize(
-    "n, rows, R, stop",
-    [(1500, "X", 199, False), (1500, "X", 999, False), (1500, "X", 999, True),
-     (256, "generate(ModelSpec('8', (86, 85, 85))).data", 199, False)],
-    ids=["199-False", "999-False", "999-True", "199-tier"],
+    "n, rows, R, stop, psd",
+    [(1500, "X", 199, False, False), (1500, "X", 999, False, False),
+     (1500, "X", 999, True, False),
+     (256, "generate(ModelSpec('8', (86, 85, 85))).data", 199, False, True),
+     (1500, "generate(ModelSpec('8', (500, 500, 500))).data", 199, False, True)],
+    ids=["199-False", "999-False", "999-True", "199-tier", "1500-tier"],
 )
-def test_a_permutation_test_holds_its_draws_in_scratch(n, rows, R, stop):
+def test_a_permutation_test_holds_its_draws_in_scratch(n, rows, R, stop, psd):
     # A chunk of draws with their ranks fits in the budget, and so does a rank
     # mask; with per-draw rows and the allocator's slack the rise is 2.5 MiB.
     # One (R, m) block of draws and ranks at once took it to 3.96 MiB
     # (R = 199), 15.4 MiB (R = 999) and 4.8 MiB (R = 999, stopping early).
-    # A model-8 block at the low-rank tier's cap (m = 256) also builds its
-    # bound: the Cholesky check's copy and factor (16 m^2 bytes), LAPACK's
-    # first call and the prefix sums within half the budget.
+    # Vouched model-8 blocks also build the low-rank tier's bound, over the
+    # float32 copy at m = 256 and over the block itself at m = 1500: m x 8
+    # products, LAPACK's first call, and prefix sums within half of what the
+    # copy leaves of the budget.
     warm = ("from mmdseg import ModelSpec, generate; "
             f"G = prepare({rows})[1]; permutation_test(G[:100, :100], AmocConfig(R=3))")
-    run = f"permutation_test(G, AmocConfig(R={R}), stop_on_accept={stop})"
+    run = f"permutation_test(G, AmocConfig(R={R}), stop_on_accept={stop}, psd={psd})"
     assert high_water_rise(n, warm, run) <= 3 * mmdseg.mmd._SCRATCH_BYTES
 
 

@@ -2,7 +2,7 @@ from math import ceil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmdseg import (
     AmocConfig,
@@ -347,6 +347,7 @@ def test_the_scratch_budget_changes_no_permutation_test_bit(m, monkeypatch):
     seed=st.integers(0, 2**32 - 1),
     share=st.sampled_from([np.inf, 1.0, 0.3]),
 )
+@example(model="8", m=600, seed=0, share=1.0)  # above the float32 screen: K = 6
 def test_the_low_rank_bound_is_certified(model, m, seed, share):
     # For every draw, max q lies within ||C - W W^T||_F / m of the float64
     # maximum (that slack taken here from the dense centered Gram), the

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmdseg import (
     AmocConfig,
@@ -17,10 +17,11 @@ from mmdseg import (
     rho_curve,
 )
 from mmdseg.errors import ConfigurationError, DegenerateBandwidthError
-from mmdseg.segment import detect
+import mmdseg.segment
+from mmdseg.segment import PSD_GRID, detect
 from mmdseg.simulate import POPULATIONS
 
-from reference import reference_detect, separated_pools, stop_count
+from reference import certificate_error, reference_detect, separated_pools, stop_count
 
 
 CFG = AmocConfig(R=99, seed=42)
@@ -277,6 +278,9 @@ def test_forward_finds_remaining_boundary():
     add_one=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# the low-rank tier decides 34 draws, at m = 600 above the float32 screen
+# (on float64 rank masks) and at m = 400 on it
+@example(algorithm="u", model="8", n=600, k=1, R=19, alpha=0.05, add_one=False, seed=0)
 def test_every_decision_equals_the_full_gathered_run(algorithm, model, n, k, R, alpha,
                                                      add_one, seed):
     # Chunked keys, the float32 screen and early stops must leave every
@@ -298,3 +302,26 @@ def test_every_decision_equals_the_full_gathered_run(algorithm, model, n, k, R, 
             assert rec["p_value"] == ((1 + h) / (L + 1) if add_one else h / L)
             rec, ref = ({**r, "p_value": None, "permutations_used": None} for r in (rec, ref))
         assert rec == ref
+
+
+def test_the_detectors_vouch_for_their_gram_up_to_the_certified_grid(monkeypatch):
+    # gram_of_rows' certificate error is at most 1e-10 up to p = 2^21 grid
+    # points and not at twice that; both of segment's permutation tests
+    # vouch for their block exactly there, and only where 2h^2 >= 2^-1000.
+    assert certificate_error(PSD_GRID) <= 1e-10 < certificate_error(2 * PSD_GRID)
+    vouched, test = [], mmdseg.segment.permutation_test
+
+    def recording_test(block, config, stop_on_accept=False, psd=False):
+        vouched.append(psd)
+        return test(block, config, stop_on_accept, psd)
+
+    monkeypatch.setattr(mmdseg.segment, "permutation_test", recording_test)
+    monkeypatch.setattr(mmdseg.segment, "PSD_GRID", 3)
+    X = generate(ModelSpec("8", (10, 10, 10), grid_size=4)).data
+    cfg = AmocConfig(R=9)
+    for data, h, want in ((X[:, :3], None, True), (X, None, False),
+                          (X[:, :3], 2.0**-500, True), (X[:, :3], 2.0**-501, False)):
+        vouched.clear()
+        detect_u(data, cfg, h)
+        detect_ss(data, 0, 1, cfg, h)
+        assert len(vouched) >= 2 and set(vouched) == {want}
