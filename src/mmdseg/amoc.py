@@ -15,10 +15,11 @@ and its decision is the full run's on every input.
 
 Each draw's statistic comes from the block as it is, by the cheapest route
 that can place it against T exactly as the gathered per-draw route would: a
-low-rank bound for strong-signal tests on vouched PSD blocks of m >= 150,
-rank masks over the block's float32 copy (entries in [0, 1], m <= 457) or
-over the block itself, each certified, and a recheck on the draw's
-reordered curve for any draw the others leave undecided.
+low-rank bound on vouched PSD blocks of m >= 150 whose T stands far above
+their mean draw (decided before the first draw), rank masks over the block's
+float32 copy (entries in [0, 1], m <= 457) or over the block itself, each
+certified, and a recheck on the draw's reordered curve for any draw the
+others leave undecided.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from .rng import check_integer, check_real, check_seed, permutation_chunks
 # 1.3e-14 at m = 4..3000); a draw that close to T_n is recomputed in its order.
 TIE_BAND = 1e-12
 
-# The low-rank tier is built only when the first chunk's largest draw lies
-# below this share of T_n, and its slack must fit in the rest.
+# The low-rank tier is built only when _MEAN_SHARE mean draws lie below this
+# share of T_n (a test's first 2h draws peak near 3.7 mean draws, at most 9.5).
 _TIER_GATE = 0.8
+_MEAN_SHARE = 6.0
 
 
 @dataclass(frozen=True)
@@ -148,12 +150,13 @@ def permutation_test(
     psd vouches that block is a principal block of a Gram that
     `kernel.gram_of_rows` certifies to 1e-10 (`segment`'s are): no exact curve
     lies below -1e-10.  Then at m >= 150 the low-rank tier goes in front of
-    the rank masks.  Its first chunk is 2 _accept_count(config) draws, with or
-    without stop_on_accept.  When that chunk's largest draw M1 lies below
-    _TIER_GATE T_n, `mmd.low_rank_bound` takes the smallest K whose slack
-    fits under _TIER_GATE T_n - M1, and each later draw whose max q lies below
-    its threshold is decided below T_n - 2 TIE_BAND A with no float64 curve
-    (none could have warned); any other goes to the rank masks.
+    the rank masks, decided before any draw from the block B and T_n alone:
+    every split's mean over draws is mu = (tr B - 1^T B 1 / m) / (m (m-1)),
+    as E[v v^T] = |v|^2 H / (m-1) (v as in `mmd.low_rank_bound`).  When
+    _MEAN_SHARE mu < _TIER_GATE T_n, `mmd.low_rank_bound` takes the smallest K
+    whose slack fits under the difference, and each draw whose max q lies
+    below its threshold is decided below T_n - 2 TIE_BAND A with no float64
+    curve (none could have warned); any other goes to the rank masks.
 
     Draws come in the chunks of `_chunk_ends`, and the test stops at the draw
     L that brings the exceedance count to h.  By default h = R + 1, which no
@@ -170,23 +173,21 @@ def permutation_test(
     scale = max(high, -low)  # A, with no m x m temporary
     screen = 5 * m * m <= mmd._SCRATCH_BYTES and 0.0 <= low and high <= 1.0
     sums = block.astype(np.float32) if screen else block
-    tier = psd and 150 <= m  # below 150 rows the tier saved no time
-    ends = _chunk_ends(config.R, h, m)
-    if tier:  # an early-stopping run's first chunk, in every run
-        ends = sorted({_chunk_ends(config.R, _accept_count(config), m)[0], *ends})
-    bound = None
+    bound, copy = None, sums.nbytes if screen else 0
+    if psd and 150 <= m:  # below 150 rows the tier saved no time
+        mu = (np.trace(block) - block.sum() / m) / (m * (m - 1))
+        if (budget := _TIER_GATE * T_n - _MEAN_SHARE * mu) > 0:
+            bound = mmd.low_rank_bound(block, config.delta, T_n - 2 * TIE_BAND * scale, budget)
     stats, hits = np.empty(0), np.empty(0, dtype=np.intp)
     # h = 0: even no exceedance gives p >= alpha, so the test accepts undrawn
-    for perms in permutation_chunks(config.seed, m, ends) if h else ():
+    for perms in permutation_chunks(config.seed, m, _chunk_ends(config.R, h, m)) if h else ():
         if bound is None:
             chunk = _decide(block, sums, scale, perms, T_n, config.delta)
         else:
-            chunk = mmd.low_rank_maxima(bound[0], perms, config.delta)
+            chunk = mmd.low_rank_maxima(bound[0], perms, config.delta, copy)
             rest = chunk >= bound[1]  # not decided below T_n
             if rest.any():
                 chunk[rest] = _decide(block, sums, scale, perms[rest], T_n, config.delta)
-        if tier and stats.size == 0 and (budget := _TIER_GATE * T_n - chunk.max()) > 0:
-            bound = mmd.low_rank_bound(block, config.delta, T_n - 2 * TIE_BAND * scale, budget)
         stats = np.concatenate((stats, chunk))
         hits = np.flatnonzero(stats >= T_n if config.add_one else stats > T_n)
         if hits.size >= h:

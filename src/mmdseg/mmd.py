@@ -149,7 +149,7 @@ def masked_maxima(gram: np.ndarray, sums: np.ndarray, perms, delta: float, scale
     S[a] = sum_b gram[a, b] [r_b < r_a] on the matrix as it is, so one rank
     mask per draw replaces the m x m gather and its cumulative sum.  They are
     taken over `sums`, gram itself or its float32 copy, in sums' dtype, in
-    chunks of _SCRATCH_BYTES // m^2 draws (at least one); the diagonal and
+    chunks of up to _SCRATCH_BYTES // m^2 draws (at least one); the diagonal and
     the full row sums always come from gram.  A chunk's masks span as many
     rows as the budget holds: all of _SCRATCH_BYTES over gram, half of what
     a copy leaves of it.  No row sum's order depends on the chunk or the
@@ -188,7 +188,7 @@ def masked_maxima(gram: np.ndarray, sums: np.ndarray, perms, delta: float, scale
     diag = np.diagonal(gram)
     rows = gram.sum(axis=1)
     gamma = _gamma(m + 1, np.finfo(sums.dtype).eps / 2)
-    step = max(1, _SCRATCH_BYTES // (m * m))  # draws per chunk
+    step = max(1, min(_SCRATCH_BYTES // (m * m), len(perms)))  # draws per chunk
     mask_bytes = _SCRATCH_BYTES if sums is gram else (_SCRATCH_BYTES - sums.nbytes) // 2
     span = min(max(1, mask_bytes // (step * m)), m)  # mask rows per einsum
     maxima, minima, bands = np.empty((3, perms.shape[0]))
@@ -305,15 +305,15 @@ def low_rank_bound(gram: np.ndarray, delta: float, target: float, budget: float)
     return W, (target - slack - centering - prefix) * (1.0 - _gamma(K + 6))
 
 
-def low_rank_maxima(W: np.ndarray, perms, delta: float) -> np.ndarray:
+def low_rank_maxima(W: np.ndarray, perms, delta: float, copy: int = 0) -> np.ndarray:
     """max over the admissible range of q(t) = sum_k P_k(t)^2 / (t (m-t)) for
     each row p of perms, P_k the prefix sums of W[p, k] (`low_rank_bound`).
 
     Each chunk of draws gathers W^T in draw order, K prefix sums per draw in
-    half of what a screened block's float32 copy (4 m^2 bytes where 5 m^2 <=
-    _SCRATCH_BYTES) leaves of _SCRATCH_BYTES, and adds the K squares in place
-    with no BLAS call: a draw's value does not depend on the other draws
-    passed or on the BLAS thread count.
+    half of what the caller's copy of the block (copy bytes, 0 for none)
+    leaves of _SCRATCH_BYTES, and adds the K squares in place with no BLAS
+    call: a draw's value does not depend on the other draws passed or on the
+    BLAS thread count.
     """
     perms = np.asarray(perms, dtype=np.intp)
     m, K = W.shape
@@ -322,7 +322,6 @@ def low_rank_maxima(W: np.ndarray, perms, delta: float) -> np.ndarray:
     span = t * (m - t)
     Wt = np.ascontiguousarray(W.T)
     out = np.empty(perms.shape[0])
-    copy = 4 * m * m if 5 * m * m <= _SCRATCH_BYTES else 0
     step = max(1, (_SCRATCH_BYTES - copy) // (16 * K * t_max))  # draws per chunk
     for lo in range(0, perms.shape[0], step):
         order = perms[lo : lo + step, :t_max].T

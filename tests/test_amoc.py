@@ -465,8 +465,10 @@ def test_the_float32_screen_is_certified_and_changes_no_count(model, m, seed):
     # screened maximum lies within its band of the gathered route's, and the
     # test counts, stops and decides as the float64 route (no screen below
     # 5 m^2 bytes) with no low-rank tier does.  The screened side vouches for
-    # its Gram block: the two explicit examples build the tier's bound in all
-    # four of its runs; random ones rarely do.
+    # its Gram block, and the tier's gate reads only the block and T: the two
+    # explicit examples call mmd.low_rank_bound in all four runs, where model
+    # 2's builds K = 4 and model 8's finds no K under its budget (0.53 T);
+    # random ones rarely pass the gate.
     k = POPULATIONS[model]
     lengths = [m // k + (i < m % k) for i in range(k)]
     G = prepare(generate(ModelSpec(model, lengths, seed=seed)).data)[1]
@@ -486,6 +488,41 @@ def test_the_float32_screen_is_certified_and_changes_no_count(model, m, seed):
             exceed = np.greater_equal if add_one else np.greater
             assert np.array_equal(exceed(got.permutation_stats, got.T_n),
                                   exceed(want.permutation_stats, want.T_n))
+
+
+def test_a_strong_split_decides_its_first_draws_with_the_low_rank_bound(monkeypatch):
+    # The tier is built before the first draw, so a full test on a vouched
+    # model-8 block sends none of its first 2h draws to the rank masks (a
+    # gate on the first chunk's largest draw sent all 2h there).
+    m, cfg = 300, AmocConfig(R=199)
+    G = prepare(generate(ModelSpec("8", (100, 100, 100))).data)[1]
+    masked, maxima = [], mmdseg.mmd.masked_maxima
+
+    def counting(gram, sums, perms, *args):
+        masked.extend(map(tuple, perms))
+        return maxima(gram, sums, perms, *args)
+
+    monkeypatch.setattr(mmdseg.mmd, "masked_maxima", counting)
+    got = permutation_test(G, cfg, psd=True)
+    first = next(permutation_chunks(cfg.seed, m, (2 * _accept_count(cfg),)))
+    assert not {tuple(p) for p in first} & set(masked)
+    want = gathered_permutation_test(G, cfg)
+    assert got.p_value == want.p_value and got.reject == want.reject
+
+
+@pytest.mark.parametrize("model", ["N1", "N2", "N3", "N4"])
+def test_no_null_block_builds_the_low_rank_bound(model, monkeypatch):
+    # On a null block T lies near the draws' mean, below the gate's
+    # _MEAN_SHARE / _TIER_GATE mean draws, so an early-stopping test never
+    # builds a bound (with no gate, a bound was built and failed on every
+    # null block of m >= 150).
+    calls = []
+    monkeypatch.setattr(mmdseg.mmd, "low_rank_bound", lambda *a: calls.append(a))
+    for m in (150, 225, 300):
+        for seed in (0, 1):
+            G = prepare(generate(ModelSpec(model, (m,), seed=seed)).data)[1]
+            permutation_test(G, AmocConfig(seed=seed), stop_on_accept=True, psd=True)
+    assert calls == []
 
 
 def test_the_screen_rechecks_every_draw_the_float64_route_warns_on(monkeypatch):

@@ -315,22 +315,26 @@ def test_the_scratch_budget_changes_no_bit(m, R, budget, monkeypatch):
         assert np.array_equal(masked_maxima(G, sums, perms, 0.05, 1.0), want)
 
 
-@pytest.mark.parametrize("m", [40, 300, 1100])
+@pytest.mark.parametrize("m", [40, 100, 300, 1100])
 def test_the_scratch_budget_changes_no_permutation_test_bit(m, monkeypatch):
     # At 1 or 1000 bytes every chunk of draws holds one or two draws, and at
     # m = 1100 the default budget splits R = 99 draws too (95 + 4); each draw
     # has its own key, so full and early-stopping tests agree in every
     # decision.  The budget also decides whether a block is screened (at the
-    # default, m = 40 and 300 are; at 1 or 1000 bytes no block is), so draws
-    # far from T may hold screened values, but each lies on its float64
-    # value's side of T.
+    # default, m = 40, 100 and 300 are; at 1 or 1000 bytes no block is), so
+    # draws far from T may hold screened values, but each lies on its float64
+    # value's side of T.  A short chunk's masks span more rows: at m = 100 the
+    # early stop's first 10 draws take one 100-row span, the full run's 99
+    # draws 50-row spans, with every value the same.
     G, cfg = random_gram(m, n=m), AmocConfig(R=99, seed=m)
 
     def outcomes():
         return [permutation_test(G, cfg, stop_on_accept=stop) for stop in (False, True)]
 
     default = outcomes()
-    assert default[1].permutation_stats.size < cfg.R  # the null block stops early
+    full, early = (result.permutation_stats for result in default)
+    assert early.size < cfg.R  # the null block stops early
+    assert np.array_equal(early, full[: early.size])
     for budget in (1, 1000):
         monkeypatch.setattr(mmdseg.mmd, "_SCRATCH_BYTES", budget)
         for got, want in zip(outcomes(), default):

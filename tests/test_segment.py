@@ -278,7 +278,7 @@ def test_forward_finds_remaining_boundary():
     add_one=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-# the low-rank tier decides 34 draws, at m = 600 above the float32 screen
+# the low-rank tier decides 38 draws, at m = 600 above the float32 screen
 # (on float64 rank masks) and at m = 400 on it
 @example(algorithm="u", model="8", n=600, k=1, R=19, alpha=0.05, add_one=False, seed=0)
 def test_every_decision_equals_the_full_gathered_run(algorithm, model, n, k, R, alpha,
