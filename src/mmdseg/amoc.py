@@ -13,13 +13,13 @@ p below alpha.  Such a test reports the Besag-Clifford (1991) sequential
 p-value h / L after L draws, itself a valid p-value and never below alpha,
 and its decision is the full run's on every input.
 
-Each draw's statistic comes from the block as it is, by the cheapest route
-that can place it against T exactly as the gathered per-draw route would: a
-low-rank bound on vouched PSD blocks of m >= 150 whose T stands far above
-their mean draw (decided before the first draw), rank masks over the block's
-float32 copy (entries in [0, 1], m <= 457) or over the block itself, each
-certified, and a recheck on the draw's reordered curve for any draw the
-others leave undecided.
+Each test draws by one route, chosen before its first draw: a low-rank
+bound on vouched PSD blocks of m >= 150 whose T stands far above their mean
+draw, or else rank masks over the block's float32 copy (entries in [0, 1],
+m <= 457) or over the block itself.  Each is certified to place a draw
+against T exactly as the gathered per-draw route would, or to leave it
+undecided, and one recheck on the draw's reordered curve settles each
+undecided draw.
 """
 
 from __future__ import annotations
@@ -114,16 +114,12 @@ def _chunk_ends(R: int, h: int, m: int) -> list[int]:
     return ends
 
 
-def _decide(block, sums, scale, perms, T_n, delta) -> np.ndarray:
-    """Each draw's rank-mask maximum over sums (the block or its float32 copy),
-    or its reordered curve's maximum where the first lies within band + 2
-    TIE_BAND scale of T_n or its minimum that close to CLAMP_WARN_THRESHOLD."""
-    chunk, low, band = mmd.masked_maxima(block, sums, perms, delta, scale)
+def _masked(block, sums, scale, perms, T_n, delta):
+    """Rank-mask maxima over sums (the block or its float32 copy), and which are unsure:
+    within band + 2 TIE_BAND scale of T_n, or with minima that close to CLAMP_WARN_THRESHOLD."""
+    maxima, minima, band = mmd.masked_maxima(block, sums, perms, delta, scale)
     margin = band + 2 * TIE_BAND * scale
-    unsure = (np.abs(chunk - T_n) <= margin) | (low <= mmd.CLAMP_WARN_THRESHOLD + margin)
-    for i in np.flatnonzero(unsure):
-        chunk[i] = mmd.rho_curve(block, delta, perms[i])[1]
-    return chunk
+    return maxima, (np.abs(maxima - T_n) <= margin) | (minima <= mmd.CLAMP_WARN_THRESHOLD + margin)
 
 
 def permutation_test(
@@ -134,29 +130,30 @@ def permutation_test(
 
     Permutation r is drawn from the deterministic stream keyed by
     (config.seed, r) (`rng.permutation_chunks`), so results do not depend on
-    evaluation order.  Every draw's statistic comes from the block as it is.
-
-    Rank-masked sums give each draw's maximum, minimum and certified band
-    (`mmd.masked_maxima`), over the block's float32 copy when its entries
-    lie in [0, 1] and the copy (4 m^2 bytes) and one draw's mask (m^2) fit
-    in mmd._SCRATCH_BYTES (m <= 457), over the block itself otherwise.  The
-    band and the margin 2 TIE_BAND A scale with A, the block's largest
-    |entry|.  A draw whose maximum lies within band + margin of T_n, or whose
-    minimum lies that close to mmd.CLAMP_WARN_THRESHOLD, is rechecked by
-    `mmd.rho_curve` in the draw's order, with the gathered copy's bits.  So
-    every count, p-value, decision and stop L is the gathered route's at any
-    entry scale, and each rechecked draw whose curve dips warns once.
+    evaluation order.  Every draw's statistic comes from the block as it is,
+    by one route per test, chosen before the first draw.
 
     psd vouches that block is a principal block of a Gram that
     `kernel.gram_of_rows` certifies to 1e-10 (`segment`'s are): no exact curve
-    lies below -1e-10.  Then at m >= 150 the low-rank tier goes in front of
-    the rank masks, decided before any draw from the block B and T_n alone:
-    every split's mean over draws is mu = (tr B - 1^T B 1 / m) / (m (m-1)),
-    as E[v v^T] = |v|^2 H / (m-1) (v as in `mmd.low_rank_bound`).  When
-    _MEAN_SHARE mu < _TIER_GATE T_n, `mmd.low_rank_bound` takes the smallest K
-    whose slack fits under the difference, and each draw whose max q lies
-    below its threshold is decided below T_n - 2 TIE_BAND A with no float64
-    curve (none could have warned); any other goes to the rank masks.
+    lies below -1e-10.  Then at m >= 150 the route is the low-rank tier if it
+    builds, from B and T_n alone: every split's mean over draws is mu =
+    (tr B - 1^T B 1 / m) / (m (m-1)), as E[v v^T] = |v|^2 H / (m-1) (v as in
+    `mmd.low_rank_bound`).  When _MEAN_SHARE mu < _TIER_GATE T_n,
+    `mmd.low_rank_bound` takes the smallest K whose slack fits under the
+    difference, and each draw whose max q lies below its threshold is decided
+    below T_n - 2 TIE_BAND A with no float64 curve (none could have warned).
+
+    Any other test takes each draw's maximum, minimum and certified band from
+    rank-masked sums (`mmd.masked_maxima`) over the block's float32 copy when
+    its entries lie in [0, 1] and the copy (4 m^2 bytes) and one draw's mask
+    (m^2) fit in mmd._SCRATCH_BYTES (m <= 457), over the block itself
+    otherwise, and decides a draw unless its maximum lies within band +
+    margin of T_n or its minimum that close to mmd.CLAMP_WARN_THRESHOLD; band
+    and margin 2 TIE_BAND A scale with A, the block's largest |entry|.  Either
+    route's undecided draws are rechecked by `mmd.rho_curve` in the draw's
+    order, with the gathered copy's bits.  So every count, p-value, decision
+    and stop L is the gathered route's at any entry scale, and each rechecked
+    draw whose curve dips warns once.
 
     Draws come in the chunks of `_chunk_ends`, and the test stops at the draw
     L that brings the exceedance count to h.  By default h = R + 1, which no
@@ -171,23 +168,24 @@ def permutation_test(
     h = _accept_count(config) if stop_on_accept else config.R + 1
     low, high = block.min(), block.max()
     scale = max(high, -low)  # A, with no m x m temporary
-    screen = 5 * m * m <= mmd._SCRATCH_BYTES and 0.0 <= low and high <= 1.0
-    sums = block.astype(np.float32) if screen else block
-    bound, copy = None, sums.nbytes if screen else 0
+    bound = None
     if psd and 150 <= m:  # below 150 rows the tier saved no time
         mu = (np.trace(block) - block.sum() / m) / (m * (m - 1))
         if (budget := _TIER_GATE * T_n - _MEAN_SHARE * mu) > 0:
             bound = mmd.low_rank_bound(block, config.delta, T_n - 2 * TIE_BAND * scale, budget)
+    if bound is None:
+        screen = 5 * m * m <= mmd._SCRATCH_BYTES and 0.0 <= low and high <= 1.0
+        sums = block.astype(np.float32) if screen else block
     stats, hits = np.empty(0), np.empty(0, dtype=np.intp)
     # h = 0: even no exceedance gives p >= alpha, so the test accepts undrawn
     for perms in permutation_chunks(config.seed, m, _chunk_ends(config.R, h, m)) if h else ():
         if bound is None:
-            chunk = _decide(block, sums, scale, perms, T_n, config.delta)
+            chunk, unsure = _masked(block, sums, scale, perms, T_n, config.delta)
         else:
-            chunk = mmd.low_rank_maxima(bound[0], perms, config.delta, copy)
-            rest = chunk >= bound[1]  # not decided below T_n
-            if rest.any():
-                chunk[rest] = _decide(block, sums, scale, perms[rest], T_n, config.delta)
+            chunk = mmd.low_rank_maxima(bound[0], perms, config.delta)
+            unsure = chunk >= bound[1]  # not decided below T_n
+        for i in np.flatnonzero(unsure):
+            chunk[i] = mmd.rho_curve(block, config.delta, perms[i])[1]
         stats = np.concatenate((stats, chunk))
         hits = np.flatnonzero(stats >= T_n if config.add_one else stats > T_n)
         if hits.size >= h:

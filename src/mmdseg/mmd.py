@@ -305,13 +305,12 @@ def low_rank_bound(gram: np.ndarray, delta: float, target: float, budget: float)
     return W, (target - slack - centering - prefix) * (1.0 - _gamma(K + 6))
 
 
-def low_rank_maxima(W: np.ndarray, perms, delta: float, copy: int = 0) -> np.ndarray:
+def low_rank_maxima(W: np.ndarray, perms, delta: float) -> np.ndarray:
     """max over the admissible range of q(t) = sum_k P_k(t)^2 / (t (m-t)) for
     each row p of perms, P_k the prefix sums of W[p, k] (`low_rank_bound`).
 
     Each chunk of draws gathers W^T in draw order, K prefix sums per draw in
-    half of what the caller's copy of the block (copy bytes, 0 for none)
-    leaves of _SCRATCH_BYTES, and adds the K squares in place with no BLAS
+    half of _SCRATCH_BYTES, and adds the K squares in place with no BLAS
     call: a draw's value does not depend on the other draws passed or on the
     BLAS thread count.
     """
@@ -322,7 +321,7 @@ def low_rank_maxima(W: np.ndarray, perms, delta: float, copy: int = 0) -> np.nda
     span = t * (m - t)
     Wt = np.ascontiguousarray(W.T)
     out = np.empty(perms.shape[0])
-    step = max(1, (_SCRATCH_BYTES - copy) // (16 * K * t_max))  # draws per chunk
+    step = max(1, _SCRATCH_BYTES // (16 * K * t_max))  # draws per chunk
     for lo in range(0, perms.shape[0], step):
         order = perms[lo : lo + step, :t_max].T
         P = np.empty((K, *order.shape))

@@ -461,14 +461,16 @@ def test_chunk_ends_rise_to_R_in_chunks_within_the_budget(R, h, m, budget):
 @example(model="8", m=256, seed=1)
 @example(model="2", m=200, seed=0)
 def test_the_float32_screen_is_certified_and_changes_no_count(model, m, seed):
-    # Every block up to m = 457 is screened at the default budget.  Each
-    # screened maximum lies within its band of the gathered route's, and the
-    # test counts, stops and decides as the float64 route (no screen below
-    # 5 m^2 bytes) with no low-rank tier does.  The screened side vouches for
-    # its Gram block, and the tier's gate reads only the block and T: the two
+    # Every block up to m = 457 that builds no bound is screened at the
+    # default budget.  Each screened maximum lies within its band of the
+    # gathered route's, and the test counts, stops and decides as the float64
+    # route (no screen below 5 m^2 bytes) with no low-rank tier does.  The
+    # default-budget side vouches for its Gram block, so it takes the tier's
+    # route, with no float32 copy, where the bound builds, and the screen
+    # where it does not; the gate reads only the block and T: the two
     # explicit examples call mmd.low_rank_bound in all four runs, where model
-    # 2's builds K = 4 and model 8's finds no K under its budget (0.53 T);
-    # random ones rarely pass the gate.
+    # 2's builds K = 4 and model 8's finds no K under its budget (0.53 T) and
+    # is screened; random ones rarely pass the gate.
     k = POPULATIONS[model]
     lengths = [m // k + (i < m % k) for i in range(k)]
     G = prepare(generate(ModelSpec(model, lengths, seed=seed)).data)[1]
@@ -508,6 +510,50 @@ def test_a_strong_split_decides_its_first_draws_with_the_low_rank_bound(monkeypa
     assert not {tuple(p) for p in first} & set(masked)
     want = gathered_permutation_test(G, cfg)
     assert got.p_value == want.p_value and got.reject == want.reject
+
+
+def test_the_tiers_undecided_draws_are_rechecked_not_masked(monkeypatch):
+    # A test with a bound takes no rank mask: every draw the tier leaves
+    # undecided (here every third, its max q forced to +inf) is rechecked on
+    # its reordered curve, with the gathered route's bits, and the test counts
+    # and decides as the gathered route does, stopping early or not.
+    cfg = AmocConfig(R=199)
+    G = prepare(generate(ModelSpec("8", (100, 100, 100))).data)[1]
+    bounded, maxima = mmdseg.mmd.low_rank_maxima, mmdseg.mmd.masked_maxima
+    curve = mmdseg.mmd.rho_curve
+    drawn, forced, masked, rechecked = [], [], [], []
+
+    def undecided(W, perms, *args):
+        q = bounded(W, perms, *args)
+        for i, p in enumerate(perms):
+            drawn.append(tuple(p))
+            if len(drawn) % 3 == 0:
+                q[i] = np.inf
+                forced.append(tuple(p))
+        return q
+
+    def counting_masks(gram, sums, perms, *args):
+        masked.extend(map(tuple, perms))
+        return maxima(gram, sums, perms, *args)
+
+    def counting_curve(gram, delta, order=None):
+        if order is not None:
+            rechecked.append(tuple(order))
+        return curve(gram, delta, order)
+
+    monkeypatch.setattr(mmdseg.mmd, "low_rank_maxima", undecided)
+    monkeypatch.setattr(mmdseg.mmd, "masked_maxima", counting_masks)
+    monkeypatch.setattr(mmdseg.mmd, "rho_curve", counting_curve)
+    want = gathered_permutation_test(G, cfg)
+    for stop in (False, True):
+        for seen in (drawn, forced, masked, rechecked):
+            seen.clear()
+        got = permutation_test(G, cfg, stop_on_accept=stop, psd=True)
+        assert masked == [] and len(drawn) == cfg.R
+        assert rechecked == forced and len(forced) == cfg.R // 3
+        assert (got.T_n, got.p_value, got.reject) == (want.T_n, want.p_value, want.reject)
+        assert got.permutation_stats.size == want.permutation_stats.size == cfg.R
+        assert np.array_equal(got.permutation_stats[2::3], want.permutation_stats[2::3])
 
 
 @pytest.mark.parametrize("model", ["N1", "N2", "N3", "N4"])

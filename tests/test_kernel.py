@@ -366,10 +366,11 @@ def test_a_permutation_test_holds_its_draws_in_scratch(n, rows, R, stop, psd):
     # mask; with per-draw rows and the allocator's slack the rise is 2.5 MiB.
     # One (R, m) block of draws and ranks at once took it to 3.96 MiB
     # (R = 199), 15.4 MiB (R = 999) and 4.8 MiB (R = 999, stopping early).
-    # Vouched model-8 blocks also build the low-rank tier's bound, over the
-    # float32 copy at m = 256 and over the block itself at m = 1500: m x 8
-    # products, LAPACK's first call, and prefix sums within half of what the
-    # copy leaves of the budget.
+    # Vouched model-8 blocks build the low-rank tier's bound instead of any
+    # rank mask, with no float32 copy at m = 256: m x K products, LAPACK's
+    # first call, and prefix sums within half the budget.  At one BLAS thread
+    # they rose 0.97-1.15 MiB (m = 256) and 0.43-0.49 MiB (m = 1500), against
+    # 1.07-1.14 and 0.43-0.50 MiB when the copy was made beside the bound.
     warm = ("from mmdseg import ModelSpec, generate; "
             f"G = prepare({rows})[1]; permutation_test(G[:100, :100], AmocConfig(R=3))")
     run = f"permutation_test(G, AmocConfig(R={R}), stop_on_accept={stop}, psd={psd})"
